@@ -138,7 +138,9 @@ def _phrase_pred(stems: list[str]) -> str:
     stages/parse.py), so a phrase matches iff its stems appear at
     adjacent indices of the per-doc kept-stem LIST — a sliding-window
     scan over tst ('@'-side) or bst. Empty-stem (stopword) terms are
-    dropped first, like ShardIndex._eval_phrase."""
+    dropped first, like the phrase leaf of ShardIndex.eval, whose one
+    evaluator (ShardIndex._eval_phrase_uncached) intersects the same
+    (doc, position - i) adjacency."""
     stems = [s for s in stems if s and s != "@"]
     if not stems:
         return "FALSE"
@@ -157,7 +159,8 @@ def _phrase_pred(stems: list[str]) -> str:
 
 def _pred(node, qc, cols: "_Cols") -> str:
     """Candidate predicate from the plan tree — mirrors
-    ShardIndex.eval / _eval_mask (search.py:399-490) exactly."""
+    ShardIndex.eval / ShardIndex._eval_mask (pipelines/search.py)
+    exactly."""
     if node is None:
         return "FALSE"
     if isinstance(node, qc.Word):

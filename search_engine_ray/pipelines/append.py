@@ -233,9 +233,9 @@ def refresh_block_max(index_dir: str) -> int:
         new_bmax = []
         for i in range(t.num_rows):
             row = {name: t.column(name)[i].as_py()
-                   for name in ("df", "cf", "doc_gaps", "tfs", "pos_gaps",
+                   for name in ("df", "cf", "doc_gaps", "tfs", "block_offs",
                                 "block_last_doc", "block_max_impact")}
-            tp = seg.TermPostings(row)
+            tp = seg.LazyPostings(row)
             # posting doc values are ordinals into the doc_id-sorted
             # docmeta — direct indexing, no searchsorted
             dls = d_dls[tp.doc_ids]

@@ -39,6 +39,7 @@ import ray
 from ..query import compile as qc
 from ..state import bloom as sb
 from ..state import segments as seg
+from ..state.lru import LRU
 
 SYN_WEIGHT = 0.4  # Ranker.hpp:110
 
@@ -191,10 +192,13 @@ def _topk_tie_aware(docs: np.ndarray, scores: np.ndarray, k: int
 
 
 class ShardIndex:
-    """One document shard: lazy-decoded posting lists + doc attributes.
+    """One document shard: block-lazy posting lists + doc attributes.
 
-    Parquet files are opened memory-mapped; term rows decode on first use
-    and are cached (mirrors the csolver mmap+read-on-demand, main.cpp:59-108).
+    Parquet files are opened memory-mapped; a term's row becomes one
+    seg.LazyPostings view on first lookup, whose blocks decode on first
+    probe (mirrors the csolver mmap+read-on-demand, main.cpp:59-108).
+    Every cache here is a bounded LRU: 256 row groups, 1024 postings
+    views and 512 phrase results per shard.
 
     Doc values inside posting lists are per-shard dense ORDINALS — the
     doc's position in the shard's doc_id-sorted docmeta (assigned at
@@ -203,6 +207,11 @@ class ShardIndex:
     unchanged; dense scoring indexes the docmeta arrays directly, and
     results map back to real doc ids only at output time.
     """
+
+    _MISS = object()
+    # segment columns read at open (heavy ones page in per row group)
+    _LIGHT = ("df", "cf", "block_last_doc", "block_max_impact",
+              "block_offs")
 
     def __init__(self, index_dir: str, shard: int, wand_ok: bool = True):
         # wand_ok=False when this shard's block-max bounds were computed
@@ -219,20 +228,13 @@ class ShardIndex:
         # 512-row groups, pipelines/exchange.py). At 100 TB an actor
         # hosting GB-scale shards boots in metadata time and its
         # resident set tracks the queried vocabulary, not the corpus.
-        self._rg_cache: dict[tuple[int, int, str], pa.ChunkedArray] = {}
+        self._rg_cache = LRU(256)
         self._seg_pf, self._rg_starts, self._seg_full = \
             self._open_lazy(seg_path)
         if self._seg_pf is not None:
-            schema_names = self._seg_pf.schema_arrow.names
-            self._has_block_offs = "block_offs" in schema_names
-            light = ["term", "df", "cf", "block_last_doc",
-                     "block_max_impact"]
-            if self._has_block_offs:
-                light.append("block_offs")
-            t = self._seg_pf.read(columns=light)
+            t = self._seg_pf.read(columns=list(self._LIGHT) + ["term"])
         else:  # multi-file shard dir (e.g. append-written): eager read
             t = self._seg_full
-            self._has_block_offs = "block_offs" in t.column_names
         # segment rows are written term-sorted: lookups binary-search the
         # Arrow column directly (O(log n) probes, cached) instead of
         # materializing a python dict of every term at actor startup.
@@ -248,9 +250,8 @@ class ShardIndex:
                            if _b[2] is not None
                            else np.empty(0, dtype=np.uint8))
         self._table = t
-        self._cache: dict[str, seg.TermPostings] = {}
-        self._lazy: dict[str, seg.LazyPostings] = {}
-        self._phrase_cache: dict[tuple, np.ndarray] = {}
+        self._postings = LRU(1024)
+        self._phrase_cache = LRU(512)  # the index is immutable
         # docmeta: scoring needs doc_id+dl for every doc; url/title only
         # for the ≤k result rows per query — paged in per row group too
         self._doc_pf, self._doc_rg_starts, self._doc_full = \
@@ -286,18 +287,13 @@ class ShardIndex:
             return full.column(col)[i].as_py()
         g = int(np.searchsorted(rg_starts, i, side="right") - 1)
         key = (id(pf), g, col)
-        arr = self._rg_cache.pop(key, None)
+        arr = self._rg_cache.get(key)
         if arr is None:
             # use_threads=False: the default thread-pool dispatch costs
             # ~12 ms per small read vs ~0.9 ms single-threaded
             arr = pf.read_row_group(g, columns=[col],
                                     use_threads=False).column(col)
-            if len(self._rg_cache) >= 256:
-                self._rg_cache.pop(next(iter(self._rg_cache)))
-        # pop + reinsert = move-to-end: eviction order is true LRU, not
-        # FIFO insertion order (a hot metadata group must never be
-        # evicted while cold ones sit in the map)
-        self._rg_cache[key] = arr
+            self._rg_cache.put(key, arr)
         return arr[i - int(rg_starts[g])].as_py()
 
     def _seg_cell(self, i: int, col: str):
@@ -323,49 +319,28 @@ class ShardIndex:
             return lo
         return None
 
-    _MISS = object()
-
-    def lookup(self, term: str) -> seg.TermPostings | None:
-        tp = self._cache.get(term, ShardIndex._MISS)
-        if tp is not ShardIndex._MISS:
-            return tp
-        i = self._find_row(term)
-        if i is None:
-            self._cache[term] = None  # negative cache
-            return None
-        row = {name: self._table.column(name)[i].as_py()
-               for name in ("df", "cf", "block_last_doc",
-                            "block_max_impact")}
-        for name in ("doc_gaps", "tfs", "pos_gaps"):
-            row[name] = self._seg_cell(i, name)
-        tp = seg.TermPostings(row)
-        self._cache[term] = tp
-        return tp
-
-    def lookup_lazy(self, term: str, positions: bool = False
-                    ) -> "seg.LazyPostings | None":
-        """Block-lazy postings view (no full decode): only the O(df/128)
-        block metadata materializes; doc/tf (and, with ``positions``,
-        position) blocks decode on first probe through the block_offs
-        seek table. The pos byte stream — the largest column — is only
-        materialized when ``positions`` is requested (phrase plans)."""
-        lz = self._lazy.get(term)
-        if lz is not None and not (positions and not len(lz._pos_bytes)
-                                   and lz.cf):
-            return lz
-        i = self._find_row(term)
-        if i is None:
-            return None
-        row = {name: self._table.column(name)[i].as_py()
-               for name in ("df", "cf", "block_last_doc",
-                            "block_max_impact", "block_offs")}
-        heavy = ["doc_gaps", "tfs"] + (["pos_gaps"] if positions else [])
-        for name in heavy:
-            row[name] = self._seg_cell(i, name)
-        lz = seg.LazyPostings(row)
-        if len(self._lazy) >= 1024:
-            self._lazy.pop(next(iter(self._lazy)))
-        self._lazy[term] = lz
+    def lookup(self, term: str, positions: bool = False
+               ) -> "seg.LazyPostings | None":
+        """The term's postings view, or None when the shard lacks it.
+        Nothing decodes here beyond the O(df/128) block metadata: doc/tf
+        blocks decode on first probe through the block_offs seek table,
+        and the pos byte stream — the largest column — pages in only
+        when ``positions`` is requested (phrase plans). Views and misses
+        share the bounded postings LRU."""
+        lz = self._postings.get(term, ShardIndex._MISS)
+        if lz is ShardIndex._MISS:
+            i = self._find_row(term)
+            lz = None
+            if i is not None:
+                row = {name: self._table.column(name)[i].as_py()
+                       for name in self._LIGHT}
+                for name in ("doc_gaps", "tfs"):
+                    row[name] = self._seg_cell(i, name)
+                lz = seg.LazyPostings(row)
+            self._postings.put(term, lz)
+        if positions and lz is not None and not lz.has_positions:
+            lz.add_positions(self._seg_cell(self._find_row(term),
+                                            "pos_gaps"))
         return lz
 
     def doc_meta(self, ordinal: int) -> tuple[str, str]:
@@ -383,9 +358,7 @@ class ShardIndex:
         if tab is None:
             tab = self._doc_pf.read_row_group(
                 g, columns=["url", "title"], use_threads=False)
-            if len(self._rg_cache) >= 256:
-                self._rg_cache.pop(next(iter(self._rg_cache)))
-            self._rg_cache[key] = tab
+            self._rg_cache.put(key, tab)
         loc = i - int(self._doc_rg_starts[g])
         return (tab.column("url")[loc].as_py(),
                 tab.column("title")[loc].as_py())
@@ -508,140 +481,51 @@ class ShardIndex:
             return _EMPTY
         key = tuple(terms)
         hit = self._phrase_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval_phrase_uncached(terms)
-        if len(self._phrase_cache) >= 512:  # bounded (index immutable)
-            self._phrase_cache.pop(next(iter(self._phrase_cache)))
-        self._phrase_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._eval_phrase_uncached(terms)
+            self._phrase_cache.put(key, hit)
+        return hit
 
     def _eval_phrase_uncached(self, terms: list[str]) -> np.ndarray:
-        # skewed phrases (one rare word + frequent companions — the
-        # common shape: "the WALRUS said") go block-lazy: the frequent
-        # terms decode only the candidate blocks, docs AND positions
-        # (the reference's skip table serves phrase ISR seeks the same
-        # way, Posts.hpp:448-473). Same engage gates as _conjunctive_topk.
-        if self._has_block_offs and len(terms) >= 2:
-            rows = [self._find_row(t) for t in terms]
-            if any(i is None for i in rows):
-                return _EMPTY
-            dfs = [int(self._table.column("df")[i].as_py())
-                   for i in rows]
-            if max(dfs) >= self.CONJ_SKEW * max(min(dfs), 1) \
-                    and max(dfs) >= self.CONJ_MIN_DF \
-                    and min(dfs) * self.CONJ_BLOCK_COST <= max(dfs):
-                return self._eval_phrase_lazy(terms, dfs)
-        tps = []
+        """Docs holding ``terms`` at consecutive positions. The rarest
+        term seeds the candidate set; every other term intersects and
+        position-verifies through gather/gather_positions, so a frequent
+        companion decodes only the blocks the candidates land in, docs
+        AND positions (the reference's skip table serves phrase ISR
+        seeks the same way, Posts.hpp:448-473)."""
+        views = []
         for t in terms:
-            tp = self.lookup(t)
-            if tp is None:
-                return _EMPTY
-            tps.append(tp)
-        cand = tps[0].doc_ids
-        for tp in tps[1:]:
-            cand = _intersect_sorted(cand, tp.doc_ids)
-            if not len(cand):
-                return _EMPTY
-        # vectorized adjacency check across ALL candidates at once: pack
-        # (candidate ordinal, shifted position) into one sorted uint64
-        # key per term occurrence and intersect the key sets — no
-        # per-candidate Python loop (a frequent pair used to cost ~10 µs
-        # × candidates × terms here)
-        idxs = [np.searchsorted(tp.doc_ids, cand) for tp in tps]
-
-        def flat_keys(tp, idx: np.ndarray, shift: int,
-                      ords_out: np.ndarray | None = None) -> np.ndarray:
-            starts = tp.pos_offsets[idx]
-            ln = tp.pos_offsets[idx + 1] - starts
-            total = int(ln.sum())
-            if total == 0:
-                return np.empty(0, dtype=np.int64)
-            base = np.repeat(starts, ln)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(ln) - ln, ln)
-            pos = tp.positions[base + offs] - shift
-            src = (np.arange(len(idx), dtype=np.int64)
-                   if ords_out is None else ords_out)
-            ords = np.repeat(src, ln)
-            keep = pos >= 0
-            return (ords[keep] << np.int64(32)) | pos[keep]
-
-        keys = flat_keys(tps[0], idxs[0], 0)
-        for i in range(1, len(tps)):
-            if not len(keys):
-                return _EMPTY
-            # only ordinals still alive in `keys` can survive the next
-            # intersection — build the next term's keys for those docs
-            # only (ordinal values preserved, so the merge stays valid)
-            ords = keys >> np.int64(32)
-            alive = ords[np.concatenate(([True],
-                                         ords[1:] != ords[:-1]))]
-            nxt = flat_keys(tps[i], idxs[i][alive], i, ords_out=alive)
-            # flat_keys output is sorted (ordinals ascend, positions
-            # ascend within each ordinal): merge-probe, never re-sort
-            keys = _intersect_sorted(keys, nxt)
-        if not len(keys):
-            return _EMPTY
-        ords = keys >> np.int64(32)  # nondecreasing
-        first = np.concatenate(([True], ords[1:] != ords[:-1]))
-        return cand[ords[first]]
-
-    def _eval_phrase_lazy(self, terms: list[str],
-                          dfs: list[int]) -> np.ndarray:
-        """Phrase docs without fully decoding the frequent terms: the
-        rarest term seeds the candidate set (eager decode — its
-        positions are needed anyway); every other term intersects and
-        position-verifies block-lazily via gather/gather_positions.
-        Bit-identical to the eager path (same candidate set, same
-        (ordinal, shifted-position) key intersection; pinned by
-        tests/test_conjunctive.py)."""
-        seed_j = int(np.argmin(dfs))
-        tp0 = self.lookup(terms[seed_j])
-        if tp0 is None or not len(tp0.doc_ids):
-            return _EMPTY
-        cand = tp0.doc_ids
-        lzs: dict[int, "seg.LazyPostings"] = {}
-        for j in sorted(range(len(terms)), key=lambda j: dfs[j]):
-            if j == seed_j:
-                continue
-            lz = self.lookup_lazy(terms[j], positions=True)
+            lz = self.lookup(t, positions=True)
             if lz is None:
                 return _EMPTY
-            lzs[j] = lz
-            hit, _ = lz.gather(cand)
+            views.append(lz)
+        order = sorted(range(len(views)), key=lambda j: views[j].df)
+        cand = views[order[0]].doc_ids
+        if len(views) == 1:  # every posting holds >= 1 position
+            return cand
+        for j in order[1:]:
+            hit, _ = views[j].gather(cand)
             cand = cand[hit]
             if not len(cand):
                 return _EMPTY
-        # adjacency: intersect (candidate ordinal, position - i) key
-        # sets in term order — exactly the eager flat_keys semantics
-        keys: np.ndarray | None = None
-        for i, t in enumerate(terms):
-            if i == seed_j:
-                idx = np.searchsorted(tp0.doc_ids, cand)
-                starts = tp0.pos_offsets[idx]
-                ln = tp0.pos_offsets[idx + 1] - starts
-                total = int(ln.sum())
-                base = np.repeat(starts, ln)
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(ln) - ln, ln)
-                pos = tp0.positions[base + within]
-                ords = np.repeat(np.arange(len(cand), dtype=np.int64),
-                                 ln)
-            else:
-                hit, pos, counts = lzs[i].gather_positions(cand)
-                # cand was intersected through every term already
-                ords = np.repeat(np.arange(len(cand), dtype=np.int64),
-                                 counts)
+        # adjacency: intersect sorted (candidate ordinal, position - i)
+        # keys in term order — no per-candidate Python loop; each term's
+        # keys cover only the ordinals still alive after the previous
+        # terms (ordinal values preserved, so the merge stays valid)
+        alive = np.arange(len(cand), dtype=np.int64)
+        keys = None
+        for i, lz in enumerate(views):
+            _, pos, counts = lz.gather_positions(cand[alive])
+            ords = np.repeat(alive, counts)
             p = pos - i
             keep = p >= 0
             k_i = (ords[keep] << np.int64(32)) | p[keep]
             keys = k_i if keys is None else _intersect_sorted(keys, k_i)
             if not len(keys):
                 return _EMPTY
-        ords = keys >> np.int64(32)
-        first = np.concatenate(([True], ords[1:] != ords[:-1]))
-        return cand[ords[first]]
+            ords = keys >> np.int64(32)  # nondecreasing
+            alive = ords[np.concatenate(([True], ords[1:] != ords[:-1]))]
+        return cand[alive]
 
     def exhaustive_topk(self, weighted_terms: list[tuple[str, float]],
                         k: int, avgdl: float) -> list[tuple[float, int]]:
@@ -689,16 +573,12 @@ class ShardIndex:
            path's smallest-doc-id rule exactly (same float-add order,
            same lexicographic (-score, doc_id) selection).
         """
-        # with a block_offs seek table the whole WAND runs over
-        # LazyPostings: the interval overlay needs only block metadata,
-        # and the score loop decodes just the visited intervals' blocks
-        # — a frequent term whose low-impact blocks are pruned is never
-        # decoded there (the eager path remains for pre-seek-table
-        # indexes)
-        lazy = self._has_block_offs
+        # the interval overlay needs only block metadata, and the score
+        # loop decodes just the visited intervals' blocks — a frequent
+        # term whose low-impact blocks are pruned is never decoded there
         tws = []
         for term, w in weighted_terms:
-            tp = (self.lookup_lazy(term) if lazy else self.lookup(term))
+            tp = self.lookup(term)
             if tp is not None and w > 0 and tp.df:
                 tws.append((tp, w))
         if not tws:
@@ -712,8 +592,7 @@ class ShardIndex:
                 tp.block_max_impact.astype(np.float64), np.inf) * w
             lasts = tp.block_last_doc
             starts = np.empty_like(lasts)
-            starts[0] = (tp.block_docs(0)[0] if lazy
-                         else tp.doc_ids[0])
+            starts[0] = tp.block_docs(0)[0]
             starts[1:] = lasts[:-1] + 1
             xs.append(starts)
             deltas.append(ub)
@@ -755,35 +634,21 @@ class ShardIndex:
                     take, done = take[:cut], True
             docs_l, imp_l = [], []
             for tp, w in tws:
-                if lazy:
-                    # every interval lies inside ONE block of this term
-                    # (its own block edges are interval boundaries):
-                    # decode only the touched blocks; their ascending
-                    # concatenation is sorted, so the same global
-                    # searchsorted gather applies
-                    blk = np.searchsorted(tp.block_last_doc, lo[take])
-                    need = np.unique(blk[blk < tp.nblocks])
-                    if not len(need):
-                        continue
-                    tp.ensure_blocks(need)
-                    # accessors, not the raw caches: block 0's docs may
-                    # have been decoded alone for the overlay's first
-                    # boundary, leaving its tfs to decode on demand here
-                    t_docs = np.concatenate(
-                        [tp.block_docs(int(x)) for x in need])
-                    t_tfs = np.concatenate(
-                        [tp.block_tfs(int(x)) for x in need])
-                else:
-                    t_docs, t_tfs = tp.doc_ids, tp.tfs
+                # every interval lies inside ONE block of this term (its
+                # own block edges are interval boundaries): decode only
+                # the touched blocks; their ascending concatenation is
+                # sorted, so one global searchsorted gather applies
+                blk = np.searchsorted(tp.block_last_doc, lo[take])
+                need = np.unique(blk[blk < tp.nblocks])
+                if not len(need):
+                    continue
+                t_docs, t_tfs = tp.blocks_view(need)
                 a = np.searchsorted(t_docs, lo[take])
                 b = np.searchsorted(t_docs, hi[take])
                 cnt = b - a
-                tot = int(cnt.sum())
-                if tot == 0:
+                if not cnt.any():
                     continue
-                ends = np.cumsum(cnt)
-                fi = (np.arange(tot, dtype=np.int64)
-                      - np.repeat(ends - cnt, cnt) + np.repeat(a, cnt))
+                fi = seg.ragged_arange(a, cnt)
                 dsub = t_docs[fi]
                 imp = w * seg.bm25_impact(t_tfs[fi], self.doc_dl(dsub),
                                           avgdl)
@@ -861,7 +726,7 @@ class ShardIndex:
         for j in order[1:]:
             if not len(cand):
                 return []
-            hit, _ = self.lookup_lazy(infos[j][0]).gather(cand)
+            hit, _ = self.lookup(infos[j][0]).gather(cand)
             cand = cand[hit]
         if not len(cand):
             return []
@@ -874,7 +739,7 @@ class ShardIndex:
             if t == seed:
                 tfs = tp0.tfs[np.searchsorted(tp0.doc_ids, cand)]
             else:  # blocks already cached by the intersection pass
-                _hit, tfs = self.lookup_lazy(t).gather(cand)
+                _hit, tfs = self.lookup(t).gather(cand)
             scores += w * seg.bm25_impact(tfs, dls, avgdl)
         top = _topk_tie_aware(cand, scores, k)
         out = []
@@ -919,8 +784,7 @@ class ShardIndex:
         # pure AND-of-words plans with skewed dfs skip through the
         # frequent terms block-lazily instead of fully decoding them
         and_terms = conjunctive_word_terms(plan)
-        if and_terms is not None and len(and_terms) >= 2 \
-                and self._has_block_offs:
+        if and_terms is not None and len(and_terms) >= 2:
             res = self._conjunctive_topk(and_terms, k, idf, avgdl)
             if res is not None:
                 return res
@@ -1046,17 +910,10 @@ class SearchEngine:
 
     def __init__(self, index_dir: str, num_searchers: int | None = None,
                  use_synonyms: bool = True, cache_size: int = 0,
-                 use_wand: bool = True, actors: list | None = None,
+                 actors: list | None = None,
                  profile: str = "latency",
                  actor_shards: list[list[int]] | None = None,
                  use_directory: bool = True, dir_pool=None):
-        # use_wand=True (round-3 default): the block-max path is now
-        # vectorized block-at-a-time (interval overlay + batched numpy
-        # scoring, see ShardIndex.wand_topk), so its per-doc constant
-        # matches the exhaustive scorer's while skipping whole 128-doc
-        # blocks that cannot reach the top-k — the round-2 per-doc
-        # Python cursor loop that lost ~200× is gone. Equivalence is
-        # pinned by tests/test_wand.py; opt out with use_wand=False.
         man = seg.read_manifest(index_dir)
         if man is None or "terms" not in man.get("stages_done", []):
             raise FileNotFoundError(f"no complete index at {index_dir}")
@@ -1074,14 +931,16 @@ class SearchEngine:
         self._df = dict(zip(t.column("term").to_pylist(),
                             t.column("df").to_pylist()))
         self.synsets = qc.get_default_synsets() if use_synonyms else None
+        # optional per-engine result LRU (the reference ships an unused
+        # LRU cache template, lib/cache.h — T5); off by default so latency
+        # benchmarks stay honest
+        self._cache = LRU(cache_size)
         if actors is not None:
             # share an existing searcher pool (frontend tier): this
             # engine only compiles, fans out and merges. actor_shards
             # (parallel to actors) enables bloom fan-out pruning.
             self.actors = list(actors)
             self._owns_actors = False
-            self._cache_size = cache_size
-            self._cache = {}
             self._actor_shards = ([list(sh) for sh in actor_shards]
                                   if actor_shards is not None else None)
             self._load_blooms(index_dir)
@@ -1108,9 +967,10 @@ class SearchEngine:
                 num_searchers = min(num_shards, cpus,
                                     max(cpus // 2, -(-num_shards // 8),
                                         1))
+        # shards whose block-max bounds predate an append score
+        # exhaustively until refresh_block_max (ShardIndex.wand_ok)
         stale = set(man["stats"].get("wand_stale_shards", []))
-        wand_ok = ({s for s in range(num_shards) if s not in stale}
-                   if use_wand else set())
+        wand_ok = {s for s in range(num_shards) if s not in stale}
         assign: list[list[int]] = [[] for _ in range(num_searchers)]
         for s in range(num_shards):
             assign[s % num_searchers].append(s)
@@ -1122,11 +982,6 @@ class SearchEngine:
         self._setup_directory(index_dir, man["stats"],
                               use_directory, dir_pool)
         ray.get([a.ready.remote() for a in self.actors])
-        # optional per-engine result LRU (the reference ships an unused
-        # LRU cache template, lib/cache.h — T5); off by default so latency
-        # benchmarks stay honest
-        self._cache_size = cache_size
-        self._cache: dict[tuple[str, int], pa.Table] = {}
 
     def _setup_directory(self, index_dir: str, stats: dict,
                          use_directory: bool, dir_pool) -> None:
@@ -1206,10 +1061,9 @@ class SearchEngine:
         return qc.compile_query(query, self.synsets, title_stem_fix=True)
 
     def search(self, query: str, k: int = 10) -> pa.Table:
-        if self._cache_size:
-            hit = self._cache.get((query, k))
-            if hit is not None:
-                return hit
+        hit = self._cache.get((query, k))
+        if hit is not None:
+            return hit
         plan = self.compile(query)
         merged = []
         if plan is not None:
@@ -1229,10 +1083,7 @@ class SearchEngine:
             merged = sorted((r for p in parts for r in p),
                             key=lambda r: (-r[0], r[1]))[:k]
         result = self._table_from_merged(merged)
-        if self._cache_size:
-            if len(self._cache) >= self._cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[(query, k)] = result
+        self._cache.put((query, k), result)
         return result
 
     def _table_from_merged(self, merged) -> pa.Table:
@@ -1327,10 +1178,10 @@ class _FrontendActor:
     them a fractional CPU + SPREAD scheduling instead."""
 
     def __init__(self, index_dir: str, actors: list,
-                 use_synonyms: bool = True, use_wand: bool = True,
+                 use_synonyms: bool = True,
                  actor_shards: list | None = None, dir_pool=None):
         self.eng = SearchEngine(index_dir, use_synonyms=use_synonyms,
-                                use_wand=use_wand, actors=actors,
+                                actors=actors,
                                 actor_shards=actor_shards,
                                 dir_pool=dir_pool)
 
@@ -1351,14 +1202,12 @@ class FrontendPool:
 
     def __init__(self, index_dir: str, actors: list,
                  n_frontends: int = 4, use_synonyms: bool = True,
-                 use_wand: bool = True,
                  actor_shards: list | None = None, dir_pool=None):
         # one shared DirectoryPool handle set: frontends route through
         # the same directory actors (each keeps its own term cache)
         self.frontends = [
             _FrontendActor.remote(index_dir, list(actors),
                                   use_synonyms=use_synonyms,
-                                  use_wand=use_wand,
                                   actor_shards=actor_shards,
                                   dir_pool=dir_pool)
             for _ in range(n_frontends)]

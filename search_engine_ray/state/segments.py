@@ -73,113 +73,33 @@ def bm25_impact(tfs: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
     return tfs / (tfs + K1 * (1.0 - B + B * dls.astype(np.float64) / avgdl))
 
 
-def encode_term_postings(doc_ids: np.ndarray, tfs: np.ndarray,
-                         positions_concat: np.ndarray, dls: np.ndarray,
-                         avgdl: float) -> dict:
-    """Encode one (shard, term) group, already sorted by doc_id.
-
-    ``positions_concat``: all positions, doc-major (tf[i] values per doc),
-    strictly increasing within each doc.
-    """
-    order_ok = np.all(doc_ids[1:] > doc_ids[:-1]) if len(doc_ids) > 1 else True
-    assert order_ok, "doc_ids must be strictly increasing"
-    # per-doc position gaps (first absolute): subtract predecessor within doc
-    pos = positions_concat.astype(np.uint64)
-    gaps = pos.copy()
-    if len(pos):
-        starts = np.zeros(len(pos), dtype=bool)
-        starts[np.concatenate(([0], np.cumsum(tfs)[:-1])).astype(np.int64)] = True
-        prev = np.roll(pos, 1)
-        gaps = np.where(starts, pos, pos - prev)
-
-    impacts = bm25_impact(tfs, dls, avgdl)
-    nblocks = (len(doc_ids) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    block_last, block_max = [], np.empty(nblocks, dtype=np.float32)
-    for b in range(nblocks):
-        lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, len(doc_ids))
-        block_last.append(doc_ids[hi - 1])
-        block_max[b] = impacts[lo:hi].max()
-
-    # per-block byte offsets into the three varint streams (seek table)
-    from ..stages.emit import _varint_stream_with_offsets
-    doc_stream, doc_offs = _varint_stream_with_offsets(
-        varint_gap_values(doc_ids.astype(np.uint64)))
-    tf_stream, tf_offs = _varint_stream_with_offsets(tfs.astype(np.uint64))
-    pos_stream, occ_offs = _varint_stream_with_offsets(gaps)
-    occ_starts = np.concatenate(([0], np.cumsum(tfs))).astype(np.int64)
-    starts = np.arange(0, len(doc_ids), BLOCK_SIZE)
-    block_offs = np.stack([
-        doc_offs[starts], tf_offs[starts],
-        occ_offs[occ_starts[starts]]], axis=1).astype(np.int64)
-
-    return {
-        "df": len(doc_ids),
-        "cf": int(tfs.sum()),
-        "doc_gaps": doc_stream,
-        "tfs": tf_stream,
-        "pos_gaps": pos_stream,
-        "block_last_doc": varint.encode_gaps(
-            np.asarray(block_last, dtype=np.uint64)),
-        "block_max_impact": block_max.tobytes(),
-        "block_offs": block_offs.tobytes(),
-    }
-
-
-def varint_gap_values(doc_ids_u64: np.ndarray) -> np.ndarray:
-    """Gap transform matching varint.encode_gaps (first absolute)."""
-    out = np.empty_like(doc_ids_u64)
-    if len(doc_ids_u64):
-        out[0] = doc_ids_u64[0]
-        np.subtract(doc_ids_u64[1:], doc_ids_u64[:-1], out=out[1:])
-    return out
-
-
-class TermPostings:
-    """Decoded view of one segment row."""
-
-    __slots__ = ("doc_ids", "tfs", "pos_offsets", "positions",
-                 "block_last_doc", "block_max_impact", "df", "cf")
-
-    def __init__(self, row: dict):
-        self.df = row["df"]
-        self.cf = row["cf"]
-        self.doc_ids = varint.decode_gaps(row["doc_gaps"]).astype(np.int64)
-        self.tfs = varint.decode_u64_stream(row["tfs"]).astype(np.int64)
-        gaps = varint.decode_u64_stream(row["pos_gaps"])
-        self.pos_offsets = np.concatenate(
-            ([0], np.cumsum(self.tfs))).astype(np.int64)
-        # reconstruct absolute positions: cumsum within each doc ⇒ global
-        # cumsum minus carry at doc starts
-        pos = np.empty(len(gaps), dtype=np.int64)
-        csum = np.cumsum(gaps.astype(np.int64))
-        starts = self.pos_offsets[:-1]
-        carry = np.zeros(len(gaps), dtype=np.int64)
-        if len(gaps):
-            doc_carry = csum[starts] - gaps[starts].astype(np.int64)
-            expand = np.repeat(doc_carry, np.diff(self.pos_offsets))
-            pos = csum - expand
-        self.positions = pos
-        self.block_last_doc = varint.decode_gaps(
-            row["block_last_doc"]).astype(np.int64)
-        self.block_max_impact = np.frombuffer(
-            row["block_max_impact"], dtype=np.float32)
-
-    def positions_for(self, i: int) -> np.ndarray:
-        return self.positions[self.pos_offsets[i]:self.pos_offsets[i + 1]]
+def ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lens[i]): the flat
+    index of a ragged gather, built without a Python loop."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return (np.arange(total, dtype=np.int64)
+            + np.repeat(starts - (ends - lens), lens))
 
 
 class LazyPostings:
-    """Block-lazy view of one segment row: only the block metadata
-    (block_last_doc, block_offs — O(df/128)) decodes at construction;
-    doc ids / tfs decode PER 128-doc BLOCK on first touch via the
-    block_offs seek table. A conjunction of a rare and a frequent term
-    probes the frequent list through gather(), decoding only the blocks
-    the rare term's doc range lands in (the reference's SeekDocumentPost
-    skip-seek, Posts.hpp:448-473)."""
+    """Block-lazy view of one segment row, the engine's only decoded form
+    of a posting list. Construction decodes just the O(df/128) block
+    metadata (block_last_doc, block_offs). Doc ids and tfs decode per
+    128-doc block on first touch, through the block_offs seek table, into
+    flat df-long arrays that the per-block accessors slice; ``doc_ids``
+    and ``tfs`` decode every missing block at once, one varint call per
+    stream. A conjunction of a rare and a frequent term probes the
+    frequent list through gather(), decoding only the blocks the rare
+    term's doc range lands in (the reference's SeekDocumentPost
+    skip-seek, Posts.hpp:448-473). Positions are decoded per call, only
+    for the blocks a phrase's candidates touch (gather_positions), and
+    the pos_gaps bytes — the largest column — may be attached later
+    (add_positions): the scoring paths never read them."""
 
     __slots__ = ("df", "cf", "block_last_doc", "block_max_impact",
-                 "_doc_bytes", "_tf_bytes", "_pos_bytes", "_offs",
-                 "_blk_docs", "_blk_tfs", "_blk_pos", "blocks_decoded")
+                 "_bytes", "_offs", "_docs", "_tfs", "_done",
+                 "blocks_decoded")
 
     def __init__(self, row: dict):
         self.df = row["df"]
@@ -188,103 +108,59 @@ class LazyPostings:
             row["block_last_doc"]).astype(np.int64)
         self.block_max_impact = np.frombuffer(
             row["block_max_impact"], dtype=np.float32)
-        self._doc_bytes = row["doc_gaps"]
-        self._tf_bytes = row["tfs"]
-        # positions are optional: the conjunctive doc-intersection path
-        # never touches them, so callers may omit the (largest) column
-        self._pos_bytes = row.get("pos_gaps", b"")
+        # the three streams, in block_offs column order
+        self._bytes = [row["doc_gaps"], row["tfs"], row.get("pos_gaps")]
         n = len(self.block_last_doc)
         offs = np.frombuffer(row["block_offs"], dtype=np.int64
                              ).reshape(n, 3)
         # append end sentinels so block b's byte range is offs[b:b+2]
-        self._offs = np.vstack([offs, [len(self._doc_bytes),
-                                       len(self._tf_bytes),
-                                       len(self._pos_bytes)]])
-        self._blk_docs: dict[int, np.ndarray] = {}
-        self._blk_tfs: dict[int, np.ndarray] = {}
-        self._blk_pos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._offs = np.vstack([offs, [len(b or b"") for b in self._bytes]])
+        self._docs = np.empty(self.df, dtype=np.int64)
+        self._tfs = np.empty(self.df, dtype=np.int64)
+        self._done = np.zeros(n, dtype=bool)
         self.blocks_decoded = 0
+
+    def add_positions(self, pos_gaps: bytes) -> None:
+        self._bytes[2] = pos_gaps
+        self._offs[-1, 2] = len(pos_gaps)
+
+    @property
+    def has_positions(self) -> bool:
+        return self._bytes[2] is not None
 
     @property
     def nblocks(self) -> int:
         return len(self.block_last_doc)
 
+    @property
+    def doc_ids(self) -> np.ndarray:
+        """Every doc ordinal of the list, ascending."""
+        self._decode_all()
+        return self._docs
+
+    @property
+    def tfs(self) -> np.ndarray:
+        self._decode_all()
+        return self._tfs
+
+    def _decode_all(self) -> None:
+        if not self.blocks_decoded:  # one plain decode per stream
+            self._docs = np.cumsum(varint.decode_u64_stream(
+                self._bytes[0]).astype(np.int64))
+            self._tfs = varint.decode_u64_stream(
+                self._bytes[1]).astype(np.int64)
+            self._done[:] = True
+            self.blocks_decoded = self.nblocks
+        elif self.blocks_decoded < self.nblocks:
+            self.ensure_blocks(np.arange(self.nblocks))
+
     def block_docs(self, b: int) -> np.ndarray:
-        d = self._blk_docs.get(b)
-        if d is None:
-            raw = varint.decode_u64_stream(
-                self._doc_bytes[self._offs[b, 0]:self._offs[b + 1, 0]])
-            d = np.cumsum(raw.astype(np.int64))
-            if b > 0:
-                # block b's first gap is the delta from the previous
-                # block's last doc id (the gap chain never restarts)
-                d += self.block_last_doc[b - 1]
-            self._blk_docs[b] = d
-            self.blocks_decoded += 1
-        return d
+        self.ensure_blocks(np.array([b]))
+        return self._docs[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
 
     def block_tfs(self, b: int) -> np.ndarray:
-        t = self._blk_tfs.get(b)
-        if t is None:
-            t = varint.decode_u64_stream(
-                self._tf_bytes[self._offs[b, 1]:self._offs[b + 1, 1]]
-            ).astype(np.int64)
-            self._blk_tfs[b] = t
-        return t
-
-    def block_positions(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(flat absolute positions, per-posting offsets) for block b.
-        Position gap chains restart at every posting (one posting = one
-        doc), so a block decodes independently: flat cumsum rebased at
-        each posting's start."""
-        pp = self._blk_pos.get(b)
-        if pp is None:
-            if not len(self._pos_bytes):
-                raise ValueError("LazyPostings loaded without pos_gaps")
-            tfs = self.block_tfs(b)
-            raw = varint.decode_u64_stream(
-                self._pos_bytes[self._offs[b, 2]:self._offs[b + 1, 2]]
-            ).astype(np.int64)
-            offs = np.concatenate(([0], np.cumsum(tfs)))
-            c = np.cumsum(raw)
-            starts = offs[:-1]
-            carry = np.where(starts > 0, c[starts - 1], 0)
-            pos = c - np.repeat(carry, tfs)
-            pp = (pos, offs)
-            self._blk_pos[b] = pp
-        return pp
-
-    def gather_positions(self, cand: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(hit mask over cand, flat positions of the hits in cand
-        order, per-hit position counts) — the phrase-verification
-        analogue of gather(): only the blocks the candidates land in
-        decode their doc/tf/position streams."""
-        hit, tfs_hit = self.gather(cand)
-        c = cand[hit]
-        e = np.empty(0, dtype=np.int64)
-        if not len(c):
-            return hit, e, e
-        blk = np.searchsorted(self.block_last_doc, c)
-        counts = tfs_hit
-        out_offs = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.empty(int(out_offs[-1]), dtype=np.int64)
-        ub, ustarts = np.unique(blk, return_index=True)
-        ubounds = np.append(ustarts, len(blk))
-        for bi in range(len(ub)):
-            b = int(ub[bi])
-            lo, hi = int(ubounds[bi]), int(ubounds[bi + 1])
-            docs_b = self._blk_docs[b]  # cached by gather() above
-            pos_b, offs_b = self.block_positions(b)
-            idx = np.searchsorted(docs_b, c[lo:hi])
-            starts = offs_b[idx]
-            ln = offs_b[idx + 1] - starts
-            total = int(ln.sum())
-            base = np.repeat(starts, ln)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(ln) - ln, ln)
-            flat[out_offs[lo]:out_offs[lo] + total] = pos_b[base + within]
-        return hit, flat, counts
+        self.ensure_blocks(np.array([b]))
+        return self._tfs[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
 
     def _block_counts(self, blocks: np.ndarray) -> np.ndarray:
         """Posting count per block: BLOCK_SIZE except the final block."""
@@ -293,63 +169,109 @@ class LazyPostings:
             self.df - (self.nblocks - 1) * BLOCK_SIZE
         return counts
 
+    def _stream(self, col: int, blocks: np.ndarray) -> bytes:
+        """Stream ``col``'s bytes of the sorted-unique ``blocks``: a run
+        of consecutive blocks is one slice, so decoding every block reads
+        the stream whole."""
+        buf, o = self._bytes[col], self._offs[:, col]
+        if blocks[-1] - blocks[0] == len(blocks) - 1:  # one run
+            return buf[o[blocks[0]]:o[blocks[-1] + 1]]
+        brk = np.flatnonzero(np.diff(blocks) != 1) + 1
+        lo = blocks[np.concatenate(([0], brk))]
+        hi = blocks[np.concatenate((brk - 1, [len(blocks) - 1]))] + 1
+        return b"".join(buf[o[a]:o[z]] for a, z in zip(lo, hi))
+
     def ensure_blocks(self, blocks: np.ndarray) -> None:
-        """Decode the listed blocks in ONE concatenated varint call per
+        """Decode the listed blocks not yet decoded in ONE varint call per
         stream (every block holds exactly BLOCK_SIZE postings except the
         last, so the flat decode splits back deterministically) — the
         per-block python decode loop was ~34 µs/block, 1700× the
         vectorized per-posting cost."""
-        need = np.asarray([b for b in np.unique(blocks)
-                           if b not in self._blk_docs], dtype=np.int64)
+        need = np.unique(blocks)
+        need = need[~self._done[need]]
         if not len(need):
             return
+        if len(need) == self.nblocks:
+            return self._decode_all()
         counts = self._block_counts(need)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        d_flat = varint.decode_u64_stream(b"".join(
-            self._doc_bytes[self._offs[b, 0]:self._offs[b + 1, 0]]
-            for b in need)).astype(np.int64)
-        t_flat = varint.decode_u64_stream(b"".join(
-            self._tf_bytes[self._offs[b, 1]:self._offs[b + 1, 1]]
-            for b in need)).astype(np.int64)
+        d = varint.decode_u64_stream(self._stream(0, need)).astype(np.int64)
         # segmented cumsum: flat cumsum, then rebase each block at its
         # predecessor's last doc id (gap chains never restart, so block
         # b's first gap is the delta from block_last_doc[b-1])
-        c = np.cumsum(d_flat)
-        starts = bounds[:-1]
+        c = np.cumsum(d)
+        starts = np.cumsum(counts) - counts
         c_before = np.where(starts > 0, c[starts - 1], 0)
         base = np.where(need > 0, self.block_last_doc[need - 1], 0)
-        d_flat = c + np.repeat(base - c_before, counts)
-        for i, b in enumerate(need):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            self._blk_docs[int(b)] = d_flat[lo:hi]
-            self._blk_tfs[int(b)] = t_flat[lo:hi]
+        at = ragged_arange(need * BLOCK_SIZE, counts)
+        self._docs[at] = c + np.repeat(base - c_before, counts)
+        self._tfs[at] = varint.decode_u64_stream(
+            self._stream(1, need)).astype(np.int64)
+        self._done[need] = True
         self.blocks_decoded += len(need)
+
+    def _rows(self, blocks: np.ndarray) -> np.ndarray:
+        """Flat posting indices of the sorted-unique ``blocks``, decoded."""
+        self.ensure_blocks(blocks)
+        return ragged_arange(blocks * BLOCK_SIZE, self._block_counts(blocks))
+
+    def blocks_view(self, blocks: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc ids, tfs) of the sorted-unique ``blocks``, concatenated:
+        ascending, since blocks cover disjoint ascending doc ranges."""
+        r = self._rows(blocks)
+        return self._docs[r], self._tfs[r]
+
+    def _probe(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit mask over the sorted-unique ``cand`` doc ids, posting
+        index per hit): the blocks the candidates land in decode in one
+        batch, and one searchsorted over them resolves every candidate."""
+        hit = np.zeros(len(cand), dtype=bool)
+        if not len(cand) or not self.nblocks:
+            return hit, np.empty(0, dtype=np.int64)
+        blk = np.searchsorted(self.block_last_doc, cand)
+        blocks = np.unique(blk[blk < self.nblocks])
+        if len(blocks) == self.nblocks:  # every block: search the list
+            rows, docs = None, self.doc_ids
+        else:
+            rows = self._rows(blocks)
+            if not len(rows):
+                return hit, rows
+            docs = self._docs[rows]
+        pos = np.searchsorted(docs, cand)
+        np.clip(pos, 0, len(docs) - 1, out=pos)
+        np.equal(docs[pos], cand, out=hit)
+        return hit, (pos[hit] if rows is None else rows[pos[hit]])
 
     def gather(self, cand: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """(hit mask over cand, tf per hit) probing only the blocks the
-        sorted-unique ``cand`` doc ids land in — fully vectorized: the
-        touched blocks decode in one batch, and since blocks cover
-        disjoint ascending doc ranges their concatenation stays sorted,
-        so one searchsorted resolves every candidate."""
-        hit = np.zeros(len(cand), dtype=bool)
-        tfs = np.zeros(len(cand), dtype=np.int64)
-        if not len(cand) or not self.nblocks:
-            return hit, tfs[:0]
-        blk = np.searchsorted(self.block_last_doc, cand)
-        ublocks = np.unique(blk[blk < self.nblocks])
-        if not len(ublocks):
-            return hit, tfs[:0]
-        self.ensure_blocks(ublocks)
-        docs_cat = np.concatenate([self._blk_docs[int(b)]
-                                   for b in ublocks])
-        tfs_cat = np.concatenate([self._blk_tfs[int(b)]
-                                  for b in ublocks])
-        pos = np.searchsorted(docs_cat, cand)
-        np.clip(pos, 0, len(docs_cat) - 1, out=pos)
-        np.equal(docs_cat[pos], cand, out=hit)
-        tfs[hit] = tfs_cat[pos[hit]]
-        return hit, tfs[hit]
+        """(hit mask over cand, tf per hit), decoding only the blocks the
+        sorted-unique ``cand`` doc ids land in."""
+        hit, rows = self._probe(cand)
+        return hit, self._tfs[rows]
+
+    def gather_positions(self, cand: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hit mask over cand, flat positions of the hits in cand order,
+        per-hit position counts) — the phrase-verification analogue of
+        gather(): the blocks the hits land in decode their position
+        streams in one varint call. Position gap chains restart at every
+        posting (one posting = one doc), so any block set decodes on its
+        own: flat cumsum rebased at each posting's start."""
+        hit, rows = self._probe(cand)
+        if not len(rows):
+            return hit, rows, rows
+        if not self.has_positions:
+            raise ValueError("LazyPostings loaded without pos_gaps")
+        blocks = np.unique(rows // BLOCK_SIZE)
+        span = self._rows(blocks)
+        tf = self._tfs[span]
+        c = np.cumsum(varint.decode_u64_stream(
+            self._stream(2, blocks)).astype(np.int64))
+        occ = np.cumsum(tf) - tf  # each posting's first occurrence
+        pos = c - np.repeat(np.where(occ > 0, c[occ - 1], 0), tf)
+        j = np.searchsorted(span, rows)
+        counts = tf[j]
+        return hit, pos[ragged_arange(occ[j], counts)], counts
 
 
 # ---------------------------------------------------------------------------

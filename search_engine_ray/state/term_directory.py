@@ -41,6 +41,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..kernels.textutils import fnv1a_64_arrow, fnv1a_64_np
+from .lru import LRU
 
 META = "meta.json"
 
@@ -177,7 +178,7 @@ class DirectoryPool:
     driver-side term→shards LRU so hot query terms never re-RPC."""
 
     def __init__(self, index_dir: str, n_buckets: int,
-                 n_actors: int = 4, cache_size: int = 100_000):
+                 n_actors: int = 4):
         n_actors = max(1, min(n_actors, n_buckets))
         assign: list[list[int]] = [[] for _ in range(n_actors)]
         for b in range(n_buckets):
@@ -188,17 +189,11 @@ class DirectoryPool:
         self._actor_of = {b: self.actors[b % n_actors]
                           for b in range(n_buckets)}
         ray.get([a.ready.remote() for a in self.actors])
-        self._cache: dict[str, np.ndarray] = {}
-        self._cache_size = cache_size
+        self._cache = LRU(100_000)
 
     def shards_for(self, terms: list[str]) -> dict[str, np.ndarray]:
-        # move-to-end on hit: true LRU, not insertion-order FIFO (the
-        # same defect class fixed in ShardIndex._rg_cache this round)
-        for t in terms:
-            hit = self._cache.pop(t, None)
-            if hit is not None:
-                self._cache[t] = hit
-        missing = [t for t in terms if t not in self._cache]
+        out = {t: self._cache.get(t) for t in terms}
+        missing = [t for t, sh in out.items() if sh is None]
         if missing:
             h = fnv1a_64_np(missing) % np.uint64(self.n_buckets)
             per_actor: dict[int, dict[int, list[str]]] = {}
@@ -210,10 +205,9 @@ class DirectoryPool:
                     for a, bt in per_actor.items()]
             for part in ray.get(futs):
                 for t, sh in part.items():
-                    if len(self._cache) >= self._cache_size:
-                        self._cache.pop(next(iter(self._cache)))
-                    self._cache[t] = sh
-        return {t: self._cache[t] for t in terms}
+                    self._cache.put(t, sh)
+                    out[t] = sh
+        return out
 
     def close(self) -> None:
         for a in self.actors:

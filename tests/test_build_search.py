@@ -225,9 +225,9 @@ def test_segment_blockmax_bounds_scores(index_dir):
             zero_copy_only=False)[o].astype(np.int64)
     for i in range(min(t.num_rows, 200)):
         row = {name: t.column(name)[i].as_py()
-               for name in ("df", "cf", "doc_gaps", "tfs", "pos_gaps",
+               for name in ("df", "cf", "doc_gaps", "tfs", "block_offs",
                             "block_last_doc", "block_max_impact")}
-        tp = seg.TermPostings(row)
+        tp = seg.LazyPostings(row)
         dls = shard_dls[int(t.column("shard")[i].as_py())][tp.doc_ids]
         imps = seg.bm25_impact(tp.tfs, dls, avgdl)
         for b in range(len(tp.block_max_impact)):
@@ -276,31 +276,19 @@ def test_frontend_pool_matches_engine(index_dir, ray_session):
         # after the pool killed its frontends still worked above
 
 
-def test_row_group_cache_is_lru():
-    """_cell's bounded cache must evict least-recently-USED (move-to-end
-    on hit), not insertion order: touch key 0 after filling, insert one
-    more, and key 0 must survive while key 1 is evicted."""
-    import types
+def test_lru_evicts_least_recently_used():
+    """The serving caches' LRU: a hit moves its key to the recent end,
+    so after filling to the bound, touching key 0 and inserting one
+    more key, key 0 survives and key 1 (the coldest) is evicted."""
+    from search_engine_ray.state.lru import LRU
 
-    import pyarrow as pa
-
-    from search_engine_ray.pipelines import search as S
-
-    reads = []
-
-    class FakePF:
-        def read_row_group(self, g, columns=None, use_threads=False):
-            reads.append(g)
-            return pa.table({columns[0]: pa.array([f"v{g}"])})
-
-    obj = types.SimpleNamespace(_rg_cache={})
-    pf = FakePF()
-    starts = __import__("numpy").arange(0, 300)  # 1 row per group
-    cell = lambda i: S.ShardIndex._cell(obj, pf, starts, None, i, "c")
+    c = LRU(256)
     for i in range(256):       # fill to capacity
-        cell(i)
-    assert cell(0) == "v0" and reads.count(0) == 1  # hit, moved to end
-    cell(256)                  # evicts LRU = group 1, NOT group 0
-    assert (id(pf), 0, "c") in obj._rg_cache
-    assert (id(pf), 1, "c") not in obj._rg_cache
-    assert cell(0) == "v0" and reads.count(0) == 1  # still cached
+        c.put(i, f"v{i}")
+    assert c.get(0) == "v0"    # hit, moved to the recent end
+    c.put(256, "v256")         # evicts the LRU key 1, NOT key 0
+    assert 0 in c and 1 not in c and len(c) == 256
+    assert c.get(1, "miss") == "miss" and c.get(0) == "v0"
+    nothing = LRU(0)           # maxsize 0 caches nothing
+    nothing.put("k", 1)
+    assert nothing.get("k") is None and len(nothing) == 0

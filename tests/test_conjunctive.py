@@ -1,8 +1,13 @@
 """Block-lazy conjunctive skipping: AND-of-words top-k identical to the
 generic (full-decode) path, and the frequent term's posting list is never
-fully decoded (only the candidate blocks are)."""
+fully decoded (only the candidate blocks are). Block decode and phrase
+matching are checked against a test-local reference: a pure-Python
+varint decode of each segment row and a brute-force adjacent-position
+phrase match."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -35,6 +40,53 @@ def shard_setup(ray_session, tmp_path_factory):
     return out, man
 
 
+@pytest.fixture(scope="module")
+def ref_rows(shard_setup):
+    """{term: (doc ids, tfs, per-doc positions)} of shard 0, fully
+    decoded straight from the segment parquet."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    out, _ = shard_setup
+    t = pq.read_table(os.path.join(out, "segments", "shard=0")).to_pylist()
+    return {r["term"]: _decode_row(r) for r in t}
+
+
+def _uvarints(buf: bytes) -> list[int]:
+    out, v, shift = [], 0, 0
+    for byte in buf:
+        v |= (byte & 0x7F) << shift
+        shift += 7
+        if not byte & 0x80:
+            out.append(v)
+            v, shift = 0, 0
+    return out
+
+
+def _decode_row(row):
+    docs = np.cumsum(_uvarints(row["doc_gaps"]), dtype=np.int64)
+    tfs = _uvarints(row["tfs"])
+    gaps = _uvarints(row["pos_gaps"])
+    starts = itertools.accumulate([0] + tfs)
+    positions = [list(itertools.accumulate(gaps[s:s + tf]))
+                 for s, tf in zip(starts, tfs)]
+    return docs, np.asarray(tfs, dtype=np.int64), positions
+
+
+def _brute_phrase(ref, terms) -> np.ndarray:
+    """Docs where terms[i] sits at position p + i for every i."""
+    if any(t not in ref for t in terms):
+        return np.empty(0, dtype=np.int64)
+    occ = [{int(d): set(p) for d, p in zip(ref[t][0], ref[t][2])}
+           for t in terms]
+    docs = set(occ[0]).intersection(*occ[1:])
+    return np.asarray(sorted(
+        d for d in docs
+        if any(all(p + i in occ[i][d] for i in range(len(terms)))
+               for p in occ[0][d])), dtype=np.int64)
+
+
 def _and_plan(terms):
     # vocab terms are already stems — pass stem_ explicitly so the plan
     # probes the exact index vocabulary
@@ -61,7 +113,7 @@ def test_conjunctive_matches_generic(shard_setup):
     sh_skip.CONJ_MIN_DF = 1  # fixture corpus is small — exercise skipping
     sh_skip.CONJ_BLOCK_COST = 0
     sh_gen = ShardIndex(out, 0)
-    sh_gen._has_block_offs = False  # force the generic path
+    sh_gen.CONJ_MIN_DF = 1 << 62  # no list is long enough: generic path
     vocab = _df_sorted_vocab(sh_skip)
     rng = np.random.default_rng(11)
     idf_stub = {t: 1.0 + (hash(t) % 97) / 50.0 for t, _ in vocab}
@@ -98,85 +150,161 @@ def test_conjunctive_skips_decoding(shard_setup):
     plan = _and_plan([freq_term, rare_term])
     idf = {freq_term: 1.1, rare_term: 2.3}
     res = sh.score_topk(plan, 10, idf, avgdl)
-    # the frequent term must have gone through the lazy path: never
-    # fully decoded (not in the eager cache), and only a bounded number
-    # of its blocks touched
-    assert freq_term not in sh._cache
-    lz = sh._lazy[freq_term]
+    # the frequent term must have gone through the skip path: only a
+    # bounded number of its blocks touched
+    lz = sh.lookup(freq_term)
     rare_df = dict(vocab)[rare_term]
     assert lz.blocks_decoded <= min(lz.nblocks, rare_df)
     # sanity: result still matches the generic path
     sh2 = ShardIndex(out, 0)
-    sh2._has_block_offs = False
+    sh2.CONJ_MIN_DF = 1 << 62
     want = sh2.score_topk(plan, 10, idf, avgdl)
     assert [(d, s) for s, d, _, _ in res] == [(d, s)
                                               for s, d, _, _ in want]
 
 
-def test_lazy_postings_block_decode_equals_eager(shard_setup):
-    """LazyPostings.block_docs/tfs reassemble exactly the eager decode,
-    block by block, for every term in the shard."""
+def test_lazy_postings_block_decode_equals_eager(shard_setup, ref_rows):
+    """LazyPostings.block_docs/tfs reassemble exactly a full decode of
+    the segment row, block by block, for every term in the shard; so do
+    the all-blocks doc_ids/tfs of a fresh view."""
     from search_engine_ray.pipelines.search import ShardIndex
 
     out, _ = shard_setup
     sh = ShardIndex(out, 0)
+    fresh = ShardIndex(out, 0)
     for term in sh.vocab()[:200]:
-        tp = sh.lookup(term)
-        lz = sh.lookup_lazy(term)
+        ref_docs, ref_tfs, _ = ref_rows[term]
+        lz = sh.lookup(term)
         docs = np.concatenate([lz.block_docs(b)
                                for b in range(lz.nblocks)])
         tfs = np.concatenate([lz.block_tfs(b)
                               for b in range(lz.nblocks)])
-        np.testing.assert_array_equal(docs, tp.doc_ids)
-        np.testing.assert_array_equal(tfs, tp.tfs)
+        np.testing.assert_array_equal(docs, ref_docs)
+        np.testing.assert_array_equal(tfs, ref_tfs)
+        np.testing.assert_array_equal(fresh.lookup(term).doc_ids, ref_docs)
+        np.testing.assert_array_equal(fresh.lookup(term).tfs, ref_tfs)
 
 
-def test_gather_random_subsets(shard_setup):
+def _uvarint_bytes(vals) -> bytes:
+    out = bytearray()
+    for v in vals:
+        while v >= 0x80:
+            out.append((v & 0x7F) | 0x80)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def _encode_row(docs: list[int], positions: list[list[int]]) -> dict:
+    """A segment row in the on-disk layout, encoded value by value."""
+    tfs = [len(p) for p in positions]
+    doc_gaps = [d - prev for prev, d in zip([0] + docs[:-1], docs)]
+    pos_gaps = [g for p in positions
+                for g in [p[0]] + [b - a for a, b in zip(p, p[1:])]]
+    offs, lasts = [], []
+    for b0 in range(0, len(docs), seg.BLOCK_SIZE):
+        offs.append((len(_uvarint_bytes(doc_gaps[:b0])),
+                     len(_uvarint_bytes(tfs[:b0])),
+                     len(_uvarint_bytes(pos_gaps[:sum(tfs[:b0])]))))
+        lasts.append(docs[min(b0 + seg.BLOCK_SIZE, len(docs)) - 1])
+    return {"df": len(docs), "cf": sum(tfs),
+            "doc_gaps": _uvarint_bytes(doc_gaps),
+            "tfs": _uvarint_bytes(tfs),
+            "pos_gaps": _uvarint_bytes(pos_gaps),
+            "block_last_doc": _uvarint_bytes(
+                [b - a for a, b in zip([0] + lasts[:-1], lasts)]),
+            "block_max_impact": np.zeros(len(lasts), np.float32).tobytes(),
+            "block_offs": np.asarray(offs, dtype=np.int64).tobytes()}
+
+
+def test_lazy_postings_multiblock_any_order():
+    """A 1000-posting (8-block) row: blocks decode in any order, gather
+    and gather_positions on fresh views touch only the candidates'
+    blocks, and a partly decoded view completes to the full list."""
+    rng = np.random.default_rng(7)
+    docs = sorted(rng.choice(5000, size=1000, replace=False).tolist())
+    positions = [sorted(rng.choice(300, size=int(rng.integers(1, 6)),
+                                   replace=False).tolist())
+                 for _ in docs]
+    tfs = [len(p) for p in positions]
+    row = _encode_row(docs, positions)
+    bs = seg.BLOCK_SIZE
+    lz = seg.LazyPostings(row)
+    assert lz.nblocks == 8
+    for b in rng.permutation(lz.nblocks):
+        np.testing.assert_array_equal(lz.block_docs(b),
+                                      docs[b * bs:(b + 1) * bs])
+        np.testing.assert_array_equal(lz.block_tfs(b),
+                                      tfs[b * bs:(b + 1) * bs])
+    np.testing.assert_array_equal(lz.doc_ids, docs)
+    at = {d: i for i, d in enumerate(docs)}
+    lasts = np.asarray(docs)[bs - 1::bs]
+    for _ in range(40):
+        lz = seg.LazyPostings(row)
+        lz.add_positions(row["pos_gaps"])
+        cand = np.unique(rng.choice(5100, size=int(rng.integers(1, 40))))
+        hit, got_tfs = lz.gather(cand)
+        expect = [int(c) in at for c in cand]
+        np.testing.assert_array_equal(hit, expect)
+        hits = [at[int(c)] for c in cand[hit]]
+        np.testing.assert_array_equal(got_tfs, [tfs[i] for i in hits])
+        _, flat, counts = lz.gather_positions(cand)
+        np.testing.assert_array_equal(counts, [tfs[i] for i in hits])
+        np.testing.assert_array_equal(
+            flat, [p for i in hits for p in positions[i]])
+        touched = np.unique(np.searchsorted(lasts, cand))
+        assert lz.blocks_decoded <= len(touched[touched < lz.nblocks])
+        np.testing.assert_array_equal(lz.doc_ids, docs)
+        np.testing.assert_array_equal(lz.tfs, tfs)
+
+
+def test_gather_random_subsets(shard_setup, ref_rows):
     from search_engine_ray.pipelines.search import ShardIndex
 
     out, _ = shard_setup
     sh = ShardIndex(out, 0)
     rng = np.random.default_rng(3)
-    all_docs = sh.doc_ids
+    all_docs = np.arange(len(sh.doc_ids))  # postings hold ordinals
     for term in sh.vocab()[:40]:
-        tp = sh.lookup(term)
-        lz = sh.lookup_lazy(term)
+        ref_docs, ref_tfs, ref_pos = ref_rows[term]
+        lz = sh.lookup(term, positions=True)
         cand = np.unique(rng.choice(all_docs,
                                     size=min(50, len(all_docs)),
                                     replace=False))
         hit, tfs = lz.gather(cand)
-        expect_pos = np.searchsorted(tp.doc_ids,
-                                     np.clip(cand, tp.doc_ids.min(),
-                                             tp.doc_ids.max()))
-        np.clip(expect_pos, 0, len(tp.doc_ids) - 1, out=expect_pos)
-        expect_hit = tp.doc_ids[expect_pos] == cand
+        tf_of = dict(zip(ref_docs.tolist(), ref_tfs.tolist()))
+        expect_hit = np.array([int(c) in tf_of for c in cand])
         np.testing.assert_array_equal(hit, expect_hit)
         np.testing.assert_array_equal(
-            tfs, tp.tfs[expect_pos[expect_hit]])
+            tfs, [tf_of[int(c)] for c in cand[expect_hit]])
+        # positions of the hits, in candidate order
+        pos_of = dict(zip(ref_docs.tolist(), ref_pos))
+        hit2, flat, counts = lz.gather_positions(cand)
+        np.testing.assert_array_equal(hit2, expect_hit)
+        np.testing.assert_array_equal(counts, tfs)
+        np.testing.assert_array_equal(
+            flat, [p for c in cand[expect_hit] for p in pos_of[int(c)]])
 
 
-def test_phrase_lazy_matches_eager(shard_setup):
-    """The block-lazy phrase path returns exactly the eager path's doc
-    set, across random vocab bigrams/trigrams (incl. empty results)."""
+def test_phrase_lazy_matches_eager(shard_setup, ref_rows):
+    """The block-lazy phrase evaluator returns exactly the brute-force
+    adjacent-position match over the fully decoded rows, across real
+    and random vocab bigrams/trigrams (incl. empty results)."""
     from search_engine_ray.pipelines.search import ShardIndex
 
     out, man = shard_setup
-    sh_lazy = ShardIndex(out, 0)
-    sh_lazy.CONJ_MIN_DF = 1
-    sh_lazy.CONJ_BLOCK_COST = 0
-    sh_eager = ShardIndex(out, 0)
-    sh_eager._has_block_offs = False  # force the eager path
-    vocab = [t for t, _ in _df_sorted_vocab(sh_lazy)]
+    sh = ShardIndex(out, 0)
+    vocab = [t for t, _ in _df_sorted_vocab(sh)]
     rng = np.random.default_rng(5)
     # real adjacent bigrams/trigrams, reconstructed from one document's
     # position lists (guaranteed non-empty phrase results)
-    doc0 = int(sh_eager.lookup(vocab[0]).doc_ids[0])
+    doc0 = int(ref_rows[vocab[0]][0][0])
     seq: dict[int, str] = {}
     for t in vocab:
-        tp = sh_eager.lookup(t)
-        j = int(np.searchsorted(tp.doc_ids, doc0))
-        if j < len(tp.doc_ids) and tp.doc_ids[j] == doc0:
-            for p in tp.positions_for(j):
+        docs, _, positions = ref_rows[t]
+        j = int(np.searchsorted(docs, doc0))
+        if j < len(docs) and docs[j] == doc0:
+            for p in positions[j]:
                 seq[int(p)] = t
     real = []
     for p, t in sorted(seq.items()):
@@ -192,51 +320,67 @@ def test_phrase_lazy_matches_eager(shard_setup):
                        for _ in range(n)])
     nonempty = 0
     for picks in trials:
-        got = sh_lazy._eval_phrase_uncached(picks)
-        want = sh_eager._eval_phrase_uncached(picks)
+        got = sh._eval_phrase_uncached(picks)
+        want = _brute_phrase(ref_rows, picks)
         np.testing.assert_array_equal(got, want, err_msg=str(picks))
         nonempty += bool(len(want))
     assert nonempty >= 1  # the comparison exercised real matches
 
 
 def test_phrase_lazy_skips_decoding(shard_setup):
-    """A rare-seeded phrase never puts the frequent term in the eager
-    cache and touches a bounded number of its blocks."""
+    """A rare-seeded phrase touches a bounded number of the frequent
+    term's blocks."""
     from search_engine_ray.pipelines.search import ShardIndex
 
     out, _ = shard_setup
     sh = ShardIndex(out, 0)
-    sh.CONJ_MIN_DF = 1
-    sh.CONJ_BLOCK_COST = 0
     vocab = _df_sorted_vocab(sh)
     freq_term = vocab[0][0]
     rare_term = next(t for t, d in reversed(vocab) if d >= 1)
     sh._eval_phrase_uncached([freq_term, rare_term])
-    assert freq_term not in sh._cache
-    lz = sh._lazy[freq_term]
+    lz = sh.lookup(freq_term)
     rare_df = dict(vocab)[rare_term]
     assert lz.blocks_decoded <= min(lz.nblocks, rare_df)
 
 
 def test_wand_lazy_decodes_bounded_blocks(shard_setup):
-    """With a seek table, WAND runs over LazyPostings and decodes only
-    the visited intervals' blocks — a pruned frequent term is never
-    eagerly decoded; results stay identical to the eager-decode path."""
+    """WAND decodes only the visited intervals' blocks; results stay
+    identical to the exhaustive full-decode scorer on a fresh shard."""
     from search_engine_ray.pipelines.search import ShardIndex
 
     out, man = shard_setup
     avgdl = man["stats"]["avgdl"]
     s = ShardIndex(out, 0)
-    assert s._has_block_offs
     dfs = _df_sorted_vocab(s)
     terms = [(t, 1.0 + i * 0.3) for i, (t, _) in enumerate(dfs[:3])]
     got = s.wand_topk(terms, 10, avgdl)
     s2 = ShardIndex(out, 0)
-    s2._has_block_offs = False  # force eager decode
-    want = s2.wand_topk(terms, 10, avgdl)
+    want = s2.exhaustive_topk(terms, 10, avgdl)
     assert got == want
-    # the eager posting cache stays untouched on the lazy instance
-    assert all(t not in s._cache for t, _ in terms)
     for t, _ in terms:
-        lz = s._lazy[t]
+        lz = s.lookup(t)
         assert lz.blocks_decoded <= lz.nblocks
+
+
+def test_postings_cache_is_bounded(shard_setup):
+    """More distinct lookups than the postings bound: the LRU stays at
+    the bound, the least recently used view is evicted and a term
+    re-touched throughout stays cached (the same view object)."""
+    from search_engine_ray.pipelines.search import ShardIndex
+
+    out, _ = shard_setup
+    sh = ShardIndex(out, 0)
+    bound = sh._postings.maxsize
+    vocab = sh.vocab()
+    # absent terms are cached too (negative entries), so the stream
+    # outgrows the bound however small the fixture vocabulary is
+    stream = vocab + [f"zz-absent-{i}" for i in range(bound)]
+    hot = sh.lookup(vocab[0])
+    for i, t in enumerate(stream[1:], 1):
+        sh.lookup(t)
+        if i % 100 == 0:
+            assert sh.lookup(vocab[0]) is hot
+        assert len(sh._postings) <= bound
+    assert len(sh._postings) == bound
+    assert sh.lookup(vocab[0]) is hot
+    assert vocab[1] not in sh._postings

@@ -48,7 +48,8 @@ def _pair_partial(b: pa.Table) -> pa.Table:
     t = pa.table({"w1": flat.take(pa.array(idx_l)),
                   "w2": flat.take(pa.array(idx_l + 1))})
     g = t.group_by(["w1", "w2"]).aggregate([([], "count_all")])
-    return g.rename_columns(["w1", "w2", "pair_cnt"])
+    return g.select(["w1", "w2", "count_all"]).rename_columns(
+        ["w1", "w2", "pair_cnt"])
 
 
 def _topk_pairs(t: pa.Table, k: int) -> pa.Table:
@@ -166,7 +167,8 @@ def _tri_partial(b: pa.Table) -> pa.Table:
                   "w2": flat.take(pa.array(idx + 1)),
                   "w3": flat.take(pa.array(idx + 2))})
     g = t.group_by(["w1", "w2", "w3"]).aggregate([([], "count_all")])
-    return g.rename_columns(["w1", "w2", "w3", "tri_cnt"])
+    return g.select(["w1", "w2", "w3", "count_all"]).rename_columns(
+        ["w1", "w2", "w3", "tri_cnt"])
 
 
 def _topk_tris(t: pa.Table, k: int) -> pa.Table:

@@ -46,7 +46,8 @@ def feature_hash_bow(sf_dir: str, dim: int = 64):
                       "bucket": pa.array(bucket, pa.int64()),
                       "weight": pa.array(sgn.astype(np.int64), pa.int64())})
         g = t.group_by(["doc_id", "bucket"]).aggregate([("weight", "sum")])
-        g = g.rename_columns(["doc_id", "bucket", "weight"])
+        g = g.select(["doc_id", "bucket", "weight_sum"]).rename_columns(
+            ["doc_id", "bucket", "weight"])
         return g.filter(pc.not_equal(g.column("weight"), 0))
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -87,6 +88,7 @@ def events_json_stats(sf_dir: str):
         t = pa.table({"event_type": et, "k": k})
         g = t.group_by("event_type").aggregate(
             [("k", "count"), ("k", "sum"), ("k", "min"), ("k", "max")])
+        g = g.select(["event_type", "k_count", "k_sum", "k_min", "k_max"])
         return g.rename_columns(
             ["event_type", "n_events", "sum_k", "min_k", "max_k"])
 

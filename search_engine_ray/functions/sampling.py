@@ -41,6 +41,12 @@ DEFAULT_RATES_BP: dict[str, int] = {"en": 5000, "*": 2000}
 
 def _keep_hash(doc_id: np.ndarray) -> np.ndarray:
     """Deterministic per-doc bucket in [0, 10000)."""
+    # loud guard: for doc_id < 0, np.mod (sign of the divisor) and the
+    # DuckDB twins' SQL % (sign of the dividend) disagree
+    if len(doc_id) and doc_id.min() < 0:
+        raise ValueError(
+            "_keep_hash: negative doc_id — numpy mod and SQL % disagree "
+            "below zero, so the DuckDB twins would keep different rows")
     m = np.mod(doc_id, _LCG_M)
     return ((m * _LCG_A + _LCG_C) % _LCG_M) % 10000
 
@@ -167,7 +173,8 @@ def top_terms_per_lang(sf_dir: str, k: int = 10):
                 np.arange(len(b), dtype=np.int64), n_tok))), flat],
             names=["lang", "term"])
         g = langs.group_by(["lang", "term"]).aggregate([([], "count_all")])
-        return g.rename_columns(["lang", "term", "cf"])
+        return g.select(["lang", "term", "count_all"]).rename_columns(
+            ["lang", "term", "cf"])
 
     cf = ds.map_batches(partial_cf, batch_format="pyarrow") \
            .groupby(["lang", "term"]).aggregate(Sum("cf", alias_name="cf"))
@@ -238,7 +245,8 @@ def length_quantiles_by_lang(sf_dir: str,
         t = pa.table({"lang": b.column("lang"),
                       "n_tokens": pa.array(n_tok, pa.int64())})
         g = t.group_by(["lang", "n_tokens"]).aggregate([([], "count_all")])
-        return g.rename_columns(["lang", "n_tokens", "cnt"])
+        return g.select(["lang", "n_tokens", "count_all"]).rename_columns(
+            ["lang", "n_tokens", "cnt"])
 
     hist = (ds.map_batches(partial, batch_format="pyarrow")
               .groupby(["lang", "n_tokens"])

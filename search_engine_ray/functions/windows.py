@@ -211,7 +211,8 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
                       "band": b.column("band"),
                       "tot": b.column("vmicros")})
         g = t.group_by(["user_id", "band"]).aggregate([("tot", "sum")])
-        return g.rename_columns(["user_id", "band", "tot"])
+        return g.select(["user_id", "band", "tot_sum"]).rename_columns(
+            ["user_id", "band", "tot"])
 
     totals = (base.map_batches(tot_partial, batch_format="pyarrow")
                   .groupby(["user_id", "band"])
@@ -334,7 +335,8 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
                       "band": b.column("band"),
                       "last_ts": b.column("ts_us")})
         g = t.group_by(["user_id", "band"]).aggregate([("last_ts", "max")])
-        return g.rename_columns(["user_id", "band", "last_ts"])
+        return g.select(["user_id", "band", "last_ts_max"]).rename_columns(
+            ["user_id", "band", "last_ts"])
 
     summaries = (base.map_batches(summary_partial, batch_format="pyarrow")
                      .groupby(["user_id", "band"])

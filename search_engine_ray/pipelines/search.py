@@ -40,6 +40,7 @@ from ..query import compile as qc
 from ..state import bloom as sb
 from ..state import segments as seg
 from ..state.lru import LRU
+from ..state.sorted_strings import SortedStrings
 
 SYN_WEIGHT = 0.4  # Ranker.hpp:110
 
@@ -238,17 +239,8 @@ class ShardIndex:
         # segment rows are written term-sorted: lookups binary-search the
         # Arrow column directly (O(log n) probes, cached) instead of
         # materializing a python dict of every term at actor startup.
-        # The string column's (offsets, data) buffers are kept as numpy
-        # views so each probe compares raw bytes — no per-probe .as_py()
-        # string materialization.
         self._terms = t.column("term").combine_chunks()
-        _b = self._terms.buffers()
-        _off = self._terms.offset
-        self._term_offs = np.frombuffer(_b[1], dtype=np.int32)[
-            _off:_off + len(self._terms) + 1]
-        self._term_data = (np.frombuffer(_b[2], dtype=np.uint8)
-                           if _b[2] is not None
-                           else np.empty(0, dtype=np.uint8))
+        self._term_index = SortedStrings(self._terms)
         self._table = t
         self._postings = LRU(1024)
         self._phrase_cache = LRU(512)  # the index is immutable
@@ -305,19 +297,7 @@ class ShardIndex:
         return self._terms.to_pylist()
 
     def _find_row(self, term: str) -> int | None:
-        key = term.encode()
-        offs, data = self._term_offs, self._term_data
-        lo, hi = 0, len(self._terms)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if data[offs[mid]:offs[mid + 1]].tobytes() < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._terms) \
-                and data[offs[lo]:offs[lo + 1]].tobytes() == key:
-            return lo
-        return None
+        return self._term_index.find(term.encode())
 
     def lookup(self, term: str, positions: bool = False
                ) -> "seg.LazyPostings | None":

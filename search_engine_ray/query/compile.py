@@ -31,12 +31,19 @@ C++ conformance harness can decode our plans with Expr_AST unmodified.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import mmap
 import os.path
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+import pyarrow as pa
+
 from ..kernels.stemmer import stem
 from ..kernels.textutils import url_decode
+from ..state.sorted_strings import SortedStrings
 
 SYM_PHRASE = "$"
 STEP_TERM_ORIGINAL = 2  # protocol_query.h:30
@@ -344,37 +351,123 @@ def _ser(node, out: bytearray) -> None:
 # synsets (query/synsets.cpp:3-37)
 # ---------------------------------------------------------------------------
 
+def _parse_synset_line(line: str) -> list[str]:
+    """One synsets.txt line → its words (empty for a blank line)."""
+    synset = line.rstrip("\n").split(";")
+    # C++ getline(iss, word, ';') drops the trailing empty field
+    if synset and synset[-1] == "":
+        synset.pop()
+    return synset
+
+
+def _read_synsets(path: str):
+    """(line number, synset) for every non-empty line, in file order."""
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f):
+            synset = _parse_synset_line(line)
+            if synset:
+                yield n, synset
+
+
 def load_synsets(path: str) -> dict[str, list[list[str]]]:
-    """stem → [synset, ...] in file order. The synsets file is WordNet-
-    derived public data (reference recipe: query/dump_synsets.py); a copy
-    is vendored in search_engine_ray/data/ so the engine has no runtime
-    dependency on the reference tree."""
+    """stem → [synset, ...] in file order, stemming every word of the
+    file: the reference reader (synsets.cpp:3-37) that the pre-stemmed
+    SynsetTable is generated from and tested against. The synsets file
+    is WordNet-derived public data (reference recipe:
+    query/dump_synsets.py); a copy is vendored in search_engine_ray/data/
+    so the engine has no runtime dependency on the reference tree."""
     out: dict[str, list[list[str]]] = {}
-    with open(path) as f:
-        for line in f:
-            synset = line.rstrip("\n").split(";")
-            # C++ getline(iss, word, ';') drops the trailing empty field
-            if synset and synset[-1] == "":
-                synset.pop()
-            if not synset:
-                continue
-            for w in synset:
-                out.setdefault(stem(w), []).append(synset)
+    for _, synset in _read_synsets(path):
+        for w in synset:
+            out.setdefault(stem(w), []).append(synset)
     return out
 
 
-DEFAULT_SYNSETS_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "data", "synsets.txt")
-_synsets_cache: dict[str, dict] = {}
+_DATA_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "data")
+DEFAULT_SYNSETS_PATH = os.path.join(_DATA_DIR, "synsets.txt")
+DEFAULT_SYNSET_TABLE_PATH = os.path.join(_DATA_DIR, "synsets.stems.arrow")
+_SHA_KEY = b"synsets_sha256"
 
 
-def get_default_synsets() -> dict[str, list[list[str]]] | None:
-    import os
-    path = os.environ.get("SEARCH_ENGINE_SYNSETS", DEFAULT_SYNSETS_PATH)
-    if path in _synsets_cache:
-        return _synsets_cache[path]
-    if not os.path.exists(path):
-        return None
-    _synsets_cache[path] = load_synsets(path)
-    return _synsets_cache[path]
+def build_synset_table(txt_path: str) -> bytes:
+    """The pre-stemmed form of ``load_synsets(txt_path)`` as an
+    uncompressed Arrow IPC file: one row per stem, sorted in UTF-8 byte
+    order, holding the line numbers of its synsets in file order
+    (duplicates kept), with the text's sha256 in the schema metadata.
+    Deterministic: the same text always yields the same bytes."""
+    with open(txt_path, "rb") as f:
+        raw = f.read()
+    if b"\r" in raw:
+        # SynsetTable finds line n by its '\n' byte offsets
+        raise ValueError(f"{txt_path}: line endings must be '\\n' only")
+    lines: dict[str, list[int]] = {}
+    for n, synset in _read_synsets(txt_path):
+        for w in synset:
+            lines.setdefault(stem(w), []).append(n)
+    stems = sorted(lines, key=str.encode)
+    schema = pa.schema(
+        [("stem", pa.string()), ("lines", pa.list_(pa.int32()))],
+        metadata={_SHA_KEY: hashlib.sha256(raw).hexdigest().encode()})
+    batch = pa.record_batch(
+        [pa.array(stems, pa.string()),
+         pa.array([lines[s] for s in stems], pa.list_(pa.int32()))],
+        schema=schema)
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_file(sink, schema) as w:
+        w.write_batch(batch)
+    return sink.getvalue().to_pybytes()
+
+
+def _int32_view(arr: pa.Array) -> memoryview:
+    """Zero-copy view of a null-free int32 array whose items index as
+    Python ints (Array.to_numpy would import pandas: ~40 MB and ~0.35 s
+    on first use)."""
+    return memoryview(np.frombuffer(arr.buffers()[1], dtype=np.int32)[
+        arr.offset:arr.offset + len(arr)])
+
+
+class SynsetTable:
+    """stem → [synset, ...] over the memory-mapped ``build_synset_table``
+    file and synsets text: ``.get`` returns exactly what
+    ``load_synsets(txt_path).get`` does (None for an absent stem), but
+    opening it stems nothing and reads no rows. Raises when the text no
+    longer matches the table it was generated from."""
+
+    def __init__(self, table_path: str, txt_path: str):
+        with open(txt_path, "rb") as f:
+            self._text = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        reader = pa.ipc.open_file(pa.memory_map(table_path))
+        want = reader.schema.metadata[_SHA_KEY].decode()
+        if hashlib.sha256(self._text).hexdigest() != want:
+            raise ValueError(
+                f"{txt_path} does not match the synset table "
+                f"{table_path} generated from it; regenerate the table "
+                "with `python scripts/gen_synset_table.py`")
+        batch = reader.get_batch(0)
+        self._stems = SortedStrings(batch.column(0))
+        lines = batch.column(1)
+        self._line_offs = _int32_view(lines.offsets)
+        self._line_nos = _int32_view(lines.values)
+        # line n is text[starts[n]:starts[n + 1]]
+        nl = np.flatnonzero(np.frombuffer(self._text, dtype=np.uint8)
+                            == ord("\n"))
+        self._line_starts = memoryview(np.r_[0, nl + 1, len(self._text)])
+
+    def __len__(self) -> int:
+        return len(self._stems)
+
+    def get(self, stem_: str) -> list[list[str]] | None:
+        i = self._stems.find(stem_.encode())
+        if i is None:
+            return None
+        starts, text = self._line_starts, self._text
+        return [_parse_synset_line(text[starts[n]:starts[n + 1]].decode())
+                for n in self._line_nos[self._line_offs[i]:
+                                        self._line_offs[i + 1]]]
+
+
+@functools.cache
+def get_default_synsets() -> SynsetTable:
+    """The vendored WordNet synonyms, opened once per process."""
+    return SynsetTable(DEFAULT_SYNSET_TABLE_PATH, DEFAULT_SYNSETS_PATH)

@@ -64,6 +64,15 @@ def test_stratified_sample_deterministic_and_stratified(tiny_dir):
             == np.sort(_keep_hash(np.array([0, 1, 4])))).all()
 
 
+def test_keep_hash_rejects_negative_doc_ids():
+    from search_engine_ray.functions.sampling import _keep_hash
+    # np.mod and SQL % disagree below zero: -1 mod 2^31 is 2^31-1 in
+    # numpy but -1 in DuckDB, so the twins would keep different rows
+    with pytest.raises(ValueError, match="negative doc_id"):
+        _keep_hash(np.array([3, -1, 7], dtype=np.int64))
+    assert len(_keep_hash(np.array([], dtype=np.int64))) == 0
+
+
 def test_length_quantiles_exact_definition(tiny_dir):
     from search_engine_ray.functions.sampling import length_quantiles
     # token counts: [3, 2, 4, 0, 2] → sorted [0,2,2,3,4], N=5

@@ -32,10 +32,11 @@ import pyarrow as pa
 
 import ray
 
-from ..kernels.shingles import (avalanche64, binary_column_from_ragged,
+from ..kernels.shingles import (binary_column_from_ragged,
                                 fixed_binary_matrix, shingle_hash_batch,
                                 tokenize_hash_batch, unique_per_segment,
                                 POS_MULT)
+from ..kernels.textutils import avalanche64
 from ..pipelines.datasets import read_table
 
 MERSENNE = (1 << 61) - 1

@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import Max, Sum
 
-from ..kernels.shingles import avalanche64
+from ..kernels.textutils import avalanche64
 from ..pipelines.datasets import read_table
 
 HLL_P = 8                       # 2^8 = 256 registers

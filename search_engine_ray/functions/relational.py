@@ -23,6 +23,18 @@ def _cents(x: np.ndarray) -> np.ndarray:
     and numpy (both IEEE doubles)."""
     return np.floor(x * 100.0 + 0.5).astype(np.int64)
 
+
+def _dim_order(keys: np.ndarray, name: str) -> np.ndarray:
+    """argsort of a broadcast dim's key column. The probes' searchsorted
+    finds ONE match per key where SQL emits every match, so a duplicate
+    key raises instead of silently dropping rows."""
+    order = np.argsort(keys)
+    if (np.diff(keys[order]) == 0).any():
+        raise ValueError(f"{name} has duplicate keys; a broadcast probe "
+                         "needs a unique dim key")
+    return order
+
+
 def _gsum(t: pa.Table, keys: list[str], cols: list[str]) -> pa.Table:
     """Arrow-native per-batch combiner: group_by + integer sums, output
     columns renamed back to their pre-aggregation names."""
@@ -89,7 +101,7 @@ def orders_by_segment(sf_dir: str):
     cust = read_table(sf_dir, "customer",
                       columns=["c_custkey", "c_mktsegment"]).to_pandas()
     keys = cust["c_custkey"].to_numpy(dtype=np.int64)
-    order = np.argsort(keys)
+    order = _dim_order(keys, "customer.c_custkey")
     seg_map_ref = ray.put((keys[order],
                            cust["c_mktsegment"].to_numpy()[order]))
 
@@ -246,7 +258,7 @@ def suppliers_per_region(sf_dir: str):
     # broadcast lookup is one searchsorted per batch
     r2name = dict(zip(region["r_regionkey"], region["r_name"]))
     nk = nation["n_nationkey"].to_numpy(dtype=np.int64)
-    order = np.argsort(nk)
+    order = _dim_order(nk, "nation.n_nationkey")
     names = np.asarray([r2name[rk] for rk in
                         nation["n_regionkey"].to_numpy()[order]],
                        dtype=object)
@@ -708,7 +720,7 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 8,
     if n_cust <= broadcast_gate:
         ct = cust.to_pandas()
         ck = ct["c_custkey"].to_numpy(dtype=np.int64)
-        order = np.argsort(ck)
+        order = _dim_order(ck, "customer.c_custkey")
         dim_ref = ray.put((ck[order],
                            ct["c_nationkey"].to_numpy(np.int64)[order]))
 
@@ -756,7 +768,7 @@ def revenue_by_nation(sf_dir: str, num_partitions: int = 8,
     nat = pq.read_table(_os.path.join(sf_dir, "nation.parquet"),
                         columns=["n_nationkey", "n_name"])
     nkeys = nat.column("n_nationkey").to_numpy(zero_copy_only=False)
-    order = np.argsort(nkeys)
+    order = _dim_order(nkeys, "nation.n_nationkey")
     nkeys = nkeys[order]
     nnames = nat.column("n_name").to_numpy(zero_copy_only=False)[order]
 

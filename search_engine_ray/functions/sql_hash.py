@@ -86,7 +86,7 @@ def _pos_mult() -> list[int]:
 
 
 def _avalanche_const(x: int) -> int:
-    from ..kernels.shingles import avalanche64
+    from ..kernels.textutils import avalanche64
     return int(avalanche64(np.asarray([x], dtype=np.uint64))[0])
 
 

@@ -105,11 +105,54 @@ FROM e ORDER BY event_id
 """
 
 
+def _value_micros(value: pa.ChunkedArray) -> np.ndarray:
+    """floor(value * 1e6) as int64 µ-units. A null or NaN value would
+    cast to INT64_MIN and poison every later running sum, so it
+    raises instead."""
+    v = value.to_numpy(zero_copy_only=False)  # a null reads as NaN
+    if np.isnan(v).any():
+        raise ValueError("events.value holds a null or NaN; the running "
+                         "total needs every value")
+    return np.floor(v * 1e6).astype(np.int64)
+
+
+def _join_bands(inband, summary, broadcast_gate: int,
+                num_partitions: int, finish):
+    """``finish`` over in-band rows joined with their (user_id, band)
+    summary row. Up to ``broadcast_gate`` summary rows, the summary is
+    broadcast as one Arrow table and joined per batch in the rows'
+    order, with no shuffle; above it, Ray Data's native hash join.
+    Arrow-side on both paths: a pandas merge would turn a nullable
+    int64 column into float64 and round values past 2^53."""
+    import ray
+
+    keys = ["user_id", "band"]
+    tabs = ([t for t in ray.get(summary.to_arrow_refs()) if t.num_columns]
+            if summary.count() <= broadcast_gate else [])
+    if not tabs:  # above the gate, or an empty summary
+        joined = inband.join(summary, join_type="inner",
+                             num_partitions=num_partitions, on=tuple(keys))
+        return joined.map_batches(finish, batch_format="pyarrow")
+    ref = ray.put(pa.concat_tables(tabs))
+
+    class Lookup:
+        def __init__(self):
+            self.summary = ray.get(ref)
+
+        def __call__(self, b: pa.Table) -> pa.Table:
+            rows = pa.array(np.arange(len(b)), pa.int64())
+            m = b.append_column("_row", rows).join(
+                self.summary, keys=keys, join_type="left outer")
+            return finish(m.sort_by("_row").drop_columns(["_row"]))
+
+    return inband.map_batches(Lookup, batch_format="pyarrow",
+                              concurrency=2)
+
+
 def _cumsum_group(g: pa.Table) -> pa.Table:
     us = g.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     ev = g.column("event_id").to_numpy(zero_copy_only=False)
-    val = np.floor(g.column("value").to_numpy(zero_copy_only=False)
-                   * 1e6).astype(np.int64)
+    val = _value_micros(g.column("value"))
     order = np.lexsort((ev, us))
     return pa.table({
         "event_id": pa.array(ev[order], pa.int64()),
@@ -167,7 +210,6 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
     window oracle) in tests/test_distinct.py, including on the 83%-
     hot-user skew fixture.
     """
-    import ray
     from ray.data.aggregate import Sum
 
     ds = read_table(sf_dir, "events",
@@ -175,8 +217,7 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
 
     def prep(b: pa.Table) -> pa.Table:
         us = b.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        val = np.floor(b.column("value").to_numpy(zero_copy_only=False)
-                       * 1e6).astype(np.int64)
+        val = _value_micros(b.column("value"))
         return pa.table({
             "event_id": b.column("event_id"),
             "user_id": b.column("user_id"),
@@ -235,35 +276,6 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
     offsets = totals.groupby("user_id").map_groups(
         prefix, batch_format="pyarrow").materialize()
 
-    n_off = offsets.count()
-    if n_off <= broadcast_gate:
-        off_df = offsets.to_pandas()
-        off_ref = ray.put(off_df)
-
-        class AddOffset:
-            def __init__(self):
-                self.off = ray.get(off_ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                df = b.to_pandas()
-                m = df.merge(self.off, on=["user_id", "band"],
-                             how="left")
-                return pa.table({
-                    "event_id": pa.array(m["event_id"], pa.int64()),
-                    "user_id": pa.array(m["user_id"], pa.int64()),
-                    "ts_us": pa.array(m["ts_us"], pa.int64()),
-                    "running_micros": pa.array(
-                        m["in_cum"] + m["offset"].fillna(0).astype(
-                            "int64"), pa.int64()),
-                })
-
-        return inband.map_batches(AddOffset, batch_format="pyarrow",
-                                  concurrency=2)
-
-    joined = inband.join(offsets, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("user_id", "band"))
-
     def finish(b: pa.Table) -> pa.Table:
         run = (b.column("in_cum").to_numpy(zero_copy_only=False)
                + b.column("offset").to_numpy(zero_copy_only=False))
@@ -274,7 +286,8 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
             "running_micros": pa.array(run, pa.int64()),
         })
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return _join_bands(inband, offsets, broadcast_gate, num_partitions,
+                       finish)
 
 
 def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
@@ -290,7 +303,6 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
     tests/test_distinct.py, including the hot-user fixture and its NULL
     first-event rows.
     """
-    import ray
     from ray.data.aggregate import Max
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
@@ -360,45 +372,6 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
     carries = summaries.groupby("user_id").map_groups(
         carry, batch_format="pyarrow").materialize()
 
-    def apply_carry(b: pa.Table, cdf) -> pa.Table:
-        # integer-exact like the join-path finish(): NaN-marshalling
-        # through float64 would round gaps past 2^53 µs
-        df = b.to_pandas()
-        m = df.merge(cdf, on=["user_id", "band"], how="left")
-        first = m["is_first"].to_numpy()
-        prev_null = m["prev_last"].isna().to_numpy()
-        prev = m["prev_last"].fillna(0).astype("int64").to_numpy()
-        ts = m["ts_us"].to_numpy(dtype=np.int64)
-        gap = np.where(first, ts - prev,
-                       m["in_gap"].to_numpy(dtype=np.int64))
-        isnull = first & prev_null
-        return pa.table({
-            "event_id": pa.array(m["event_id"], pa.int64()),
-            "user_id": pa.array(m["user_id"], pa.int64()),
-            "ts_us": pa.array(ts, pa.int64()),
-            "gap_us": pa.array(
-                np.where(isnull, 0, gap), pa.int64(), mask=isnull),
-        })
-
-    n_carry = carries.count()
-    if n_carry <= broadcast_gate:
-        cdf = carries.to_pandas()
-        cref = ray.put(cdf)
-
-        class Apply:
-            def __init__(self):
-                self.cdf = ray.get(cref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                return apply_carry(b, self.cdf)
-
-        return inband.map_batches(Apply, batch_format="pyarrow",
-                                  concurrency=2)
-
-    joined = inband.join(carries, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("user_id", "band"))
-
     def finish(b: pa.Table) -> pa.Table:
         first = b.column("is_first").to_numpy(zero_copy_only=False)
         gap = b.column("in_gap").to_numpy(zero_copy_only=False)
@@ -416,7 +389,8 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
                 np.int64), pa.int64(), mask=isnull),
         })
 
-    return joined.map_batches(finish, batch_format="pyarrow")
+    return _join_bands(inband, carries, broadcast_gate, num_partitions,
+                       finish)
 
 
 def events_rolling_count_banded(sf_dir: str,

@@ -20,7 +20,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .textutils import fnv1a_64_arrow
+from .textutils import avalanche64, fnv1a_64_arrow
 
 FNV_BASIS = np.uint64(0xCBF29CE484222325)
 
@@ -31,17 +31,6 @@ POS_MULT = np.array([
     0xD6E8FEB86659FD93, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
     0x27D4EB2F165667C5, 0x9E3779B97F4A7C55,
 ], dtype=np.uint64)
-
-
-def avalanche64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized (uint64 wraparound)."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def tokenize_hash_batch(texts) -> tuple[np.ndarray, np.ndarray]:

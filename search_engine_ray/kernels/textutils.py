@@ -144,11 +144,24 @@ def fnv1a_64_np(strs) -> np.ndarray:
     return out
 
 
+def avalanche64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized (uint64 wraparound)."""
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def fnv1a_64_arrow(col) -> np.ndarray:
     """64-bit FNV-1a over an Arrow string column, vectorized byte-position-
     wise over the column's raw buffers (identical values to fnv1a_64;
     O(max_len) numpy passes instead of a Python loop per byte)."""
     import pyarrow as pa
+
+    from .arrowbuf import string_views
 
     if isinstance(col, pa.ChunkedArray):
         chunks = col.chunks
@@ -161,11 +174,8 @@ def fnv1a_64_arrow(col) -> np.ndarray:
         n = len(chunk)
         if n == 0:
             continue
-        bufs = chunk.buffers()
-        data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] else \
-            np.empty(0, np.uint8)
-        offsets = np.frombuffer(bufs[1], dtype=np.int32)[
-            chunk.offset:chunk.offset + n + 1].astype(np.int64)
+        offsets, data = string_views(chunk)
+        offsets = offsets.astype(np.int64)
         starts, ends = offsets[:-1], offsets[1:]
         lens = ends - starts
         h = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 
+from ..kernels import arrowbuf
 from ..kernels.stemmer import stem
 from ..kernels.textutils import url_decode
 from ..state.sorted_strings import SortedStrings
@@ -419,14 +420,6 @@ def build_synset_table(txt_path: str) -> bytes:
     return sink.getvalue().to_pybytes()
 
 
-def _int32_view(arr: pa.Array) -> memoryview:
-    """Zero-copy view of a null-free int32 array whose items index as
-    Python ints (Array.to_numpy would import pandas: ~40 MB and ~0.35 s
-    on first use)."""
-    return memoryview(np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-        arr.offset:arr.offset + len(arr)])
-
-
 class SynsetTable:
     """stem → [synset, ...] over the memory-mapped ``build_synset_table``
     file and synsets text: ``.get`` returns exactly what
@@ -447,8 +440,9 @@ class SynsetTable:
         batch = reader.get_batch(0)
         self._stems = SortedStrings(batch.column(0))
         lines = batch.column(1)
-        self._line_offs = _int32_view(lines.offsets)
-        self._line_nos = _int32_view(lines.values)
+        # memoryviews: their items index as Python ints
+        self._line_offs = memoryview(arrowbuf.view(lines.offsets, np.int32))
+        self._line_nos = memoryview(arrowbuf.view(lines.values, np.int32))
         # line n is text[starts[n]:starts[n + 1]]
         nl = np.flatnonzero(np.frombuffer(self._text, dtype=np.uint8)
                             == ord("\n"))

@@ -26,8 +26,8 @@ import struct
 
 import numpy as np
 
-from ..kernels.shingles import avalanche64
-from ..kernels.textutils import fnv1a_64_arrow, fnv1a_64_np
+from ..kernels import arrowbuf
+from ..kernels.textutils import avalanche64, fnv1a_64_arrow, fnv1a_64_np
 
 _MAGIC = 0x534E424C  # "LBNS"
 _K = 2
@@ -45,7 +45,7 @@ def hash_terms(terms) -> np.ndarray:
     if isinstance(terms, (pa.Array, pa.ChunkedArray)):
         h1 = fnv1a_64_arrow(terms)
     elif len(terms) > 64:
-        h1 = fnv1a_64_arrow(pa.array(list(terms), pa.string()))
+        h1 = fnv1a_64_arrow(arrowbuf.strings(list(terms)))
     else:  # tiny query-term lists: skip the Arrow round-trip
         h1 = fnv1a_64_np(list(terms))
     return np.stack([h1, avalanche64(h1)], axis=1)

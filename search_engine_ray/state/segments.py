@@ -46,6 +46,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..kernels import varint
 
@@ -293,3 +294,18 @@ def read_manifest(index_dir: str) -> dict | None:
         return None
     with open(path) as f:
         return json.load(f)
+
+
+def read_parquet_dir(dirpath: str, columns: list[str] | None = None
+                     ) -> pa.Table:
+    """Every ``*.parquet`` file of a directory, concatenated in file-name
+    order and memory-mapped. Unlike ``pq.read_table(dirpath)`` this
+    reads through ``pq.ParquetFile`` and never imports pyarrow.dataset
+    (~45 MB RSS with the pandas it pulls in), which keeps it fit for
+    the serving processes. Subdirectories are not descended into."""
+    files = sorted(f for f in os.listdir(dirpath) if f.endswith(".parquet"))
+    if not files:
+        raise FileNotFoundError(f"no parquet files in {dirpath}")
+    return pa.concat_tables(
+        [pq.ParquetFile(os.path.join(dirpath, f), memory_map=True)
+         .read(columns=columns) for f in files])

@@ -7,6 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..kernels.arrowbuf import string_views
+
 
 class SortedStrings:
     """Row lookup in a string array sorted in byte (= UTF-8 code point)
@@ -20,11 +22,7 @@ class SortedStrings:
     __slots__ = ("_offs", "_data", "_first")
 
     def __init__(self, arr: pa.Array):
-        b = arr.buffers()
-        offs = np.frombuffer(b[1], dtype=np.int32)[
-            arr.offset:arr.offset + len(arr) + 1]
-        data = (np.frombuffer(b[2], dtype=np.uint8) if b[2] is not None
-                else np.empty(0, dtype=np.uint8))
+        offs, data = string_views(arr)
         # leading byte per row, -1 for the empty string (sorts first);
         # first[c + 1]:first[c + 2] is the run of rows led by byte c
         lead = np.full(len(arr), -1, dtype=np.int16)

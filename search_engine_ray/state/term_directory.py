@@ -36,11 +36,12 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray
 
+from ..kernels import arrowbuf
 from ..kernels.textutils import fnv1a_64_arrow, fnv1a_64_np
+from . import segments as seg
 from .lru import LRU
 
 META = "meta.json"
@@ -56,8 +57,6 @@ def build_term_directory(index_dir: str, n_buckets: int = 32) -> str:
     One pass, no shuffle — the groupby happens at actor LOAD time inside
     each bucket (sort, worker-sized)."""
     import ray.data as rd
-
-    from . import segments as seg
 
     man = seg.read_manifest(index_dir)
     out = _dir_path(index_dir)
@@ -115,7 +114,7 @@ class DirectoryActor:
         for b in buckets:
             path = os.path.join(_dir_path(index_dir), f"bucket={b}")
             try:
-                t = pq.read_table(path, columns=["term", "shard"])
+                t = seg.read_parquet_dir(path, columns=["term", "shard"])
             except (OSError, pa.ArrowInvalid):
                 # bucket with no terms: partitioned write emits no dir
                 self._views[b] = None
@@ -126,12 +125,8 @@ class DirectoryActor:
             # offsets; combine_chunks on plain string would raise)
             terms = t.column("term").cast(pa.large_string()) \
                 .combine_chunks()
-            bufs = terms.buffers()
-            offs = np.frombuffer(bufs[1], dtype=np.int64)
-            data = (np.frombuffer(bufs[2], dtype=np.uint8)
-                    if bufs[2] else np.empty(0, np.uint8))
-            shards = t.column("shard").to_numpy(
-                zero_copy_only=False).astype(np.int32)
+            offs, data = arrowbuf.string_views(terms)
+            shards = arrowbuf.view(t.column("shard"), np.int32)
             self._views[b] = (terms, offs, data, shards)
 
     def ready(self) -> bool:

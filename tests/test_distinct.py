@@ -350,3 +350,58 @@ def test_windows_property_random_corpora(ray_session, tmp_path_factory):
             pd.testing.assert_frame_equal(
                 mine, ref, check_dtype=False, check_exact=True,
                 obj=f"{op} seed={seed}")
+
+
+def _write_events(d, event_ids, ts_us, user_ids, values) -> str:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    n = len(event_ids)
+    pq.write_table(pa.table({
+        "event_id": pa.array(event_ids, pa.int64()),
+        "ts": pa.array(ts_us, pa.timestamp("us")),
+        "user_id": pa.array(user_ids, pa.int64()),
+        "event_type": pa.array(["e"] * n),
+        "value": pa.array(values, pa.float64()),
+        "props": pa.array(["{}"] * n),
+    }), str(d / "events.parquet"))
+    return str(d)
+
+
+def test_running_total_rejects_null_value(ray_session, tmp_path):
+    """A null value fails loudly in both running-total plans instead of
+    casting NaN to INT64_MIN and poisoning the user's later sums."""
+    from search_engine_ray.functions.windows import (
+        events_running_total, events_running_total_banded)
+    d = _write_events(tmp_path, [1, 2, 3], [10, 20, 30], [7, 7, 7],
+                      [1.0, None, 2.0])
+    for plan in (events_running_total, events_running_total_banded):
+        with pytest.raises(Exception, match="null or NaN"):
+            plan(d).materialize()
+
+
+def test_user_lag_banded_carry_exact_past_2_53(ray_session, tmp_path):
+    """The banded LAG's broadcast carry is integer-exact: with
+    prev_last = 2^53 + 1 µs (not a float64), the carried gap is exact,
+    the first event's gap stays NULL and rows match the plain plan."""
+    import pyarrow as pa
+    import ray
+
+    from search_engine_ray.functions.windows import (BAND_US,
+                                                     events_user_lag,
+                                                     events_user_lag_banded)
+    t0 = 2**53 + 1
+    ts = [t0, t0 + BAND_US + 3, t0 + BAND_US + 10, t0 + 5]
+    d = _write_events(tmp_path, [1, 2, 3, 4], ts, [7, 7, 7, 8],
+                      [1.0] * 4)
+
+    def rows(ds):
+        tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+        got = pa.concat_tables(tabs).to_pydict()
+        return sorted(zip(got["event_id"], got["user_id"], got["ts_us"],
+                          got["gap_us"]))
+
+    banded = rows(events_user_lag_banded(d))
+    assert banded == [(1, 7, t0, None), (2, 7, ts[1], BAND_US + 3),
+                      (3, 7, ts[2], 7), (4, 8, ts[3], None)]
+    assert banded == rows(events_user_lag(d))

@@ -145,3 +145,29 @@ def test_events_json_stats_drops_missing_field(tmp_path, ray_session):
     r = t.iloc[0]
     assert (int(r["n_events"]), int(r["sum_k"]),
             int(r["min_k"]), int(r["max_k"])) == (2, 10, 3, 7)
+
+
+def test_revenue_by_nation_rejects_duplicate_dim_keys(tmp_path, ray_session):
+    """The broadcast probe finds one customer per c_custkey, where SQL
+    joins every match: a duplicate dim key raises on that path, while
+    the native hash join (gate 0) emits both matches."""
+    from search_engine_ray.functions.relational import revenue_by_nation
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([1, 2], pa.int64()),
+        "o_custkey": pa.array([10, 10], pa.int64()),
+        "o_totalprice": pa.array([10.0, 5.5], pa.float64()),
+    }), tmp_path / "orders.parquet")
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([10, 10], pa.int64()),  # duplicate key
+        "c_nationkey": pa.array([0, 1], pa.int64()),
+    }), tmp_path / "customer.parquet")
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([0, 1], pa.int64()),
+        "n_name": ["ALPHA", "BETA"],
+    }), tmp_path / "nation.parquet")
+    with pytest.raises(ValueError, match="c_custkey has duplicate keys"):
+        revenue_by_nation(str(tmp_path))
+    t = revenue_by_nation(str(tmp_path), num_partitions=2,
+                          broadcast_gate=0).to_pandas()
+    assert sorted(zip(t["n_name"], t["n_orders"])) == [("ALPHA", 2),
+                                                       ("BETA", 2)]

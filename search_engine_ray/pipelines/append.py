@@ -12,11 +12,13 @@ pages to a COMPLETE index without touching existing shards:
 - new docs parse into docs/gen=K; new shards get FRESH shard ids
   (old_num_shards..), so segments/docmeta writes never touch old dirs
 - the filesystem exchange + merge build only the new shards
-- global stats (n_docs, avgdl, term df/cf) are recomputed; because avgdl
-  shifts, OLD shards' block-max metadata becomes a stale bound — WAND is
+- global stats (n_docs, avgdl, term df) are recomputed; because avgdl
+  shifts, OLD shards' stored block-max bounds become stale — WAND is
   automatically disabled for shards whose recorded build avgdl differs
   from the current global (they fall back to exact exhaustive scoring),
-  until ``refresh_block_max`` recomputes their bounds.
+  until ``refresh_block_max`` recomputes their bounds. One-block rows
+  store no bound (WAND computes theirs at query time), so refresh
+  rewrites only the rows of several blocks.
 """
 
 from __future__ import annotations
@@ -178,9 +180,9 @@ def append_to_index(pages_factory, index_dir: str, *,
 
     # refresh global term stats (driver merge; see build.py terms stage)
     terms_path = os.path.join(index_dir, "terms")
-    t = pq.read_table(segments_dir, columns=["term", "df", "cf"])
+    t = pq.read_table(segments_dir, columns=["term", "df"])
     merged = (t.to_pandas()
-              .groupby("term", as_index=False)[["df", "cf"]].sum())
+              .groupby("term", as_index=False)[["df"]].sum())
     tmp = terms_path + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
@@ -206,8 +208,9 @@ def append_to_index(pages_factory, index_dir: str, *,
 
 def refresh_block_max(index_dir: str) -> int:
     """Maintenance op: recompute block-max impacts for shards whose build
-    avgdl is stale, re-enabling WAND after appends. Returns the number of
-    shards refreshed."""
+    avgdl is stale, re-enabling WAND after appends. Only rows that store
+    bounds (several blocks) are recomputed; one-block rows are copied
+    unchanged. Returns the number of shards refreshed."""
     man = seg.read_manifest(index_dir)
     stats = man["stats"]
     if stats.get("posting_format") != "ordinal":
@@ -230,19 +233,20 @@ def refresh_block_max(index_dir: str) -> int:
             columns=["doc_id", "dl"])
         order = np.argsort(dmeta.column("doc_id").to_numpy())
         d_dls = dmeta.column("dl").to_numpy(zero_copy_only=False)[order]
-        new_bmax = []
-        for i in range(t.num_rows):
+        new_bmax = t.column("block_max_impact").to_pylist()
+        for i, bmax in enumerate(new_bmax):
+            if bmax is None:  # one block: WAND computes its bound
+                continue
             row = {name: t.column(name)[i].as_py()
-                   for name in ("df", "cf", "doc_gaps", "tfs", "block_offs",
-                                "block_last_doc", "block_max_impact")}
-            tp = seg.LazyPostings(row)
+                   for name in ("term", "df", "doc_gaps", "tfs",
+                                "block_offs", "block_last_doc",
+                                "block_max_impact")}
+            tp = seg.LazyPostings(
+                row, where=f"shard {shard} term {row['term']!r}")
             # posting doc values are ordinals into the doc_id-sorted
             # docmeta — direct indexing, no searchsorted
-            dls = d_dls[tp.doc_ids]
-            imps = seg.bm25_impact(tp.tfs, dls, avgdl).astype(np.float32)
-            bmax = np.maximum.reduceat(
-                imps, np.arange(0, len(imps), seg.BLOCK_SIZE))
-            new_bmax.append(bmax.astype(np.float32).tobytes())
+            new_bmax[i] = seg.block_max_bounds(
+                seg.bm25_impact(tp.tfs, d_dls[tp.doc_ids], avgdl))
         idx = t.schema.get_field_index("block_max_impact")
         t = t.set_column(idx, "block_max_impact",
                          pa.array(new_bmax, pa.binary()))

@@ -19,7 +19,7 @@ Ray-Data-first rebuild of the reference ingest path (SURVEY.md §3.1):
         per-shard segments (delta-gap varint + 128-doc block-max), written
         atomically with build-id markers — per-partition resume; Ray
         sort/groupby appear nowhere in the postings path
-      → global term stats (df/cf): driver merge under a size threshold,
+      → global term stats (df): driver merge under a size threshold,
         distributed groupby beyond
       → manifest.json                                  [completion marker]
 
@@ -437,7 +437,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     t2 = time.time()
     if not _stage_done(index_dir, "terms", cfg_hash):
         # per-shard files are already per-term-unique, so batches are
-        # partial (term, df, cf) rows; merge on the driver while the vocab
+        # partial (term, df) rows; merge on the driver while the vocab
         # fits (a groupby execution costs more than the data here), else
         # fall back to the distributed groupby
         # per-shard vocab stats are tiny relative to the segments (the
@@ -450,9 +450,9 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
         if seg_bytes <= 1 << 30:
             import pandas as pd
             import pyarrow.parquet as _pq
-            t = _pq.read_table(segments_dir, columns=["term", "df", "cf"])
+            t = _pq.read_table(segments_dir, columns=["term", "df"])
             merged = (t.to_pandas()
-                      .groupby("term", as_index=False)[["df", "cf"]].sum())
+                      .groupby("term", as_index=False)[["df"]].sum())
             tmp = terms_path + ".tmp"
             shutil.rmtree(tmp, ignore_errors=True)
             os.makedirs(tmp)
@@ -461,10 +461,9 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
             shutil.rmtree(terms_path, ignore_errors=True)
             os.replace(tmp, terms_path)
         else:
-            segs = rd.read_parquet(segments_dir,
-                                   columns=["term", "df", "cf"])
+            segs = rd.read_parquet(segments_dir, columns=["term", "df"])
             terms = segs.groupby("term").aggregate(
-                Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
+                Sum("df", alias_name="df"))
             _atomic_write(terms, terms_path)
         man = _mark_stage(index_dir, "terms", cfg_hash,
                           terms_wall_s=round(time.time() - t2, 3),

@@ -69,15 +69,17 @@ def _write_byte_bounded(tab: pa.Table, path: str,
     """Write ``tab`` with BYTE-bounded row groups: split wherever the
     cumulative binary payload passes ~target_bytes (a single fat row gets
     its own group), so a lazy per-row read never decompresses more than
-    ~target_bytes no matter how skewed the row sizes are."""
+    ~target_bytes no matter how skewed the row sizes are. A null cell
+    weighs 0 bytes."""
     import pyarrow.compute as pc
     w = np.zeros(tab.num_rows, dtype=np.int64)
     for field in tab.schema:
         if pa.types.is_binary(field.type) \
                 or pa.types.is_large_binary(field.type) \
                 or pa.types.is_string(field.type):
-            w += pc.binary_length(tab.column(field.name)).cast(
-                pa.int64()).to_numpy(zero_copy_only=False)
+            w += pc.fill_null(pc.binary_length(tab.column(field.name)),
+                              0).cast(pa.int64()).to_numpy(
+                zero_copy_only=False)
     # boundary scan iterates GROUPS (≈ total_bytes/target), not rows:
     # greedy farthest-cut via searchsorted on the cumulative weights
     cum = np.concatenate([[0], np.cumsum(w)])
@@ -144,8 +146,8 @@ class _PartialExchangeWriter:
         dls = t.column("dl").to_numpy(zero_copy_only=False).astype(np.int64)
         # deterministic part id from the batch's doc set: a retried task
         # re-emits the SAME filenames, so partially-written groups are
-        # overwritten (os.replace) instead of duplicated, keeping df/cf
-        # exact under Ray task retry
+        # overwritten (os.replace) instead of duplicated, keeping df and
+        # the posting bytes exact under Ray task retry
         part_id = hashlib.sha1(doc_ids.tobytes()).hexdigest()[:20]
 
         if self.emit_meta and len(doc_ids):
@@ -288,15 +290,12 @@ class _GroupMergeWorker:
                 "docmeta.parquet", row_group_size=4096)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _time
-        timing = bool(os.environ.get("SE_MERGE_TIMING"))
         out_shard, out_terms = [], []
         for g in batch.column("grp").to_pylist():
             g = int(g)
             gdir = os.path.join(self.exchange_dir, f"grp={g}")
             if not os.path.isdir(gdir):
                 continue
-            _t0 = _time.time()
             # explicit extension filter: a crash between write and
             # os.replace can leave a truncated *.tmp, which the readers
             # would otherwise try to parse
@@ -328,11 +327,9 @@ class _GroupMergeWorker:
                 for si in range(len(u_sh)):
                     uni[int(u_sh[si])] = np.unique(
                         mid_s[u_bounds[si]:u_bounds[si + 1]])
-            _t1 = _time.time()
             if not files:
                 continue
             part = _read_partials(files)
-            _t2 = _time.time()
             if part.num_rows == 0:
                 continue
             terms_arr = part.column("term")
@@ -347,7 +344,6 @@ class _GroupMergeWorker:
                 np.int64)
             shards = part.column("shard").to_numpy(zero_copy_only=False)
 
-            _t3 = _time.time()
             order = np.lexsort((docs, codes, shards))
             # reorder the pos binary column ONCE; per-run blobs are then
             # contiguous (offset, data) buffer slices — no python bytes
@@ -369,8 +365,6 @@ class _GroupMergeWorker:
             tfs_s = tfs[order]
             dls_s = dls[order]
             shards_s = shards[order]
-            impacts = seg.bm25_impact(tfs_s, dls_s,
-                                      self.avgdl).astype(np.float32)
 
             # map doc ids → per-shard dense ordinals (monotone within a
             # shard, so the (shard, term, doc) sort order is preserved)
@@ -400,7 +394,6 @@ class _GroupMergeWorker:
             rstarts = np.nonzero(change)[0]
             rbounds = np.append(rstarts, len(codes))
 
-            _t4 = _time.time()
             # vectorized per-group encoding: ONE varint stream per column
             # with per-row byte offsets, so each posting list is a bytes
             # slice instead of a per-run encode call (the per-run python
@@ -408,7 +401,6 @@ class _GroupMergeWorker:
             from ..stages.emit import _varint_stream_with_offsets
 
             n_rows = len(codes)
-            run_len = np.diff(rbounds)
             ds64 = docs_s.astype(np.uint64)
             deltas = np.empty(n_rows, np.uint64)
             deltas[0] = ds64[0]
@@ -417,13 +409,6 @@ class _GroupMergeWorker:
             doc_stream, doc_offs = _varint_stream_with_offsets(deltas)
             tf_stream, tf_offs = _varint_stream_with_offsets(
                 tfs_s.astype(np.uint64))
-            run_cf = np.add.reduceat(tfs_s, rstarts)
-            run_max = np.maximum.reduceat(impacts, rstarts)
-            # single-block runs' block_last_doc is the varint of the last
-            # absolute doc id (== encode_gaps of a 1-element array)
-            last_ids = ds64[rbounds[1:] - 1]
-            last_stream, last_offs = _varint_stream_with_offsets(last_ids)
-            run_max_f32 = run_max.astype(np.float32)
 
             # shard boundaries over the runs
             per_shard: dict[int, dict[str, list]] = {}
@@ -434,16 +419,22 @@ class _GroupMergeWorker:
                     continue
                 n = hi - lo
                 r = per_shard.setdefault(sh, {
-                    "term": [], "df": [], "cf": [], "doc_gaps": [],
+                    "term": [], "df": [], "doc_gaps": [],
                     "tfs": [], "pos_gaps": [], "block_last_doc": [],
                     "block_max_impact": [], "block_offs": []})
                 r["term"].append(vocab[codes[lo]])
                 r["df"].append(n)
-                r["cf"].append(int(run_cf[ri]))
                 r["doc_gaps"].append(doc_stream[doc_offs[lo]:doc_offs[hi]])
                 r["tfs"].append(tf_stream[tf_offs[lo]:tf_offs[hi]])
                 r["pos_gaps"].append(
                     pos_data[pos_offs[lo]:pos_offs[hi]].tobytes())
+                if n <= seg.BLOCK_SIZE:
+                    # one block: its decode gives everything the block
+                    # metadata would (state/segments.py), so store none
+                    r["block_offs"].append(None)
+                    r["block_last_doc"].append(None)
+                    r["block_max_impact"].append(None)
+                    continue
                 # per-block byte offsets into the three run streams (the
                 # block-lazy seek table, state/segments.py LazyPostings)
                 bstarts = lo + np.arange(0, n, seg.BLOCK_SIZE,
@@ -453,21 +444,12 @@ class _GroupMergeWorker:
                     tf_offs[bstarts] - tf_offs[lo],
                     pos_offs[bstarts] - pos_offs[lo]],
                     axis=1).astype(np.int64).tobytes())
-                if n <= seg.BLOCK_SIZE:
-                    r["block_last_doc"].append(
-                        last_stream[last_offs[ri]:last_offs[ri + 1]])
-                    r["block_max_impact"].append(run_max_f32[ri].tobytes())
-                else:
-                    ids = docs_s[lo:hi]
-                    imp = impacts[lo:hi]
-                    nblocks = (n + seg.BLOCK_SIZE - 1) // seg.BLOCK_SIZE
-                    ends = np.minimum(
-                        np.arange(1, nblocks + 1) * seg.BLOCK_SIZE, n)
-                    r["block_last_doc"].append(
-                        varint.encode_gaps(ids[ends - 1].astype(np.uint64)))
-                    r["block_max_impact"].append(np.maximum.reduceat(
-                        imp, np.arange(0, n, seg.BLOCK_SIZE)
-                    ).astype(np.float32).tobytes())
+                ends = np.minimum(bstarts - lo + seg.BLOCK_SIZE, n)
+                r["block_last_doc"].append(varint.encode_gaps(
+                    docs_s[lo:hi][ends - 1].astype(np.uint64)))
+                r["block_max_impact"].append(seg.block_max_bounds(
+                    seg.bm25_impact(tfs_s[lo:hi], dls_s[lo:hi],
+                                    self.avgdl)))
 
             for sh, r in per_shard.items():
                 # rows arrive sorted by term code; re-sort by term string
@@ -478,8 +460,6 @@ class _GroupMergeWorker:
                         [r["term"][i] for i in t_order], pa.string()),
                     "df": pa.array(
                         [r["df"][i] for i in t_order], pa.int64()),
-                    "cf": pa.array(
-                        [r["cf"][i] for i in t_order], pa.int64()),
                     "doc_gaps": pa.array(
                         [r["doc_gaps"][i] for i in t_order], pa.binary()),
                     "tfs": pa.array(
@@ -506,14 +486,6 @@ class _GroupMergeWorker:
                         tab.column("term"))})
                 out_shard.append(sh)
                 out_terms.append(tab.num_rows)
-            if timing:
-                _t6 = _time.time()
-                print(f"[merge-timing] grp={g} files={len(files)} "
-                      f"rows={part.num_rows} "
-                      f"meta={_t1 - _t0:.2f} read={_t2 - _t1:.2f} "
-                      f"decode={_t3 - _t2:.2f} sort={_t4 - _t3:.2f} "
-                      f"runs+write={_t6 - _t4:.2f}",
-                      flush=True)
         return pa.table({
             "shard": pa.array(out_shard, pa.int32()),
             "n_terms": pa.array(out_terms, pa.int64()),

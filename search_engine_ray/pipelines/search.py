@@ -214,6 +214,11 @@ class ShardIndex:
     unchanged; dense scoring indexes the docmeta arrays directly, and
     results map back to real doc ids only at output time.
 
+    A one-block row (df ≤ 128) stores null block metadata: its view
+    takes its last doc and its WAND bound from its decode
+    (seg.LazyPostings). Null metadata on a longer row raises, naming
+    the shard and term.
+
     Opening a shard imports nothing beyond pyarrow.parquet: doc_id/dl
     become numpy through buffer views (kernels/arrowbuf.py), and a
     multi-file shard dir (append's layout) is read file by file
@@ -222,23 +227,23 @@ class ShardIndex:
 
     _MISS = object()
     # segment columns read at open (heavy ones page in per row group)
-    _LIGHT = ("df", "cf", "block_last_doc", "block_max_impact",
-              "block_offs")
+    _LIGHT = ("df", "block_last_doc", "block_max_impact", "block_offs")
 
     def __init__(self, index_dir: str, shard: int, wand_ok: bool = True):
         # wand_ok=False when this shard's block-max bounds were computed
         # with a stale avgdl (after append_to_index, before
         # refresh_block_max) — exact exhaustive scoring is used instead
         self.wand_ok = wand_ok
+        self.shard = shard
         seg_path = os.path.join(index_dir, "segments", f"shard={shard}")
         doc_path = os.path.join(index_dir, "docmeta", f"shard={shard}")
         # COLD-START IS METADATA-ONLY: posting/position byte columns are
         # ~96% of a segment's size but only touched terms ever need
-        # them, so init reads just the light columns (term, df, cf,
-        # block metadata — measured 90× cheaper) and heavy cells page in
-        # PER ROW GROUP on first touch (segments are written with
-        # 512-row groups, pipelines/exchange.py). At 100 TB an actor
-        # hosting GB-scale shards boots in metadata time and its
+        # them, so init reads just the light columns (term, df, block
+        # metadata — null on one-block rows; measured 90× cheaper) and
+        # heavy cells page in PER ROW GROUP on first touch (segments are
+        # written with 512-row groups, pipelines/exchange.py). At 100 TB
+        # an actor hosting GB-scale shards boots in metadata time and its
         # resident set tracks the queried vocabulary, not the corpus.
         self._rg_cache = LRU(256)
         self._seg_pf, self._rg_starts, self._seg_full = \
@@ -328,7 +333,8 @@ class ShardIndex:
                        for name in self._LIGHT}
                 for name in ("doc_gaps", "tfs"):
                     row[name] = self._seg_cell(i, name)
-                lz = seg.LazyPostings(row)
+                lz = seg.LazyPostings(
+                    row, where=f"shard {self.shard} term {term!r}")
             self._postings.put(term, lz)
         if positions and lz is not None and not lz.has_positions:
             lz.add_positions(self._seg_cell(self._find_row(term),
@@ -576,12 +582,11 @@ class ShardIndex:
         if not tws:
             return []
         # interval overlay: +ub at block start, -ub past block end;
-        # nextafter guards the float32 round-down of the stored per-block
-        # max (a bound a hair too low could skip a genuine tie)
+        # nextafter leaves one float64 ulp of slack for the envelope's
+        # running sum (a bound a hair too low could skip a genuine tie)
         xs, deltas = [], []
         for tp, w in tws:
-            ub = np.nextafter(
-                tp.block_max_impact.astype(np.float64), np.inf) * w
+            ub = np.nextafter(tp.block_bounds(self.dls, avgdl), np.inf) * w
             lasts = tp.block_last_doc
             starts = np.empty_like(lasts)
             starts[0] = tp.block_docs(0)[0]

@@ -8,7 +8,7 @@ Layout under ``index_dir``::
 
 A segment row is one term's postings within one document shard:
 
-    shard:i32  term:str  df:i64  cf:i64
+    shard:i32  term:str  df:i64
     doc_gaps:binary       varint delta-gaps of sorted doc_ids (abs first)
     tfs:binary            varint term frequencies, one per doc
     pos_gaps:binary       varint within-doc position gaps, concatenated in
@@ -18,8 +18,10 @@ A segment row is one term's postings within one document shard:
                           Indexer.hpp:407-440, minus the global base)
     block_last_doc:binary varint gaps of the last doc_id per 128-doc block
     block_max_impact:binary float32-LE array: per-block max of the BM25
-                          tf-side impact tf/(tf + k1*(1-b+b*dl/avgdl)) —
-                          the block-max metadata for WAND (the Ray-native
+                          tf-side impact tf/(tf + k1*(1-b+b*dl/avgdl)),
+                          rounded up to the next float32 so it bounds
+                          every impact of its block — the block-max
+                          metadata for WAND (the Ray-native
                           generalization of the reference skip table,
                           Posts.hpp:353-369)
     block_offs:binary     int64-LE (nblocks, 3) array: byte offset of each
@@ -28,6 +30,14 @@ A segment row is one term's postings within one document shard:
                           WITHOUT decoding blocks 0..k-1 (conjunctive
                           skipping; reference analogue SeekDocumentPost's
                           skip table, Posts.hpp:448-473)
+
+The three block metadata cells are null on a row of one block (df ≤
+BLOCK_SIZE): its decode of ≤128 values already gives its last doc, its
+seek offsets are zeros, and WAND computes its exact bound from the
+decoded postings. The reference sizes its skip table to the list in the
+same way (``skipCount``, Posts.hpp:359-362). Rows of several blocks
+always store all three; a non-null cell on a one-block row (older
+indexes) keeps its meaning.
 
 Sharding is BY DOCUMENT (shard = doc_id % num_shards): each shard is a
 self-contained index over its docs — the distributed analogue of the
@@ -58,7 +68,6 @@ SEGMENT_SCHEMA = pa.schema([
     ("shard", pa.int32()),
     ("term", pa.string()),
     ("df", pa.int64()),
-    ("cf", pa.int64()),
     ("doc_gaps", pa.binary()),
     ("tfs", pa.binary()),
     ("pos_gaps", pa.binary()),
@@ -72,6 +81,18 @@ def bm25_impact(tfs: np.ndarray, dls: np.ndarray, avgdl: float) -> np.ndarray:
     """tf-side BM25 impact (the score contribution divided by idf)."""
     tfs = tfs.astype(np.float64)
     return tfs / (tfs + K1 * (1.0 - B + B * dls.astype(np.float64) / avgdl))
+
+
+def block_max_bounds(impacts: np.ndarray) -> bytes:
+    """float32-LE per-block maxima of the float64 ``impacts`` of one
+    posting list, each rounded UP to the next float32 where rounding to
+    nearest fell below the float64 max: a stored bound is never below
+    the impact of any posting in its block."""
+    m = np.maximum.reduceat(impacts, np.arange(0, len(impacts), BLOCK_SIZE))
+    f = m.astype(np.float32)
+    low = f < m
+    f[low] = np.nextafter(f[low], np.float32(np.inf))
+    return f.tobytes()
 
 
 def ragged_arange(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -96,30 +117,60 @@ class LazyPostings:
     skip-seek, Posts.hpp:448-473). Positions are decoded per call, only
     for the blocks a phrase's candidates touch (gather_positions), and
     the pos_gaps bytes — the largest column — may be attached later
-    (add_positions): the scoring paths never read them."""
+    (add_positions): the scoring paths never read them.
 
-    __slots__ = ("df", "cf", "block_last_doc", "block_max_impact",
+    A row of one block may store null block metadata. Its seek offsets
+    are then zeros, its ``block_last_doc`` comes from its decode, and
+    its ``block_max_impact`` is None: ``block_bounds`` computes that
+    bound from the decoded postings. Null metadata on a longer row is a
+    corrupt index and raises, naming ``where`` (the shard and term)."""
+
+    __slots__ = ("df", "nblocks", "_last", "block_max_impact",
                  "_bytes", "_offs", "_docs", "_tfs", "_done",
                  "blocks_decoded")
 
-    def __init__(self, row: dict):
+    def __init__(self, row: dict, where: str = "segment row"):
         self.df = row["df"]
-        self.cf = row["cf"]
-        self.block_last_doc = varint.decode_gaps(
-            row["block_last_doc"]).astype(np.int64)
-        self.block_max_impact = np.frombuffer(
-            row["block_max_impact"], dtype=np.float32)
+        self.nblocks = n = -(-self.df // BLOCK_SIZE)
+        last, bmax, offs = (row["block_last_doc"], row["block_max_impact"],
+                            row["block_offs"])
+        if n > 1 and (last is None or bmax is None or offs is None):
+            raise ValueError(
+                f"corrupt index: {where} has df={self.df} > {BLOCK_SIZE} "
+                "but null block metadata")
+        self._last = (None if last is None
+                      else varint.decode_gaps(last).astype(np.int64))
+        self.block_max_impact = (None if bmax is None
+                                 else np.frombuffer(bmax, dtype=np.float32))
         # the three streams, in block_offs column order
         self._bytes = [row["doc_gaps"], row["tfs"], row.get("pos_gaps")]
-        n = len(self.block_last_doc)
-        offs = np.frombuffer(row["block_offs"], dtype=np.int64
-                             ).reshape(n, 3)
+        offs = (np.zeros((n, 3), dtype=np.int64) if offs is None
+                else np.frombuffer(offs, dtype=np.int64).reshape(n, 3))
         # append end sentinels so block b's byte range is offs[b:b+2]
         self._offs = np.vstack([offs, [len(b or b"") for b in self._bytes]])
         self._docs = np.empty(self.df, dtype=np.int64)
         self._tfs = np.empty(self.df, dtype=np.int64)
         self._done = np.zeros(n, dtype=bool)
         self.blocks_decoded = 0
+
+    @property
+    def block_last_doc(self) -> np.ndarray:
+        """Last doc ordinal of each block; a row stored without block
+        metadata is one block, whose decode gives it."""
+        if self._last is None:
+            self._last = self.doc_ids[-1:]
+        return self._last
+
+    def block_bounds(self, dls: np.ndarray, avgdl: float) -> np.ndarray:
+        """float64 upper bound of each block's BM25 tf-side impact: the
+        stored bounds (rounded up at write time), or, for a one-block row
+        stored without them, the exact max over its decoded postings
+        under ``avgdl`` — never stale. ``dls`` holds the shard's dl per
+        doc ordinal."""
+        if self.block_max_impact is not None:
+            return self.block_max_impact.astype(np.float64)
+        return bm25_impact(self.tfs, dls[self.doc_ids], avgdl).max(
+            keepdims=True)
 
     def add_positions(self, pos_gaps: bytes) -> None:
         self._bytes[2] = pos_gaps
@@ -128,10 +179,6 @@ class LazyPostings:
     @property
     def has_positions(self) -> bool:
         return self._bytes[2] is not None
-
-    @property
-    def nblocks(self) -> int:
-        return len(self.block_last_doc)
 
     @property
     def doc_ids(self) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Exchange idempotency under Ray task retry (ADVICE r1): a map batch
 re-executed after a partial failure must OVERWRITE its part files, not
-duplicate rows — df/cf and docmeta stay exact."""
+duplicate rows — df, the posting bytes and docmeta stay exact."""
 
 from __future__ import annotations
 
@@ -51,11 +51,13 @@ def test_duplicate_emit_is_idempotent(tmp_path):
         m = _GroupMergeWorker(exchange, segments, 4, 5.0, "bid",
                               docmeta_dir=docmeta)
         m(pa.table({"grp": pa.array([0, 1], pa.int32())}))
-        segs = pq.read_table(segments, columns=["term", "df", "cf"])
+        # exact tfs bytes: a duplicated posting would change them (and
+        # their sum, the collection frequency)
+        segs = pq.read_table(segments, columns=["term", "df", "tfs"])
         meta = pq.read_table(docmeta, columns=["doc_id"])
         return (sorted(zip(segs.column("term").to_pylist(),
                            segs.column("df").to_pylist(),
-                           segs.column("cf").to_pylist())),
+                           segs.column("tfs").to_pylist())),
                 sorted(meta.column("doc_id").to_pylist()))
 
     once = run(1, "once")

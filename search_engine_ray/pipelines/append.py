@@ -2,23 +2,25 @@
 streaming chunk ingest (docs arrive, chunks freeze; SURVEY.md §2.10).
 
 ``append_to_index(pages_factory, index_dir)`` adds a new generation of
-pages to a COMPLETE index without touching existing shards:
+pages to a COMPLETE index without touching existing shards. It runs the
+build's own stages (pipelines/build.py), with the first shard id taken
+from the manifest:
 
 - cross-run exact dedup: the existing doc_id set IS the url-fingerprint
-  set (doc_id = fnv64(url)), read from the compact docmeta table and
-  broadcast; new pages whose fingerprint already exists are dropped —
-  the exact version of the reference's persisted Bloom filter
-  (Parser.cpp:32-34,248-252)
-- new docs parse into docs/gen=K; new shards get FRESH shard ids
-  (old_num_shards..), so segments/docmeta writes never touch old dirs
-- the filesystem exchange + merge build only the new shards
-- global stats (n_docs, avgdl, term df) are recomputed; because avgdl
-  shifts, OLD shards' stored block-max bounds become stale — WAND is
-  automatically disabled for shards whose recorded build avgdl differs
-  from the current global (they fall back to exact exhaustive scoring),
-  until ``refresh_block_max`` recomputes their bounds. One-block rows
-  store no bound (WAND computes theirs at query time), so refresh
-  rewrites only the rows of several blocks.
+  set (doc_id = fnv64(url)); new pages whose fingerprint is already
+  indexed are dropped — the exact version of the reference's persisted
+  Bloom filter (Parser.cpp:32-34,248-252)
+- the fused parse → assign ids → exchange-emit pass writes docs/gen=K;
+  new docs get FRESH shard ids (old_num_shards..), so the shard stage
+  writes new segments/docmeta dirs and never touches old ones
+- n_docs and avgdl come from the dl scan over docs/, term df from the
+  terms stage over every shard; a generation that adds no docs changes
+  nothing
+- because avgdl shifts, OLD shards' stored block-max bounds become stale:
+  the manifest lists them in ``wand_stale_shards``, and searchers score
+  them exhaustively until ``refresh_block_max`` recomputes their bounds.
+  One-block rows store no bound (WAND computes theirs at query time), so
+  refresh rewrites only the rows of several blocks.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
-from ray.data.aggregate import Count, Sum
 
 from ..state import segments as seg
-from ..stages.parse import parse_pages_batch
-from .build import (EMIT_BATCH_SIZE, PARSE_BATCH_SIZE, _assign_ids,
-                    _atomic_write, _fingerprint_urls, _exchange_dir_for,
-                    dedup_pages_by_url)
+from .build import (_corpus_stats, _exchange_dir_for, _fingerprint_urls,
+                    _kill, _merge_shards, _parse_emit, _spawn_merge_pool,
+                    _write_terms, dedup_pages_with_count)
+from .exchange import write_shard_dir
 
 
 def append_to_index(pages_factory, index_dir: str, *,
@@ -55,150 +55,61 @@ def append_to_index(pages_factory, index_dir: str, *,
             f"index at {index_dir} predates the ordinal posting layout "
             "(v18); rebuild it with build_index(force=True) first")
     stats = man["stats"]
-    old_shards = stats["num_shards"]
+    first_shard = stats["num_shards"]
     gen = stats.get("generations", 1)
     docs_dir = os.path.join(index_dir, "docs")
-    segments_dir = os.path.join(index_dir, "segments")
 
     # cross-run dedup set: existing url fingerprints == doc ids
-    existing = frozenset(
-        pq.read_table(os.path.join(index_dir, "docmeta"),
-                      columns=["doc_id"]).column("doc_id").to_pylist())
-    existing_ref = ray.put(existing)
-
-    t0 = time.time()
-    n_new_est = pages_factory(["url"]).count()
-    new_shard_count = max(1, -(-n_new_est // docs_per_shard))
+    known_ref = ray.put(np.sort(pq.read_table(
+        os.path.join(index_dir, "docmeta"),
+        columns=["doc_id"]).column("doc_id").to_numpy()))
 
     def drop_known(t: pa.Table) -> pa.Table:
-        known = ray.get(existing_ref)
         h = _fingerprint_urls(t.column("url"))
-        mask = np.fromiter((int(x) not in known for x in h), dtype=bool,
-                           count=t.num_rows)
-        return t.filter(pa.array(mask))
+        return t.filter(pa.array(~np.isin(h, ray.get(known_ref))))
 
-    # within-batch dedup first (same winner-pick rule as the base build —
-    # otherwise duplicate urls INSIDE the appended generation get distinct
-    # rows under one doc_id), then the cross-run drop of known urls
-    pages = dedup_pages_by_url(pages_factory).map_batches(
-        drop_known, batch_format="pyarrow")
-    docs = pages.map_batches(parse_pages_batch, batch_format="pyarrow",
-                             batch_size=PARSE_BATCH_SIZE)
-    docs = docs.map_batches(_assign_ids(new_shard_count),
-                            batch_format="pyarrow")
-
-    def shift_shard(t: pa.Table) -> pa.Table:
-        sh = t.column("shard").to_numpy(zero_copy_only=False) + old_shards
-        idx = t.schema.get_field_index("shard")
-        return t.set_column(idx, "shard", pa.array(sh.astype(np.int32)))
-
-    docs = docs.map_batches(shift_shard, batch_format="pyarrow")
-    gen_dir = os.path.join(docs_dir, f"gen={gen}")
-    _atomic_write(docs, gen_dir)
-
-    # docmeta for the new shards only (new shard ids → new dirs)
-    docmeta = rd.read_parquet(
-        gen_dir, columns=["doc_id", "shard", "dl", "url", "title",
-                          "word_count", "title_length", "url_length",
-                          "english", "tld"])
-    tmp_meta = os.path.join(index_dir, "docmeta_append.tmp")
-    shutil.rmtree(tmp_meta, ignore_errors=True)
-    docmeta.sort("shard").write_parquet(tmp_meta, partition_cols=["shard"])
-    for name in os.listdir(tmp_meta):
-        if name.startswith("shard="):
-            dst = os.path.join(index_dir, "docmeta", name)
-            shutil.rmtree(dst, ignore_errors=True)
-            os.replace(os.path.join(tmp_meta, name), dst)
-    shutil.rmtree(tmp_meta, ignore_errors=True)
-
-    # updated global stats
-    agg = rd.read_parquet(os.path.join(index_dir, "docmeta"),
-                          columns=["dl"]).aggregate(
-        Count(alias_name="n"), Sum("dl", alias_name="t"))
-    n_docs = int(agg["n"])
-    avgdl = float(agg["t"]) / max(n_docs, 1)
-    num_shards = old_shards + new_shard_count
-
-    # build ONLY the new shards through the exchange (scoped to gen=K)
-    from .exchange import _GroupMergeWorker, _PartialExchangeWriter
-
-    exchange_dir = _exchange_dir_for(index_dir) + f"_gen{gen}"
-    shutil.rmtree(exchange_dir, ignore_errors=True)
-    os.makedirs(exchange_dir, exist_ok=True)
-    num_groups = max(1, min(new_shard_count, 64))
+    t0 = time.time()
+    # within-batch dedup first (same winner-pick rule as the base build),
+    # then the cross-run drop of known urls; the shard count comes from
+    # the generation's page count, as a build's does
+    deduped, n_pages = dedup_pages_with_count(pages_factory)
+    num_shards = max(1, -(-n_pages // docs_per_shard))
+    num_groups = max(1, min(num_shards, 64))
     build_id = f"append-gen{gen}-{time.time_ns()}"
-
-    from .exchange import DOCMETA_COLUMNS
-    new_docs = rd.read_parquet(gen_dir,
-                               columns=DOCMETA_COLUMNS + ["terms"])
-
-    # the exchange computes LOCAL shard ids (doc_id % new_shard_count,
-    # which equals assigned_shard - old_shards); the merge output dirs are
-    # shifted by old_shards when moved into place below. emit_meta=True:
-    # the merge worker derives each local shard's doc universe (ordinal
-    # space of the posting lists) from the meta partials — the meta
-    # "shard" column (already shifted here) is not used for that.
-    writer = _PartialExchangeWriter(exchange_dir, new_shard_count,
-                                    num_groups, emit_meta=True)
-    new_docs.map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,
-                         batch_format="pyarrow").materialize()
-
-    groups = list(range(num_groups))
-    merger_args = (exchange_dir, segments_dir + ".append.tmp",
-                   new_shard_count, avgdl, build_id)
-    shutil.rmtree(segments_dir + ".append.tmp", ignore_errors=True)
-    os.makedirs(segments_dir + ".append.tmp", exist_ok=True)
-    n_workers = max(1, min(len(groups),
-                           int(ray.cluster_resources().get("CPU", 8))))
-    rd.from_items([{"grp": g} for g in groups]).map_batches(
-        _GroupMergeWorker, fn_constructor_args=merger_args,
-        batch_size=1, batch_format="pyarrow",
-        concurrency=n_workers).materialize()
-    # move new shard dirs into place with SHIFTED ids
-    tmp_seg = segments_dir + ".append.tmp"
-    moved = set()
-    for name in os.listdir(tmp_seg):
-        if name.startswith("shard="):
-            local = int(name.split("=", 1)[1])
-            dst = os.path.join(segments_dir, f"shard={local + old_shards}")
-            shutil.rmtree(dst, ignore_errors=True)
-            os.replace(os.path.join(tmp_seg, name), dst)
-            moved.add(local + old_shards)
-    shutil.rmtree(tmp_seg, ignore_errors=True)
-    shutil.rmtree(exchange_dir, ignore_errors=True)
-    # empty-segment backfill for new shards with no postings
-    for s_id in range(old_shards, num_shards):
-        if s_id in moved:
-            continue
-        dst = os.path.join(segments_dir, f"shard={s_id}")
-        os.makedirs(dst, exist_ok=True)
-        pq.write_table(seg.SEGMENT_SCHEMA.empty_table()
-                       .drop_columns(["shard"]),
-                       os.path.join(dst, "segment.parquet"))
-        with open(os.path.join(dst, "_SUCCESS"), "w") as f:
-            f.write(build_id)
-
-    # refresh global term stats (driver merge; see build.py terms stage)
-    terms_path = os.path.join(index_dir, "terms")
-    t = pq.read_table(segments_dir, columns=["term", "df"])
-    merged = (t.to_pandas()
-              .groupby("term", as_index=False)[["df"]].sum())
-    tmp = terms_path + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                   os.path.join(tmp, "terms.parquet"))
-    shutil.rmtree(terms_path, ignore_errors=True)
-    os.replace(tmp, terms_path)
+    exchange_dir = _exchange_dir_for(index_dir) + f"_gen{gen}"
+    gen_dir = os.path.join(docs_dir, f"gen={gen}")
+    tmp = gen_dir + ".tmp"
+    merge_pool: list = []
+    try:
+        for d in (exchange_dir, tmp):
+            shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(exchange_dir)
+        merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
+                                          num_shards, num_groups, build_id,
+                                          first_shard)
+        _parse_emit(deduped.map_batches(drop_known, batch_format="pyarrow"),
+                    exchange_dir, num_shards, num_groups,
+                    first_shard).write_parquet(tmp)
+        if not os.path.isdir(tmp):  # Ray writes no dir for zero rows
+            return man
+        shutil.rmtree(gen_dir, ignore_errors=True)
+        os.replace(tmp, gen_dir)
+        n_docs, avgdl = _corpus_stats(docs_dir)
+        _merge_shards(index_dir, merge_pool,
+                      range(first_shard, first_shard + num_shards),
+                      num_groups, build_id, avgdl)
+    finally:
+        _kill(merge_pool)
+        shutil.rmtree(exchange_dir, ignore_errors=True)
+    _write_terms(index_dir)
 
     # all pre-existing shards now carry stale block-max bounds (avgdl
     # moved); WAND stays off for them until refresh_block_max
     stale = sorted(set(stats.get("wand_stale_shards", []))
-                   | set(range(old_shards)))
-
+                   | set(range(first_shard)))
     stats.update({
-        "num_shards": num_shards, "n_docs": n_docs, "avgdl": avgdl,
-        "generations": gen + 1, "wand_stale_shards": stale,
+        "num_shards": first_shard + num_shards, "n_docs": n_docs,
+        "avgdl": avgdl, "generations": gen + 1, "wand_stale_shards": stale,
         f"append_gen{gen}_wall_s": round(time.time() - t0, 3),
     })
     man["stats"] = stats
@@ -250,23 +161,16 @@ def refresh_block_max(index_dir: str) -> int:
         idx = t.schema.get_field_index("block_max_impact")
         t = t.set_column(idx, "block_max_impact",
                          pa.array(new_bmax, pa.binary()))
-        tmp = path + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        # same on-disk layout as the merge writer: byte-bounded row
-        # groups (the metadata-only cold start depends on them) and the
-        # vocab bloom carried over unchanged (refresh only rewrites
-        # block_max_impact — the vocabulary is identical)
-        from .exchange import _write_byte_bounded
-        _write_byte_bounded(t, os.path.join(tmp, "segment.parquet"))
-        old_bloom = os.path.join(path, "_vocab.bloom")
-        if os.path.exists(old_bloom):
-            shutil.copyfile(old_bloom,
-                            os.path.join(tmp, "_vocab.bloom"))
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write(f"refresh-{avgdl}")
-        shutil.rmtree(path, ignore_errors=True)
-        os.replace(tmp, path)
+        # the merge writer's layout (byte-bounded row groups, which the
+        # metadata-only cold start depends on) with the vocab bloom
+        # carried over unchanged: refresh only rewrites block_max_impact
+        extra = {}
+        bloom_path = os.path.join(path, "_vocab.bloom")
+        if os.path.exists(bloom_path):
+            with open(bloom_path, "rb") as f:
+                extra["_vocab.bloom"] = f.read()
+        write_shard_dir(segments_dir, shard, t, "segment.parquet",
+                        f"refresh-{avgdl}", extra_files=extra)
         return shard
 
     ray.get([refresh.remote(s) for s in stale])

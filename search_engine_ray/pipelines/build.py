@@ -9,19 +9,23 @@ Ray-Data-first rebuild of the reference ingest path (SURVEY.md §3.1):
         reference's approximate Bloom filter, Parser.cpp:293-299)
       → map_batches(parse_pages_batch)      [M1-M5, F2/F3, stateless tasks]
       → deterministic doc ids (64-bit url fingerprint) + doc shard
+      → postings + docmeta exchange partials (pipelines/exchange.py),
+        emitted in the same streaming pass, grouped by shard-group to
+        tmpfs
       → write docs/gen=0 parquet, unsorted             [checkpoint 1]
-      → docmeta: NARROW per-doc attribute table sorted+partitioned by
-        shard for the query actors (the wide terms column never shuffles)
-      → corpus stats aggregate over docmeta's dl column
-      → postings exchange (pipelines/exchange.py): map side emits
-        vectorized per-(term,doc) posting runs grouped by shard-group to
-        tmpfs; stateful actor-pool merge workers concat+sort+encode final
-        per-shard segments (delta-gap varint + 128-doc block-max), written
-        atomically with build-id markers — per-partition resume; Ray
-        sort/groupby appear nowhere in the postings path
+      → corpus stats aggregate over the docs' dl column
+      → shard stage: stateful actor-pool merge workers concat+sort+encode
+        final per-shard segments (delta-gap varint + 128-doc block-max)
+        and assemble each shard's NARROW docmeta, one file per shard dir,
+        written atomically with build-id markers — per-partition resume;
+        Ray sort/groupby appear nowhere in the postings path
       → global term stats (df): driver merge under a size threshold,
         distributed groupby beyond
       → manifest.json                                  [completion marker]
+
+append_to_index (pipelines/append.py) runs the same parse→emit pass,
+shard stage and terms stage for a new generation, whose shards start at
+the current shard count.
 
 Skew: the shard key bounds every segment task by docs_per_shard documents
 regardless of term skew — a head term's global posting list is the
@@ -52,6 +56,8 @@ from ray.data.aggregate import Count, Sum
 from ..kernels.textutils import fnv1a_64, fnv1a_64_arrow
 from ..stages.parse import parse_pages_batch
 from ..state import segments as seg
+from .exchange import (_GroupMergeWorker, _PartialExchangeWriter, marker_ok,
+                       write_shard_dir)
 
 PARSE_BATCH_SIZE = 1024
 # measured (BENCH/BASELINE.md r2): the emit kernel's per-doc cost grows
@@ -163,12 +169,12 @@ def dedup_pages_with_count(pages_factory) -> tuple["rd.Dataset", int]:
     return uniq.union(flagged), n_pages
 
 
-def _assign_ids(num_shards: int):
+def _assign_ids(num_shards: int, first_shard: int):
     def fn(t: pa.Table) -> pa.Table:
         if "doc_id" in t.column_names:  # source-provided id; ours is the
             t = t.drop_columns(["doc_id"])  # url fingerprint
         doc_ids = _fingerprint_urls(t.column("url"))
-        shard = (doc_ids % num_shards).astype(np.int32)
+        shard = (doc_ids % num_shards + first_shard).astype(np.int32)
         # one flags byte per kept term → dl without touching the terms col
         dl = pa.compute.binary_length(t.column("flags")).cast(
             pa.int32()).to_numpy(zero_copy_only=False)
@@ -176,6 +182,114 @@ def _assign_ids(num_shards: int):
         t = t.append_column("shard", pa.array(shard, pa.int32()))
         return t.append_column("dl", pa.array(dl, pa.int32()))
     return fn
+
+
+def _parse_emit(pages: "rd.Dataset", exchange_dir: str, num_shards: int,
+                num_groups: int, first_shard: int = 0) -> "rd.Dataset":
+    """ONE streaming pass: parse → assign ids → emit postings+docmeta
+    exchange partials (side effect, idempotent filenames); the returned
+    dataset is the parsed docs, ready for the docs checkpoint. No re-read
+    of the wide terms column, no separate docmeta sort."""
+    writer = _PartialExchangeWriter(exchange_dir, num_shards, num_groups,
+                                    emit_meta=True, passthrough=True,
+                                    first_shard=first_shard)
+    return (pages
+            .map_batches(parse_pages_batch, batch_format="pyarrow",
+                         batch_size=PARSE_BATCH_SIZE)
+            .map_batches(_assign_ids(num_shards, first_shard),
+                         batch_format="pyarrow")
+            .map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,
+                         batch_format="pyarrow"))
+
+
+def _corpus_stats(docs_dir: str) -> tuple[int, float]:
+    """(n_docs, avgdl) from one narrow (int32 dl) columnar scan of every
+    docs generation — parquet column pruning makes this cheap at scale."""
+    stats = rd.read_parquet(docs_dir, columns=["dl"]).aggregate(
+        Count(alias_name="n_docs"), Sum("dl", alias_name="total_dl"))
+    n_docs = int(stats["n_docs"])
+    return n_docs, float(stats["total_dl"]) / max(n_docs, 1)
+
+
+def _kill(pool: list) -> None:
+    for a in pool:
+        try:
+            ray.kill(a)
+        except Exception:
+            pass
+    pool.clear()
+
+
+def _spawn_merge_pool(index_dir: str, exchange_dir: str, num_shards: int,
+                      num_groups: int, build_id: str,
+                      first_shard: int = 0) -> list:
+    """Spawn the stateful merge actor pool EARLY so its process spin-up
+    and imports overlap the map pass; avgdl is delivered at
+    merge_groups() call time. num_cpus=0: the pool idles (holding no CPU
+    slots) while the map pass runs; by the time merge_groups() calls
+    arrive the map is done and nothing competes for cores."""
+    n_workers = max(1, min(
+        num_groups, int(ray.cluster_resources().get("CPU", 8))))
+    actor_cls = ray.remote(num_cpus=0)(_GroupMergeWorker)
+    return [actor_cls.remote(exchange_dir,
+                             os.path.join(index_dir, "segments"),
+                             num_shards, None, build_id,
+                             os.path.join(index_dir, "docmeta"),
+                             first_shard)
+            for _ in range(n_workers)]
+
+
+def _merge_shards(index_dir: str, merge_pool: list, shards: range,
+                  num_groups: int, build_id: str, avgdl: float) -> None:
+    """The shard stage, shared by build and append: merge every shard of
+    ``shards`` that lacks a ``build_id`` marker on the pool, kill the
+    pool, then backfill an empty segment and docmeta for every shard
+    still without one (no docs, or docs without postings), so that a
+    searcher can always open its shard."""
+    segments_dir = os.path.join(index_dir, "segments")
+    docmeta_dir = os.path.join(index_dir, "docmeta")
+    groups = sorted({(s - shards.start) % num_groups for s in shards
+                     if not (marker_ok(segments_dir, s, build_id)
+                             and marker_ok(docmeta_dir, s, build_id))})
+    ray.get([merge_pool[i % len(merge_pool)].merge_groups.remote([g], avgdl)
+             for i, g in enumerate(groups)])
+    _kill(merge_pool)
+    empty_segment = seg.SEGMENT_SCHEMA.empty_table().drop_columns(["shard"])
+    for s in shards:
+        for root, filename, empty, rows in (
+                (segments_dir, "segment.parquet", empty_segment, 0),
+                (docmeta_dir, "docmeta.parquet", _EMPTY_DOCMETA, 4096)):
+            if not marker_ok(root, s, build_id):
+                write_shard_dir(root, s, empty, filename, build_id,
+                                row_group_size=rows)
+
+
+def _write_terms(index_dir: str) -> None:
+    """Global term stats (term, df) from every shard's segment rows,
+    which are per-term-unique within a shard. Below ~1 GB of segment
+    files a direct pyarrow read + pandas merge on the driver beats any
+    distributed execution (the binary posting columns are pruned);
+    beyond that, a distributed groupby."""
+    segments_dir = os.path.join(index_dir, "segments")
+    terms_path = os.path.join(index_dir, "terms")
+    seg_bytes = sum(
+        os.path.getsize(os.path.join(r, f))
+        for r, _, files in os.walk(segments_dir) for f in files)
+    if seg_bytes > 1 << 30:
+        segs = rd.read_parquet(segments_dir, columns=["term", "df"])
+        _atomic_write(segs.groupby("term").aggregate(
+            Sum("df", alias_name="df")), terms_path)
+        return
+    import pyarrow.parquet as pq
+    t = pq.read_table(segments_dir, columns=["term", "df"])
+    merged = t.to_pandas().groupby("term", as_index=False)[["df"]].sum()
+    tmp = terms_path + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
+                   os.path.join(tmp, "terms.parquet"))
+    shutil.rmtree(terms_path, ignore_errors=True)
+    os.replace(tmp, terms_path)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +346,7 @@ def build_index(pages_factory, index_dir: str, *, docs_per_shard: int = 4096,
         return _build_index(pages_factory, index_dir, docs_per_shard,
                             force, merge_pool)
     finally:
-        for a in merge_pool:
-            try:
-                ray.kill(a)
-            except Exception:
-                pass
+        _kill(merge_pool)
 
 
 def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
@@ -257,36 +367,13 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
 
     docs_dir = os.path.join(index_dir, "docs")
     segments_dir = os.path.join(index_dir, "segments")
-    terms_path = os.path.join(index_dir, "terms")
-
+    docmeta_dir = os.path.join(index_dir, "docmeta")
     exchange_dir = _exchange_dir_for(index_dir)
-
-    def _spawn_merge_pool(num_shards: int, num_groups: int,
-                          build_id: str) -> list:
-        """Spawn the stateful merge actor pool EARLY so its process
-        spin-up and imports overlap the map pass; avgdl is delivered at
-        merge_groups() call time."""
-        from .exchange import _GroupMergeWorker
-
-        n_workers = max(1, min(
-            num_groups, int(ray.cluster_resources().get("CPU", 8))))
-        # num_cpus=0: the pool idles (holding no CPU slots) while the map
-        # pass runs; by the time merge_groups() calls arrive the map is
-        # done and nothing competes for cores
-        actor_cls = ray.remote(num_cpus=0)(_GroupMergeWorker)
-        return [actor_cls.remote(exchange_dir, segments_dir, num_shards,
-                                 None, build_id,
-                                 os.path.join(index_dir, "docmeta"))
-                for _ in range(n_workers)]
 
     t0 = time.time()
     if not _stage_done(index_dir, "docs", cfg_hash):
-        from .exchange import _PartialExchangeWriter
-
         # ONE streaming pass: dedup-filter → parse → assign ids → emit
-        # postings+docmeta exchange partials (side effect, idempotent
-        # filenames) → write the docs checkpoint. No re-read of the wide
-        # terms column, no separate docmeta sort, no extra stage barrier.
+        # exchange partials → write the docs checkpoint
         deduped, n_pages_estimate = dedup_pages_with_count(pages_factory)
         num_shards = max(1, -(-n_pages_estimate // docs_per_shard))
         num_groups = max(1, min(num_shards, 64))
@@ -295,18 +382,10 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
         os.makedirs(exchange_dir, exist_ok=True)
         # merge actors spin up (process spawn + imports) while the fused
         # map pass below streams
-        merge_pool[:] = _spawn_merge_pool(num_shards, num_groups,
+        merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
+                                          num_shards, num_groups,
                                           new_build_id)
-        writer = _PartialExchangeWriter(exchange_dir, num_shards,
-                                        num_groups, emit_meta=True,
-                                        passthrough=True)
-        docs = (deduped
-                .map_batches(parse_pages_batch, batch_format="pyarrow",
-                             batch_size=PARSE_BATCH_SIZE)
-                .map_batches(_assign_ids(num_shards),
-                             batch_format="pyarrow")
-                .map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,
-                             batch_format="pyarrow"))
+        docs = _parse_emit(deduped, exchange_dir, num_shards, num_groups)
         # replace the WHOLE docs dir (a base build resets all generations)
         tmp_root = docs_dir + ".tmp"
         shutil.rmtree(tmp_root, ignore_errors=True)
@@ -323,28 +402,10 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     num_shards = man["stats"]["num_shards"]
     num_groups = max(1, min(num_shards, 64))
     build_id = man["stats"].get("docs_build_id", cfg_hash)
-    docmeta_dir = os.path.join(index_dir, "docmeta")
-
-    def _marker_ok(root: str, s: int) -> bool:
-        try:
-            with open(os.path.join(root, f"shard={s}", "_SUCCESS")) as f:
-                return f.read().strip() == build_id
-        except OSError:
-            return False
-
-    def _shard_done(s: int) -> bool:
-        return _marker_ok(segments_dir, s) and _marker_ok(docmeta_dir, s)
 
     t1 = time.time()
     if not _stage_done(index_dir, "segments", cfg_hash):
-        from .exchange import _PartialExchangeWriter
-
-        # corpus stats: one narrow (int32 dl) columnar scan of the docs
-        # checkpoint — parquet column pruning makes this cheap at scale
-        stats = rd.read_parquet(docs_dir, columns=["dl"]).aggregate(
-            Count(alias_name="n_docs"), Sum("dl", alias_name="total_dl"))
-        n_docs = int(stats["n_docs"])
-        avgdl = float(stats["total_dl"]) / max(n_docs, 1)
+        n_docs, avgdl = _corpus_stats(docs_dir)
 
         os.makedirs(segments_dir, exist_ok=True)
         os.makedirs(docmeta_dir, exist_ok=True)
@@ -356,8 +417,8 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
                     shutil.rmtree(os.path.join(root, name),
                                   ignore_errors=True)
 
-        missing = [s for s in range(num_shards) if not _shard_done(s)]
-        if missing:
+        if not all(marker_ok(root, s, build_id) for s in range(num_shards)
+                   for root in (segments_dir, docmeta_dir)):
             # fallback map pass for resumes where the (tmpfs) exchange is
             # gone but the docs checkpoint survived
             if not (_stage_done(index_dir, "exchange", cfg_hash)
@@ -378,45 +439,18 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
                 _mark_stage(index_dir, "exchange", cfg_hash,
                             exchange_wall_s=round(time.time() - t1, 3))
 
-            # reduce side: stateful actor-pool merge workers (north-rule
-            # component) — one shard-group merged+encoded per call; each
-            # worker also assembles its shards' docmeta from the meta
-            # partials (replacing the former docmeta Ray sort stage).
-            # The pool was spawned before the map pass when possible, so
+            # reduce side: stateful actor-pool merge workers — one
+            # shard-group merged+encoded per call; each worker also
+            # assembles its shards' docmeta from the meta partials. The
+            # pool was spawned before the map pass when possible, so
             # actor spin-up overlaps useful work.
             tmg = time.time()
-            groups = sorted({s % num_groups for s in missing})
             if not merge_pool:
-                merge_pool[:] = _spawn_merge_pool(num_shards, num_groups,
+                merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
+                                                  num_shards, num_groups,
                                                   build_id)
-            futures = [merge_pool[i % len(merge_pool)]
-                       .merge_groups.remote([g], avgdl)
-                       for i, g in enumerate(groups)]
-            ray.get(futures)
-            for a in merge_pool:
-                ray.kill(a)
-            merge_pool.clear()
-            # shards with docs but no postings (or no docs) get an empty
-            # segment/docmeta so the searcher can always open its shard
-            import pyarrow.parquet as _pq
-            for s_id in range(num_shards):
-                for root, filename, schema in (
-                        (segments_dir, "segment.parquet",
-                         seg.SEGMENT_SCHEMA.empty_table()
-                         .drop_columns(["shard"])),
-                        (docmeta_dir, "docmeta.parquet",
-                         _EMPTY_DOCMETA)):
-                    if _marker_ok(root, s_id):
-                        continue
-                    dst = os.path.join(root, f"shard={s_id}")
-                    tmp = dst + ".tmp"
-                    shutil.rmtree(tmp, ignore_errors=True)
-                    os.makedirs(tmp)
-                    _pq.write_table(schema, os.path.join(tmp, filename))
-                    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-                        f.write(build_id)
-                    shutil.rmtree(dst, ignore_errors=True)
-                    os.replace(tmp, dst)
+            _merge_shards(index_dir, merge_pool, range(num_shards),
+                          num_groups, build_id, avgdl)
             _mark_stage(index_dir, "segments", cfg_hash,
                         merge_wall_s=round(time.time() - tmg, 3))
         shutil.rmtree(exchange_dir, ignore_errors=True)
@@ -430,42 +464,12 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
                     # misinterpreting them
                     posting_format="ordinal",
                     segments_wall_s=round(time.time() - t1, 3))
-    for a in merge_pool:  # pool spawned but segments already done
-        ray.kill(a)
-    merge_pool.clear()
+    _kill(merge_pool)  # pool spawned but segments already done
 
     t2 = time.time()
     if not _stage_done(index_dir, "terms", cfg_hash):
-        # per-shard files are already per-term-unique, so batches are
-        # partial (term, df) rows; merge on the driver while the vocab
-        # fits (a groupby execution costs more than the data here), else
-        # fall back to the distributed groupby
-        # per-shard vocab stats are tiny relative to the segments (the
-        # binary posting columns are pruned): below ~1 GB of segment files
-        # a direct pyarrow read + pandas merge on the driver beats any
-        # distributed execution; beyond that, distributed groupby
-        seg_bytes = sum(
-            os.path.getsize(os.path.join(r, f))
-            for r, _, files in os.walk(segments_dir) for f in files)
-        if seg_bytes <= 1 << 30:
-            import pandas as pd
-            import pyarrow.parquet as _pq
-            t = _pq.read_table(segments_dir, columns=["term", "df"])
-            merged = (t.to_pandas()
-                      .groupby("term", as_index=False)[["df"]].sum())
-            tmp = terms_path + ".tmp"
-            shutil.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp)
-            _pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                            os.path.join(tmp, "terms.parquet"))
-            shutil.rmtree(terms_path, ignore_errors=True)
-            os.replace(tmp, terms_path)
-        else:
-            segs = rd.read_parquet(segments_dir, columns=["term", "df"])
-            terms = segs.groupby("term").aggregate(
-                Sum("df", alias_name="df"))
-            _atomic_write(terms, terms_path)
-        man = _mark_stage(index_dir, "terms", cfg_hash,
-                          terms_wall_s=round(time.time() - t2, 3),
-                          total_wall_s=round(time.time() - t0, 3))
+        _write_terms(index_dir)
+        _mark_stage(index_dir, "terms", cfg_hash,
+                    terms_wall_s=round(time.time() - t2, 3),
+                    total_wall_s=round(time.time() - t0, 3))
     return seg.read_manifest(index_dir)

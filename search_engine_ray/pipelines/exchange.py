@@ -14,6 +14,11 @@ encodes final per-shard segment tables, written atomically per shard with
 build-id markers (idempotent resume at shard granularity; already-valid
 shards are skipped so their files/mtimes are untouched).
 
+A build writes shards 0..num_shards-1; an append writes its generation's
+shards at ``first_shard`` + (doc_id % num_shards), so every shard dir of
+an index, whichever generation wrote it, comes from write_shard_dir: one
+parquet file plus a ``_SUCCESS`` marker.
+
 A (term, doc) run is never split across partials because each doc lives in
 exactly one batch, so the merge is pure concatenation + sort, no
 re-aggregation.
@@ -97,6 +102,53 @@ def _write_byte_bounded(tab: pa.Table, path: str,
             i = j
 
 
+def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
+                    marker: str,
+                    extra_files: dict[str, bytes] | None = None,
+                    row_group_size: int = 0) -> None:
+    """Replace ``root/shard=s`` atomically with ONE parquet file, the
+    ``extra_files`` and a ``_SUCCESS`` marker holding ``marker`` — the
+    only writer of an index's shard dirs (merge, empty-shard backfill,
+    refresh_block_max).
+
+    Small row groups: the serving actor reads only metadata columns at
+    init and pages heavy columns (posting/position bytes, urls/titles)
+    in PER ROW GROUP on first touch — at 100 TB a shard's segment is GBs
+    and actor cold-start must not materialize it all (ShardIndex,
+    pipelines/search.py). Segment rows are wildly size-skewed (a head
+    term's posting bytes dwarf thousands of tail terms), so groups are
+    BYTE-bounded (_write_byte_bounded); row_group_size>0 overrides with a
+    fixed row count for uniform-thin-row tables (docmeta). Statistics are
+    off — the readers binary-search the term column themselves and
+    min/max over MB binary cells is pure write-side memcpy."""
+    dst = os.path.join(root, f"shard={s}")
+    tmp = f"{dst}.{os.getpid()}.tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    path = os.path.join(tmp, filename)
+    if row_group_size:
+        pq.write_table(tab, path, row_group_size=row_group_size,
+                       write_statistics=False)
+    else:
+        _write_byte_bounded(tab, path)
+    for name, payload in (extra_files or {}).items():
+        with open(os.path.join(tmp, name), "wb") as f:
+            f.write(payload)
+    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
+        f.write(marker)
+    shutil.rmtree(dst, ignore_errors=True)
+    os.replace(tmp, dst)
+
+
+def marker_ok(root: str, s: int, marker: str) -> bool:
+    """Whether ``root/shard=s`` is complete and written under ``marker``."""
+    try:
+        with open(os.path.join(root, f"shard={s}", "_SUCCESS")) as f:
+            return f.read().strip() == marker
+    except OSError:
+        return False
+
+
 def _read_partials(files: list[str]) -> pa.Table | None:
     """Concat partial runs; IPC files read zero-copy via mmap (Arrow
     buffers reference the mapping, which stays alive with them)."""
@@ -117,15 +169,19 @@ class _PartialExchangeWriter:
     docmeta partials (meta_*.parquet) so the reduce side can produce the
     per-shard docmeta WITHOUT a Ray sort over the docs table;
     ``passthrough`` returns the input batch unchanged so the writer can
-    sit inside the fused parse→emit→write-docs chain."""
+    sit inside the fused parse→emit→write-docs chain. A doc's shard is
+    ``first_shard`` + doc_id % num_shards; its group is
+    (doc_id % num_shards) % num_groups."""
 
     def __init__(self, exchange_dir: str, num_shards: int, num_groups: int,
-                 emit_meta: bool = False, passthrough: bool = False):
+                 emit_meta: bool = False, passthrough: bool = False,
+                 first_shard: int = 0):
         self.exchange_dir = exchange_dir
         self.num_shards = num_shards
         self.num_groups = num_groups
         self.emit_meta = emit_meta
         self.passthrough = passthrough
+        self.first_shard = first_shard
         os.makedirs(exchange_dir, exist_ok=True)
 
     def _write_groups(self, tab: pa.Table, grp_sorted: np.ndarray,
@@ -163,8 +219,9 @@ class _PartialExchangeWriter:
         if n == 0:
             return t if self.passthrough else pa.table(
                 {"n_runs": pa.array([0], pa.int64())})
-        shard = (runs["run_doc"] % self.num_shards).astype(np.int32)
-        grp = (shard % self.num_groups).astype(np.int32)
+        local = runs["run_doc"] % self.num_shards
+        shard = (local + self.first_shard).astype(np.int32)
+        grp = (local % self.num_groups).astype(np.int32)
         order = np.argsort(grp, kind="stable")
 
         # zero-copy binary column over the varint position stream
@@ -191,19 +248,21 @@ class _PartialExchangeWriter:
 
 class _GroupMergeWorker:
     """Stateful merge worker: merges one shard-group's partial runs into
-    final per-shard segments (encode + block-max), atomically. With
-    ``docmeta_dir`` set it also assembles each shard's docmeta from the
-    map-side meta partials — replacing the former docmeta Ray sort."""
+    final per-shard segments (encode + block-max), atomically, and
+    assembles each shard's docmeta from the map-side meta partials —
+    replacing the former docmeta Ray sort. Shard ids are global:
+    ``first_shard`` + doc_id % num_shards."""
 
     def __init__(self, exchange_dir: str, segments_dir: str,
                  num_shards: int, avgdl: float | None, build_id: str,
-                 docmeta_dir: str | None = None):
+                 docmeta_dir: str, first_shard: int = 0):
         self.exchange_dir = exchange_dir
         self.segments_dir = segments_dir
         self.num_shards = num_shards
         self.avgdl = avgdl  # may arrive later via merge_groups()
         self.build_id = build_id
         self.docmeta_dir = docmeta_dir
+        self.first_shard = first_shard
 
     def ready(self) -> bool:
         return True
@@ -218,53 +277,9 @@ class _GroupMergeWorker:
         out = self(pa.table({"grp": pa.array(groups, pa.int32())}))
         return out.num_rows
 
-    def _marker_ok(self, root: str, s: int) -> bool:
-        marker = os.path.join(root, f"shard={s}", "_SUCCESS")
-        try:
-            with open(marker) as f:
-                return f.read().strip() == self.build_id
-        except OSError:
-            return False
-
     def _shard_done(self, s: int) -> bool:
-        if not self._marker_ok(self.segments_dir, s):
-            return False
-        return self.docmeta_dir is None \
-            or self._marker_ok(self.docmeta_dir, s)
-
-    def _write_shard_dir(self, root: str, s: int, tab: pa.Table,
-                         filename: str,
-                         extra_files: dict[str, bytes] | None = None,
-                         row_group_size: int = 0) -> None:
-        dst = os.path.join(root, f"shard={s}")
-        tmp = f"{dst}.{os.getpid()}.tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        # small row groups: the serving actor reads only metadata
-        # columns at init and pages heavy columns (posting/position
-        # bytes, urls/titles) in PER ROW GROUP on first touch — at
-        # 100 TB a shard's segment is GBs and actor cold-start must not
-        # materialize it all (ShardIndex, pipelines/search.py).
-        # Segment rows are wildly size-skewed (a head term's posting
-        # bytes dwarf thousands of tail terms), so groups are BYTE-
-        # bounded (~512 KB; a single fat row gets its own group) —
-        # row_group_size>0 overrides with a fixed row count for
-        # uniform-thin-row tables (docmeta). Statistics are off — the
-        # readers binary-search the term column themselves and min/max
-        # over MB binary cells is pure write-side memcpy.
-        path = os.path.join(tmp, filename)
-        if row_group_size:
-            pq.write_table(tab, path, row_group_size=row_group_size,
-                           write_statistics=False)
-        else:
-            _write_byte_bounded(tab, path)
-        for name, payload in (extra_files or {}).items():
-            with open(os.path.join(tmp, name), "wb") as f:
-                f.write(payload)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write(self.build_id)
-        shutil.rmtree(dst, ignore_errors=True)
-        os.replace(tmp, dst)
+        return marker_ok(self.segments_dir, s, self.build_id) \
+            and marker_ok(self.docmeta_dir, s, self.build_id)
 
     def _emit_docmeta(self, meta: pa.Table) -> None:
         """Split this group's concatenated meta partials per shard, write
@@ -279,15 +294,15 @@ class _GroupMergeWorker:
         bounds = np.append(starts, len(shards_s))
         for si in range(len(uniq)):
             s = int(uniq[si])
-            if self._marker_ok(self.docmeta_dir, s):
+            if marker_ok(self.docmeta_dir, s, self.build_id):
                 continue
             lo, hi = int(bounds[si]), int(bounds[si + 1])
             # the shard column lives in the hive dir name, as with
             # write_parquet(partition_cols=["shard"])
-            self._write_shard_dir(
+            write_shard_dir(
                 self.docmeta_dir, s,
                 meta.slice(lo, hi - lo).drop_columns(["shard"]),
-                "docmeta.parquet", row_group_size=4096)
+                "docmeta.parquet", self.build_id, row_group_size=4096)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         out_shard, out_terms = [], []
@@ -306,10 +321,10 @@ class _GroupMergeWorker:
             meta_files = [os.path.join(gdir, f) for f in names
                           if f.endswith(exts) and f.startswith("meta_")]
             meta = _read_partials(meta_files)
-            if self.docmeta_dir is not None and meta is not None:
+            if meta is not None:
                 self._emit_docmeta(meta)
-            # per-shard doc universe (sorted unique doc ids, recomputed
-            # by LOCAL shard id from doc_id so shifted append metas work):
+            # per-shard doc universe (sorted unique doc ids, keyed by
+            # the shard id recomputed from doc_id):
             # postings store ORDINALS into this universe — the position
             # of the doc in the shard's doc_id-sorted docmeta — so doc
             # gaps varint in 1-2 bytes instead of the ~9 bytes a 63-bit
@@ -319,7 +334,7 @@ class _GroupMergeWorker:
             if meta is not None and meta.num_rows:
                 m_ids = meta.column("doc_id").to_numpy(
                     zero_copy_only=False).astype(np.int64)
-                m_sh = (m_ids % self.num_shards).astype(np.int64)
+                m_sh = m_ids % self.num_shards + self.first_shard
                 mo = np.argsort(m_sh, kind="stable")
                 msh_s, mid_s = m_sh[mo], m_ids[mo]
                 u_sh, u_starts = np.unique(msh_s, return_index=True)
@@ -480,9 +495,9 @@ class _GroupMergeWorker:
                 # the engine prunes query fan-out with it — an actor
                 # whose shards can't contain any plan term is never
                 # RPC'd (state/bloom.py)
-                self._write_shard_dir(
+                write_shard_dir(
                     self.segments_dir, sh, tab, "segment.parquet",
-                    extra_files={"_vocab.bloom": bloom.build(
+                    self.build_id, extra_files={"_vocab.bloom": bloom.build(
                         tab.column("term"))})
                 out_shard.append(sh)
                 out_terms.append(tab.num_rows)

@@ -220,9 +220,9 @@ class ShardIndex:
     the shard and term.
 
     Opening a shard imports nothing beyond pyarrow.parquet: doc_id/dl
-    become numpy through buffer views (kernels/arrowbuf.py), and a
-    multi-file shard dir (append's layout) is read file by file
-    (segments.read_parquet_dir), not through pyarrow.dataset.
+    become numpy through buffer views (kernels/arrowbuf.py). Every shard
+    dir holds ONE parquet file (exchange.write_shard_dir, for build and
+    append alike); any other layout raises, naming the dir.
     """
 
     _MISS = object()
@@ -246,12 +246,8 @@ class ShardIndex:
         # an actor hosting GB-scale shards boots in metadata time and its
         # resident set tracks the queried vocabulary, not the corpus.
         self._rg_cache = LRU(256)
-        self._seg_pf, self._rg_starts, self._seg_full = \
-            self._open_lazy(seg_path)
-        if self._seg_pf is not None:
-            t = self._seg_pf.read(columns=list(self._LIGHT) + ["term"])
-        else:  # multi-file shard dir (e.g. append-written): eager read
-            t = self._seg_full
+        self._seg_pf, self._rg_starts = self._open_lazy(seg_path)
+        t = self._seg_pf.read(columns=list(self._LIGHT) + ["term"])
         # segment rows are written term-sorted: lookups binary-search the
         # Arrow column directly (O(log n) probes, cached) instead of
         # materializing a python dict of every term at actor startup.
@@ -262,10 +258,8 @@ class ShardIndex:
         self._phrase_cache = LRU(512)  # the index is immutable
         # docmeta: scoring needs doc_id+dl for every doc; url/title only
         # for the ≤k result rows per query — paged in per row group too
-        self._doc_pf, self._doc_rg_starts, self._doc_full = \
-            self._open_lazy(doc_path)
-        d = (self._doc_pf.read(columns=["doc_id", "dl"])
-             if self._doc_pf is not None else self._doc_full)
+        self._doc_pf, self._doc_rg_starts = self._open_lazy(doc_path)
+        d = self._doc_pf.read(columns=["doc_id", "dl"])
         doc_ids = arrowbuf.view(d.column("doc_id"), np.int64)
         order = np.argsort(doc_ids)
         self.doc_ids = doc_ids[order]
@@ -274,40 +268,33 @@ class ShardIndex:
 
     @staticmethod
     def _open_lazy(dirpath: str):
-        """(ParquetFile, row-group starts, None) for a single-file shard
-        dir — the merge writer's layout — or (None, None, full table)
-        for multi-file dirs (e.g. Ray-written append docmeta), where
-        eager reading is the compatible path."""
+        """(ParquetFile, row-group starts) of a shard dir's one file."""
         files = [f for f in sorted(os.listdir(dirpath))
                  if f.endswith(".parquet")]
-        if len(files) == 1:
-            pf = pq.ParquetFile(os.path.join(dirpath, files[0]),
-                                memory_map=True)
-            starts = np.cumsum(
-                [0] + [pf.metadata.row_group(g).num_rows
-                       for g in range(pf.metadata.num_row_groups)])[:-1]
-            return pf, starts, None
-        return None, None, seg.read_parquet_dir(dirpath)
+        if len(files) != 1:
+            raise ValueError(
+                f"shard dir {dirpath} holds {len(files)} parquet files, "
+                "not one; rebuild the index with build_index(force=True)")
+        pf = pq.ParquetFile(os.path.join(dirpath, files[0]),
+                            memory_map=True)
+        starts = np.cumsum(
+            [0] + [pf.metadata.row_group(g).num_rows
+                   for g in range(pf.metadata.num_row_groups)])[:-1]
+        return pf, starts
 
-    def _cell(self, pf, rg_starts, full, i: int, col: str):
-        """One cell of a heavy column, paging in its 512-row group on
-        first touch (bounded LRU); falls back to the eager table."""
-        if pf is None:
-            return full.column(col)[i].as_py()
-        g = int(np.searchsorted(rg_starts, i, side="right") - 1)
-        key = (id(pf), g, col)
+    def _seg_cell(self, i: int, col: str):
+        """One cell of a heavy segment column, paging in its row group
+        on first touch (bounded LRU)."""
+        g = int(np.searchsorted(self._rg_starts, i, side="right") - 1)
+        key = (g, col)
         arr = self._rg_cache.get(key)
         if arr is None:
             # use_threads=False: the default thread-pool dispatch costs
             # ~12 ms per small read vs ~0.9 ms single-threaded
-            arr = pf.read_row_group(g, columns=[col],
-                                    use_threads=False).column(col)
+            arr = self._seg_pf.read_row_group(
+                g, columns=[col], use_threads=False).column(col)
             self._rg_cache.put(key, arr)
-        return arr[i - int(rg_starts[g])].as_py()
-
-    def _seg_cell(self, i: int, col: str):
-        return self._cell(self._seg_pf, self._rg_starts, self._seg_full,
-                          i, col)
+        return arr[i - int(self._rg_starts[g])].as_py()
 
     def vocab(self) -> list[str]:
         """All terms in this shard (testing/diagnostics)."""
@@ -346,12 +333,9 @@ class ShardIndex:
         row group (only the ≤k result rows per query ever need them);
         both columns fetch in ONE group read."""
         i = int(self._doc_order[ordinal])
-        if self._doc_pf is None:
-            return (self._doc_full.column("url")[i].as_py(),
-                    self._doc_full.column("title")[i].as_py())
         g = int(np.searchsorted(self._doc_rg_starts, i,
                                 side="right") - 1)
-        key = (id(self._doc_pf), g, "url+title")
+        key = (g, "url+title")
         tab = self._rg_cache.get(key)
         if tab is None:
             tab = self._doc_pf.read_row_group(
@@ -1082,35 +1066,16 @@ class SearchEngine:
 
     def search(self, query: str, k: int = 10) -> pa.Table:
         hit = self._cache.get((query, k))
-        if hit is not None:
-            return hit
-        plan = self.compile(query)
-        merged = []
-        if plan is not None:
-            # bloom fan-out pruning: actors whose shards can't contain
-            # any plan term are never RPC'd (empty list = provably no
-            # matches anywhere)
-            targets = self._actor_mask(plan)
-            if targets is None:
-                targets = self.actors
-            idf = {t: self.idf(t) for t, _ in flatten_terms(plan)}
-            # ray.put once: the plan+idf payload is serialized a single
-            # time per query instead of once per actor in the fan-out
-            plan_ref, idf_ref = ray.put(plan), ray.put(idf)
-            parts = ray.get([a.search.remote(plan_ref, k, idf_ref,
-                                             self.avgdl)
-                             for a in targets])
-            merged = sorted((r for p in parts for r in p),
-                            key=lambda r: (-r[0], r[1]))[:k]
-        result = pa.Table.from_batches([result_batch(merged)])
-        self._cache.put((query, k), result)
-        return result
+        if hit is None:
+            hit = self.search_batch([query], k)[0]
+            self._cache.put((query, k), hit)
+        return hit
 
     def search_batch(self, queries: list[str], k: int = 10
                      ) -> list[pa.Table]:
-        """Batch serving: one search_many RPC per actor for the whole
-        query list (results identical to per-query search; pinned by
-        tests/test_build_search.py)."""
+        """The one fan-out: one search_many RPC per actor for the whole
+        query list (``search`` is this on one query, behind the result
+        cache)."""
         plans = [self.compile(q) for q in queries]
         live = [(qi, p) for qi, p in enumerate(plans) if p is not None]
         out: list[pa.Table] = [pa.Table.from_batches([result_batch([])])
@@ -1198,12 +1163,10 @@ class _FrontendActor:
         Not tables: Ray pickles a ``pa.Table`` through its own reducer,
         which imports ray.air and with it pandas (~40 MB in every
         frontend), while a RecordBatch pickles through pyarrow's."""
-        out = []
-        for q in queries:
-            t = self.eng.search(q, k)  # built from one batch: one chunk
-            out.append(pa.RecordBatch.from_arrays(
-                [c.chunk(0) for c in t.columns], schema=t.schema))
-        return out
+        # each table is built from one batch: one chunk per column
+        return [pa.RecordBatch.from_arrays(
+                    [c.chunk(0) for c in t.columns], schema=t.schema)
+                for t in self.eng.search_batch(queries, k)]
 
 
 class FrontendPool:

@@ -1,12 +1,19 @@
 """Incremental append: add a second generation of pages to a built index
 without touching existing shards; search correctness over the union corpus
-(brute-force cross-check); WAND re-enabled after refresh_block_max."""
+(brute-force cross-check); WAND re-enabled after refresh_block_max; the
+merge pool gone when append returns; empty new shards and all-known
+generations; one parquet file per shard dir."""
 
 from __future__ import annotations
 
+import glob
 import math
 import os
+import re
+import shutil
+import time
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -90,38 +97,46 @@ def test_append_df_and_search(appended, ray_session):
         pq.read_table(os.path.join(out, "terms")).column("df").to_pylist()))
     assert got == df
 
-    n_docs = len(docs)
-    avgdl = sum(len(t) for t in docs.values()) / n_docs
     eng = SearchEngine(out, num_searchers=2, use_synonyms=False)
     try:
         for query in ["running", "word1 | word2"]:
-            res = eng.search(query, k=10)
-            qterms = [t for t in
-                      (s for s in query.replace("|", " ").split()) if t]
-            from search_engine_ray.kernels.stemmer import stem
-            qstems = [stem(t) for t in qterms if stem(t)]
-            scores = {}
-            for url, terms in docs.items():
-                s_val = 0.0
-                hit = False
-                for t in qstems:
-                    for key in ("@" + t, t):
-                        tf = terms.count(key)
-                        if tf:
-                            hit = True
-                            idf = math.log(1 + (n_docs - df[key] + 0.5)
-                                           / (df[key] + 0.5))
-                            s_val += idf * (tf / (tf + seg.K1 * (
-                                1 - seg.B + seg.B * len(terms) / avgdl)))
-                if hit:
-                    scores[url] = s_val
-            expect = sorted(scores.items(),
-                            key=lambda kv: (-kv[1],
-                                            fnv1a_64(kv[0].encode()) >> 1))
-            got_urls = res.column("url").to_pylist()
-            assert got_urls == [u for u, _ in expect[:len(got_urls)]], query
+            got_urls = eng.search(query, k=10).column("url").to_pylist()
+            assert got_urls == brute_force_urls(docs, query, len(got_urls)), \
+                query
     finally:
         eng.close()
+
+
+def brute_force_urls(docs, query: str, k: int) -> list[str]:
+    """Top-k urls of a word/OR query by BM25 over ``docs`` (url → terms),
+    title and body matches both counted, ties by doc id."""
+    from search_engine_ray.kernels.stemmer import stem
+
+    n_docs = len(docs)
+    avgdl = sum(len(t) for t in docs.values()) / n_docs
+    df = {}
+    for terms in docs.values():
+        for t in set(terms):
+            df[t] = df.get(t, 0) + 1
+    qstems = [stem(t) for t in query.replace("|", " ").split() if stem(t)]
+    scores = {}
+    for url, terms in docs.items():
+        s_val = 0.0
+        hit = False
+        for t in qstems:
+            for key in ("@" + t, t):
+                tf = terms.count(key)
+                if tf:
+                    hit = True
+                    idf = math.log(1 + (n_docs - df[key] + 0.5)
+                                   / (df[key] + 0.5))
+                    s_val += idf * (tf / (tf + seg.K1 * (
+                        1 - seg.B + seg.B * len(terms) / avgdl)))
+        if hit:
+            scores[url] = s_val
+    expect = sorted(scores.items(),
+                    key=lambda kv: (-kv[1], fnv1a_64(kv[0].encode()) >> 1))
+    return [u for u, _ in expect[:k]]
 
 
 def test_refresh_block_max_reenables_wand(appended, ray_session):
@@ -147,3 +162,152 @@ def test_refresh_block_max_reenables_wand(appended, ray_session):
     assert before.column("url").to_pylist() == after.column("url").to_pylist()
     assert before.column("score").to_pylist() == \
         after.column("score").to_pylist()
+
+
+def test_every_shard_dir_is_one_file(appended):
+    """Build and append write every shard dir through one writer: one
+    parquet file plus a _SUCCESS marker."""
+    out, man0, man, mtimes, base_pages, new_pages = appended
+    for root in ("segments", "docmeta"):
+        for s in range(man["stats"]["num_shards"]):
+            d = os.path.join(out, root, f"shard={s}")
+            assert len(glob.glob(os.path.join(d, "*.parquet"))) == 1, d
+            assert os.path.exists(os.path.join(d, "_SUCCESS")), d
+
+
+@pytest.mark.parametrize("root", ["segments", "docmeta"])
+def test_split_shard_dir_raises(appended, tmp_path, root):
+    from search_engine_ray.pipelines.search import ShardIndex
+
+    out = appended[0]
+    idx = str(tmp_path / "index")
+    for r in ("segments", "docmeta"):
+        shutil.copytree(os.path.join(out, r, "shard=0"),
+                        os.path.join(idx, r, "shard=0"))
+    d = os.path.join(idx, root, "shard=0")
+    (f,) = glob.glob(os.path.join(d, "*.parquet"))
+    t = pq.read_table(f)
+    os.remove(f)
+    half = t.num_rows // 2
+    for name, part in (("a", t.slice(0, half)), ("b", t.slice(half))):
+        pq.write_table(part, os.path.join(d, f"{name}.parquet"))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{d} holds 2 parquet files")):
+        ShardIndex(idx, 0)
+
+
+@pytest.fixture(scope="module")
+def small_base(ray_session, tmp_path_factory):
+    """A small base index plus two page sets to append to copies of it:
+    "sparse" (one new doc and two known urls) and "known" (known urls
+    only)."""
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.build import build_index
+
+    root = tmp_path_factory.mktemp("small_append")
+    base = gen_pages(40, seed=7)
+    more = gen_pages(80, seed=7).slice(40)
+    for name, t in (("base", base), ("more", more)):
+        os.makedirs(root / name)
+        pq.write_table(t, str(root / name / "p.parquet"))
+    base_docs = brute_force_docs(str(root / "base"))
+    new_url = next(u for u in brute_force_docs(str(root / "more"))
+                   if u not in base_docs)
+    urls = more.column("url").to_pylist()
+    sparse = pa.concat_tables([more.slice(urls.index(new_url), 1),
+                               base.slice(0, 2)])
+    for name, t in (("sparse", sparse), ("known", base.slice(0, 5))):
+        os.makedirs(root / name)
+        pq.write_table(t, str(root / name / "p.parquet"))
+    out = str(root / "base_index")
+    build_index(lambda columns: rd.read_parquet(str(root / "base"),
+                                                columns=columns),
+                out, docs_per_shard=32)
+    return root, out, base_docs, new_url
+
+
+def _append_copy(small_base, name: str):
+    """Append page set ``name`` to a copy of the base index with one doc
+    per new shard; also time a task that needs every CPU, started right
+    after append returns. Returns (index, manifest, wait seconds)."""
+    import ray
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.append import append_to_index
+
+    root, base, _, _ = small_base
+    idx = str(root / f"{name}_index")
+    shutil.copytree(base, idx)
+    every_cpu = ray.remote(num_cpus=ray.cluster_resources()["CPU"])(
+        lambda: None)
+    ray.get(every_cpu.remote())  # untimed: earlier work has let go
+    man = append_to_index(
+        lambda columns: rd.read_parquet(str(root / name), columns=columns),
+        idx, docs_per_shard=1)
+    t = time.perf_counter()
+    ray.get(every_cpu.remote())
+    return idx, man, time.perf_counter() - t
+
+
+@pytest.fixture(scope="module")
+def sparse_append(small_base):
+    return _append_copy(small_base, "sparse")
+
+
+@pytest.fixture(scope="module")
+def known_append(small_base):
+    return _append_copy(small_base, "known")
+
+
+def test_append_returns_with_its_cpus_free(sparse_append):
+    """The merge pool is gone when append returns: a task that needs
+    every CPU starts at once."""
+    assert sparse_append[2] < 5.0
+
+
+def test_append_with_empty_new_shards_serves(small_base, sparse_append):
+    """One new doc over three new shards: the two empty ones still get a
+    segment and a docmeta, and the index serves like a brute force."""
+    from search_engine_ray.kernels.stemmer import stem
+    from search_engine_ray.pipelines.search import SearchEngine
+
+    root, base, base_docs, new_url = small_base
+    idx, man, _ = sparse_append
+    man0 = seg.read_manifest(base)
+    assert man["stats"]["num_shards"] == man0["stats"]["num_shards"] + 3
+    assert man["stats"]["n_docs"] == man0["stats"]["n_docs"] + 1
+    docs = dict(base_docs)
+    docs[new_url] = brute_force_docs(str(root / "sparse"))[new_url]
+    new_word = next(t for t in docs[new_url]
+                    if not t.startswith("@") and stem(t) == t)
+    eng = SearchEngine(idx, num_searchers=2, use_synonyms=False)
+    try:
+        for query in [new_word, "running", "word1 | word2",
+                      f"{new_word} | running"]:
+            got = eng.search(query, k=10).column("url").to_pylist()
+            assert got == brute_force_urls(docs, query, 10), query
+        assert new_url in eng.search(new_word, k=50).column(
+            "url").to_pylist()
+    finally:
+        eng.close()
+
+
+def test_append_of_known_urls_is_a_noop(small_base, known_append):
+    from search_engine_ray.pipelines.search import SearchEngine
+
+    _, base, _, _ = small_base
+    idx, man, _ = known_append
+    man0 = seg.read_manifest(base)
+    assert man == man0
+    assert seg.read_manifest(idx) == man0
+    assert not os.path.exists(os.path.join(idx, "docs", "gen=1"))
+    got = []
+    for path in (base, idx):
+        eng = SearchEngine(path, num_searchers=2, use_synonyms=False)
+        try:
+            got.append([eng.search(q, k=10) for q in
+                        ["running", "word1 | word2", "children"]])
+        finally:
+            eng.close()
+    assert got[0] == got[1]

@@ -7,7 +7,6 @@ reducer."""
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import subprocess
@@ -65,9 +64,7 @@ print(json.dumps({"loaded": sorted(m for m in %r if m in sys.modules),
 
 @pytest.fixture(scope="module")
 def appended_index(ray_session, tmp_path_factory):
-    """A built index plus one append, with one appended docmeta shard
-    dir holding two parquet files: the layout append_to_index writes
-    when a shard's rows span several of Ray's output blocks."""
+    """A built index plus one append."""
     import ray.data as rd
 
     from search_engine_ray.pipelines.append import append_to_index
@@ -82,18 +79,9 @@ def appended_index(ray_session, tmp_path_factory):
     build_index(lambda columns: rd.read_parquet(str(root / "base"),
                                                 columns=columns),
                 out, docs_per_shard=64)
-    old = len(glob.glob(os.path.join(out, "docmeta", "shard=*")))
     append_to_index(lambda columns: rd.read_parquet(str(root / "new"),
                                                     columns=columns),
                     out, docs_per_shard=64)
-    shard_dir = os.path.join(out, "docmeta", f"shard={old}")
-    files = sorted(glob.glob(os.path.join(shard_dir, "*.parquet")))
-    if len(files) == 1:
-        t = pq.read_table(files[0])
-        os.remove(files[0])
-        half = t.num_rows // 2
-        for name, part in (("a", t.slice(0, half)), ("b", t.slice(half))):
-            pq.write_table(part, os.path.join(shard_dir, f"{name}.parquet"))
     return out
 
 

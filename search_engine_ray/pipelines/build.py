@@ -48,6 +48,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
@@ -57,7 +58,7 @@ from ..kernels.textutils import fnv1a_64, fnv1a_64_arrow
 from ..stages.parse import parse_pages_batch
 from ..state import segments as seg
 from .exchange import (_GroupMergeWorker, _PartialExchangeWriter, marker_ok,
-                       write_shard_dir)
+                       parquet_options, write_shard_dir)
 
 PARSE_BATCH_SIZE = 1024
 # measured (BENCH/BASELINE.md r2): the emit kernel's per-doc cost grows
@@ -78,6 +79,9 @@ _EMPTY_DOCMETA = pa.table({
     "english": pa.array([], pa.bool_()),
     "tld": pa.array([], pa.uint8()),
 })
+TERMS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64())])
+# the terms stage sums df in-process below this many segment bytes
+TERMS_LOCAL_MAX_BYTES = 1 << 30
 
 
 def _fingerprint_urls(urls) -> np.ndarray:
@@ -145,14 +149,12 @@ def dedup_pages_with_count(pages_factory) -> tuple["rd.Dataset", int]:
     pages = pages_factory(None)
     if not len(dup_hashes):
         return pages, n_pages
-    dup_ref = ray.put(frozenset(int(x) for x in dup_hashes))
+    dup_ref = ray.put(np.sort(dup_hashes))
 
     def split(keep_dups: bool):
         def fn(t: pa.Table) -> pa.Table:
-            dups = ray.get(dup_ref)
-            h = _fingerprint_urls(t.column("url"))
-            mask = np.fromiter((x in dups for x in h), dtype=bool,
-                               count=t.num_rows)
+            mask = np.isin(_fingerprint_urls(t.column("url")),
+                           ray.get(dup_ref))
             return t.filter(pa.array(mask if keep_dups else ~mask))
         return fn
 
@@ -266,28 +268,35 @@ def _merge_shards(index_dir: str, merge_pool: list, shards: range,
 
 def _write_terms(index_dir: str) -> None:
     """Global term stats (term, df) from every shard's segment rows,
-    which are per-term-unique within a shard. Below ~1 GB of segment
-    files a direct pyarrow read + pandas merge on the driver beats any
-    distributed execution (the binary posting columns are pruned);
-    beyond that, a distributed groupby."""
+    which are per-term-unique within a shard, written through the index
+    writer policy. Below ~1 GiB of segment files this process reads each
+    shard's (term, df) columns (the posting columns are pruned), sums df
+    with one Arrow group_by and writes one file sorted by term; beyond
+    that, a distributed groupby."""
     segments_dir = os.path.join(index_dir, "segments")
     terms_path = os.path.join(index_dir, "terms")
     seg_bytes = sum(
         os.path.getsize(os.path.join(r, f))
         for r, _, files in os.walk(segments_dir) for f in files)
-    if seg_bytes > 1 << 30:
+    if seg_bytes > TERMS_LOCAL_MAX_BYTES:
         segs = rd.read_parquet(segments_dir, columns=["term", "df"])
         _atomic_write(segs.groupby("term").aggregate(
-            Sum("df", alias_name="df")), terms_path)
+            Sum("df", alias_name="df")), terms_path,
+            **parquet_options(TERMS_SCHEMA))
         return
-    import pyarrow.parquet as pq
-    t = pq.read_table(segments_dir, columns=["term", "df"])
-    merged = t.to_pandas().groupby("term", as_index=False)[["df"]].sum()
+    shards = [seg.read_parquet_dir(os.path.join(segments_dir, name),
+                                   columns=["term", "df"])
+              for name in sorted(os.listdir(segments_dir))
+              if name.startswith("shard=") and name[6:].isdigit()]
+    summed = pa.concat_tables(shards).group_by("term").aggregate(
+        [("df", "sum")])
+    terms = pa.table({"term": summed.column("term"),
+                      "df": summed.column("df_sum")}).sort_by("term")
     tmp = terms_path + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
-    pq.write_table(pa.Table.from_pandas(merged, preserve_index=False),
-                   os.path.join(tmp, "terms.parquet"))
+    pq.write_table(terms, os.path.join(tmp, "terms.parquet"),
+                   **parquet_options(TERMS_SCHEMA))
     shutil.rmtree(terms_path, ignore_errors=True)
     os.replace(tmp, terms_path)
 

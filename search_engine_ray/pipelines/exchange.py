@@ -22,6 +22,28 @@ parquet file plus a ``_SUCCESS`` marker.
 A (term, doc) run is never split across partials because each doc lives in
 exactly one batch, so the merge is pure concatenation + sort, no
 re-aggregation.
+
+Every index parquet file (segments/, docmeta/, terms/) is written through
+ONE writer policy, ``parquet_options``: zstd on every column, and an
+encoding fitted to each column's data (``COLUMN_ENCODING``):
+
+- ``term`` is sorted, and ``url`` strings share their scheme and host:
+  each shares a long prefix with the value before it, and
+  DELTA_BYTE_ARRAY stores it as (shared-prefix length, suffix) instead
+  of whole;
+- ``doc_gaps`` and ``pos_gaps`` are varint byte streams, nearly all
+  distinct: dictionary coding finds nothing to share, and PLAIN pays a
+  4-byte length per cell, which outweighs the 1-2 byte payload of a
+  df = 1 row; DELTA_LENGTH_BYTE_ARRAY packs the lengths as deltas and
+  leaves the payloads contiguous for zstd;
+- everything else (``df``, ``tfs``, the block metadata, docmeta's ints,
+  ``title``) is dictionary-coded: those columns repeat values (a one-byte
+  ``tfs`` of a df = 1 row, a null block column, a common dl, the title
+  of a templated or re-crawled page).
+
+Parquet decodes any encoding transparently, so readers never depend on
+the policy: indexes written with pyarrow's defaults keep serving, alone
+or mixed with shards written since.
 """
 
 from __future__ import annotations
@@ -52,6 +74,31 @@ DOCMETA_COLUMNS = ["doc_id", "shard", "dl", "url", "title", "word_count",
 # useful when the exchange dir is on slow real storage, not tmpfs).
 EXCHANGE_FORMAT = os.environ.get("SE_EXCHANGE_FORMAT", "ipc")
 _EXT = {"ipc": ".arrow", "parquet": ".parquet"}
+
+# the index writer policy's non-dictionary columns (module docstring);
+# every other column of an index file is dictionary-coded
+COLUMN_ENCODING = {
+    "term": "DELTA_BYTE_ARRAY",
+    "url": "DELTA_BYTE_ARRAY",
+    "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
+    "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY",
+}
+
+
+def parquet_options(schema: pa.Schema) -> dict:
+    """Writer keyword arguments of the index writer policy for a table of
+    ``schema``: the same for ``pq.write_table``, ``pq.ParquetWriter`` and
+    Ray Data's ``write_parquet``. Statistics are off — the readers
+    binary-search the term column themselves and min/max over MB binary
+    cells is pure write-side memcpy."""
+    return {
+        "compression": "zstd",
+        "use_dictionary": [n for n in schema.names
+                           if n not in COLUMN_ENCODING],
+        "column_encoding": {n: COLUMN_ENCODING[n] for n in schema.names
+                            if n in COLUMN_ENCODING},
+        "write_statistics": False,
+    }
 
 
 def _atomic_write(tab: pa.Table, path: str) -> None:
@@ -90,7 +137,7 @@ def _write_byte_bounded(tab: pa.Table, path: str,
     cum = np.concatenate([[0], np.cumsum(w)])
     n = tab.num_rows
     with pq.ParquetWriter(path, tab.schema,
-                          write_statistics=False) as writer:
+                          **parquet_options(tab.schema)) as writer:
         if n == 0:
             writer.write_table(tab)
         i = 0
@@ -118,9 +165,13 @@ def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
     pipelines/search.py). Segment rows are wildly size-skewed (a head
     term's posting bytes dwarf thousands of tail terms), so groups are
     BYTE-bounded (_write_byte_bounded); row_group_size>0 overrides with a
-    fixed row count for uniform-thin-row tables (docmeta). Statistics are
-    off — the readers binary-search the term column themselves and
-    min/max over MB binary cells is pure write-side memcpy."""
+    fixed row count for uniform-thin-row tables (docmeta). Both paths
+    write through ``parquet_options``: zstd, prefix-coded ``term``/``url``
+    (each shares a prefix with the value before it), length-delta
+    ``doc_gaps``/``pos_gaps`` (distinct varint streams, mostly 1-2 bytes,
+    where a PLAIN 4-byte length would dominate) and dictionary-coded
+    others (``df``, ``tfs``, block metadata, docmeta ints and ``title``
+    repeat values)."""
     dst = os.path.join(root, f"shard={s}")
     tmp = f"{dst}.{os.getpid()}.tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -128,7 +179,7 @@ def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
     path = os.path.join(tmp, filename)
     if row_group_size:
         pq.write_table(tab, path, row_group_size=row_group_size,
-                       write_statistics=False)
+                       **parquet_options(tab.schema))
     else:
         _write_byte_bounded(tab, path)
     for name, payload in (extra_files or {}).items():

@@ -2,7 +2,9 @@
 without touching existing shards; search correctness over the union corpus
 (brute-force cross-check); WAND re-enabled after refresh_block_max; the
 merge pool gone when append returns; empty new shards and all-known
-generations; one parquet file per shard dir."""
+generations; one parquet file per shard dir; every index file written
+through the one parquet writer policy, while an index in pyarrow's
+default layout still serves and appends."""
 
 from __future__ import annotations
 
@@ -311,3 +313,140 @@ def test_append_of_known_urls_is_a_noop(small_base, known_append):
         finally:
             eng.close()
     assert got[0] == got[1]
+
+
+# the index writer policy (pipelines/exchange.py), pinned here on its own:
+# every other column of an index file is dictionary-coded
+POLICY_ENCODING = {"term": "DELTA_BYTE_ARRAY", "url": "DELTA_BYTE_ARRAY",
+                   "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
+                   "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY"}
+
+
+def index_files(idx: str) -> list[str]:
+    return sorted(f for d in ("segments", "docmeta", "terms")
+                  for f in glob.glob(os.path.join(idx, d, "**", "*.parquet"),
+                                     recursive=True))
+
+
+def policy_violations(idx: str) -> list:
+    """(file, column, what was found) for every column chunk of an index
+    file that the writer policy did not write."""
+    bad = []
+    for f in index_files(idx):
+        meta = pq.ParquetFile(f).metadata
+        for g in range(meta.num_row_groups):
+            rg = meta.row_group(g)
+            for c in range(rg.num_columns):
+                col = rg.column(c)
+                name = col.path_in_schema
+                if col.compression != "ZSTD":
+                    bad.append((f, name, col.compression))
+                if not rg.num_rows:  # no data page reports an encoding
+                    continue
+                want = POLICY_ENCODING.get(
+                    name, None if col.physical_type == "BOOLEAN"
+                    else "RLE_DICTIONARY")
+                if want and want not in col.encodings:
+                    bad.append((f, name, col.encodings))
+    return bad
+
+
+def test_every_index_file_uses_the_writer_policy(small_base, sparse_append,
+                                                 tmp_path):
+    """Build, an append that leaves new shards empty, and
+    refresh_block_max all write through the one writer policy."""
+    from search_engine_ray.pipelines.append import refresh_block_max
+
+    _, base, _, _ = small_base
+    idx, man, _ = sparse_append
+    refreshed = str(tmp_path / "refreshed")
+    shutil.copytree(idx, refreshed)
+    stale = man["stats"]["wand_stale_shards"]
+    # refresh must rewrite what it touches, whatever layout it found
+    rewrite_with_pyarrow_defaults(
+        [f for s in stale for f in glob.glob(os.path.join(
+            refreshed, "segments", f"shard={s}", "*.parquet"))])
+    assert refresh_block_max(refreshed) == len(stale) > 0
+    assert any(pq.ParquetFile(f).metadata.num_rows == 0
+               for f in index_files(idx))  # an empty new shard is checked
+    for path in (base, idx, refreshed):
+        assert any(f.endswith("terms.parquet") for f in index_files(path))
+        assert policy_violations(path) == []
+
+
+def rewrite_with_pyarrow_defaults(files: list[str]) -> None:
+    """Rewrite parquet files as pyarrow's defaults write them (snappy,
+    dictionary, statistics), row group by row group: the layout of
+    indexes written before the writer policy."""
+    for f in files:
+        pf = pq.ParquetFile(f)
+        groups = [pf.read_row_group(g)
+                  for g in range(pf.metadata.num_row_groups)]
+        with pq.ParquetWriter(f + ".tmp", pf.schema_arrow) as w:
+            for t in groups:
+                w.write_table(t)
+        pf.close()
+        os.replace(f + ".tmp", f)
+
+
+def test_default_layout_index_serves_and_appends(small_base, tmp_path,
+                                                 ray_session):
+    """An index in pyarrow's default layout, appended to under the
+    writer policy, answers exactly as the same index written under the
+    policy throughout."""
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.append import append_to_index
+    from search_engine_ray.pipelines.search import SearchEngine
+
+    root, base, _, _ = small_base
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    for path in (old, new):
+        shutil.copytree(base, path)
+    rewrite_with_pyarrow_defaults(index_files(old))
+    for path in (old, new):
+        append_to_index(lambda columns: rd.read_parquet(
+            str(root / "more"), columns=columns), path, docs_per_shard=32)
+    stats = [{k: v for k, v in seg.read_manifest(path)["stats"].items()
+              if not k.endswith("_wall_s")} for path in (old, new)]
+    assert stats[0] == stats[1]
+    codecs = {pq.ParquetFile(f).metadata.row_group(0).column(0).compression
+              for f in index_files(old)}
+    assert codecs == {"SNAPPY", "ZSTD"}  # one index, both layouts
+
+    queries = ["running", "children & data", "word1 | word2",
+               '"word1 word2"', "running & -children", "~nosuchword"]
+    got = []
+    for path in (old, new):
+        eng = SearchEngine(path, num_searchers=2, use_synonyms=False)
+        try:
+            got.append(([eng.search(q, k=10) for q in queries],
+                        eng.search_batch(queries, k=10)))
+        finally:
+            eng.close()
+    assert any(t.num_rows for t in got[1][0])
+    for tabs_old, tabs_new in zip(got[0], got[1]):
+        for q, a, b in zip(queries, tabs_old, tabs_new):
+            assert a.equals(b), q
+
+
+def test_distributed_terms_stage_matches_local(small_base, tmp_path,
+                                                monkeypatch):
+    """The terms stage's distributed path (taken above ~1 GiB of
+    segments) writes the in-process path's (term, df) rows through the same
+    writer policy."""
+    from search_engine_ray.pipelines import build
+
+    _, base, _, _ = small_base
+    idx = str(tmp_path / "index")
+    shutil.copytree(base, idx)
+    monkeypatch.setattr(build, "TERMS_LOCAL_MAX_BYTES", -1)
+    build._write_terms(idx)
+    assert not any(f.endswith("terms.parquet") for f in index_files(idx))
+    assert policy_violations(idx) == []
+    got, want = (seg.read_parquet_dir(os.path.join(path, "terms"))
+                 for path in (idx, base))
+    assert got.num_rows == want.num_rows
+    assert dict(zip(got.column("term").to_pylist(),
+                    got.column("df").to_pylist())) == dict(
+        zip(want.column("term").to_pylist(), want.column("df").to_pylist()))

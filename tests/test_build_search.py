@@ -89,6 +89,93 @@ def test_terms_df_matches_bruteforce(index_dir):
     assert got == df
 
 
+def test_terms_table_sums_segment_df_sorted(index_dir):
+    """The terms table holds one row per term, sorted by term, whose df
+    is the sum of that term's df over every shard's segment row."""
+    from search_engine_ray.pipelines.build import TERMS_SCHEMA
+
+    out, man, pages_path = index_dir
+    df = {}
+    for name in os.listdir(os.path.join(out, "segments")):
+        t = seg.read_parquet_dir(os.path.join(out, "segments", name),
+                                 columns=["term", "df"])
+        for term, n in zip(t.column("term").to_pylist(),
+                           t.column("df").to_pylist()):
+            df[term] = df.get(term, 0) + n
+    t = seg.read_parquet_dir(os.path.join(out, "terms"))
+    assert t.schema == TERMS_SCHEMA
+    terms = t.column("term").to_pylist()
+    assert terms == sorted(df)
+    assert t.column("df").to_pylist() == [df[term] for term in terms]
+
+
+def test_dedup_keeps_smallest_html_fingerprint(ray_session, tmp_path):
+    """Duplicate urls planted with different html, spread over several
+    files: one page per url survives, the copy whose html has the
+    smallest fingerprint, and the page count is the pre-dedup one."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from search_engine_ray.kernels.textutils import fnv1a_64
+    from search_engine_ray.pipelines.build import dedup_pages_with_count
+
+    base = gen_pages(40, seed=5, dup_frac=0)
+    html_col = base.schema.get_field_index("html")
+    parts = [base]
+    for i in range(3):
+        dup = base.slice(5 * i, 10)
+        htmls = [h + f"<!-- copy {i} -->".encode()
+                 for h in dup.column("html").to_pylist()]
+        parts.append(dup.set_column(html_col, "html",
+                                    pa.array(htmls, pa.binary())))
+    pages = str(tmp_path / "pages")
+    os.makedirs(pages)
+    for i, t in enumerate(reversed(parts)):
+        pq.write_table(t, os.path.join(pages, f"p{i}.parquet"))
+    winner = {}
+    for t in parts:
+        for url, html in zip(t.column("url").to_pylist(),
+                             t.column("html").to_pylist()):
+            if url not in winner or fnv1a_64(html) < fnv1a_64(winner[url]):
+                winner[url] = html
+
+    ds, n_pages = dedup_pages_with_count(
+        lambda columns: rd.read_parquet(pages, columns=columns))
+    rows = ds.select_columns(["url", "html"]).take_all()
+    assert n_pages == sum(t.num_rows for t in parts) == 70
+    assert len(rows) == len(winner) == 40
+    assert {r["url"]: r["html"] for r in rows} == winner
+
+
+def test_index_bytes_total_is_the_benchmark_figure(index_dir, capsys):
+    """scripts/index_bytes.py's rows sum to the index's on-disk size,
+    and its printed total is perfbench's index_bytes_per_doc."""
+    import importlib.util
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def load(name, *path):
+        spec = importlib.util.spec_from_file_location(
+            name, os.path.join(repo, *path))
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    script = load("index_bytes", "scripts", "index_bytes.py")
+    bench = load("perfbench_run", "perfbench", "run.py")
+    out, man, pages_path = index_dir
+    size = sum(bench.dir_bytes(os.path.join(out, d))
+               for d in ("segments", "docmeta", "terms"))
+    rows = script.breakdown(out)
+    assert sum(rows.values()) == size
+    assert rows["segments", "term"] > 0 and rows["docmeta", "url"] > 0
+    assert rows["segments", "_vocab.bloom"] > 0
+    script.main([out])
+    n_docs = seg.read_manifest(out)["stats"]["n_docs"]
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total == ["total", str(size), f"{size / n_docs:.4f}"]
+
+
 def test_bm25_search_matches_bruteforce(index_dir, ray_session):
     from search_engine_ray.pipelines.search import SearchEngine
     from search_engine_ray.kernels.textutils import fnv1a_64

@@ -11,7 +11,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
+import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -102,6 +106,36 @@ def _lsh_planes(n_tables: int, n_planes: int, dim: int,
         (n_tables, n_planes, dim))
 
 
+def _index_dir(sf_dir: str, root: str, kind: str,
+               cfg: dict) -> tuple[str, dict]:
+    """(``root/<kind>_<corpus>_<hash>``, ``cfg`` + corpus fingerprint):
+    the cache key holds the embeddings file's size and mtime, so an
+    in-place corpus change invalidates the index."""
+    st = os.stat(f"{sf_dir}/embeddings.parquet")
+    cfg = {**cfg, "src_size": st.st_size, "src_mtime_ns": st.st_mtime_ns}
+    h = hashlib.sha256(
+        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
+    return os.path.join(root, f"{kind}_{os.path.basename(sf_dir)}_{h}"), cfg
+
+
+def _publish(out: str, cfg: dict, write,
+             arrays: dict[str, np.ndarray] | None = None) -> str:
+    """Replace ``out`` atomically: ``write(tmp)`` fills a temp dir, the
+    ``.npy`` ``arrays`` and the ``_SUCCESS`` marker (``cfg``) are written
+    INSIDE it, and only then does it replace ``out`` — a published dir
+    never lacks its marker."""
+    tmp = out + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    write(tmp)
+    for name, a in (arrays or {}).items():
+        np.save(os.path.join(tmp, name), a)
+    with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
+        json.dump(cfg, f)
+    shutil.rmtree(out, ignore_errors=True)
+    os.replace(tmp, out)
+    return out
+
+
 def build_ann_lsh_index(sf_dir: str, n_planes: int = 8, n_tables: int = 4,
                         seed: int = 42,
                         root: str = "/tmp/search_engine_ray") -> str:
@@ -109,19 +143,9 @@ def build_ann_lsh_index(sf_dir: str, n_planes: int = 8, n_tables: int = 4,
     n_tables bucket directories (hive partition key=<table*256+sig8>).
     Cached keyed by a corpus fingerprint (size+mtime) + config so an
     in-place corpus change invalidates the index."""
-    import hashlib
-    import json
-    import os
-    import shutil
-
-    src = f"{sf_dir}/embeddings.parquet"
-    st = os.stat(src)
-    cfg = {"n_planes": n_planes, "n_tables": n_tables, "seed": seed,
-           "src_size": st.st_size, "src_mtime_ns": st.st_mtime_ns,
-           "version": 2}
-    h = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
-    out = os.path.join(root, f"ann_{os.path.basename(sf_dir)}_{h}")
+    out, cfg = _index_dir(sf_dir, root, "ann", {
+        "n_planes": n_planes, "n_tables": n_tables, "seed": seed,
+        "version": 2})
     if os.path.exists(os.path.join(out, "_SUCCESS")):
         return out
 
@@ -144,19 +168,12 @@ def build_ann_lsh_index(sf_dir: str, n_planes: int = 8, n_tables: int = 4,
                 [b.column("embedding").combine_chunks()] * nt),
         })
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
     # sort by key before the partitioned write so each bucket directory
     # gets contiguous blocks (unsorted partitioned writes explode into
     # blocks × partitions files)
-    (ds.map_batches(keyed, batch_format="pyarrow", batch_size=4096)
-       .sort("key")
-       .write_parquet(tmp, partition_cols=["key"]))
-    shutil.rmtree(out, ignore_errors=True)
-    os.replace(tmp, out)
-    with open(os.path.join(out, "_SUCCESS"), "w") as f:
-        json.dump(cfg, f)
-    return out
+    return _publish(out, cfg, lambda tmp: (
+        ds.map_batches(keyed, batch_format="pyarrow", batch_size=4096)
+          .sort("key").write_parquet(tmp, partition_cols=["key"])))
 
 
 def ann_topk_lsh(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
@@ -165,8 +182,6 @@ def ann_topk_lsh(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     compute the query's n_tables bucket keys, read ONLY those partition
     directories, brute-force cosine within them. Same candidate set (and
     results) as hashing on the fly — without the corpus scan."""
-    import os
-
     import ray.data as rd
 
     index_dir = build_ann_lsh_index(sf_dir, n_planes=n_planes,
@@ -286,21 +301,10 @@ def build_ann_ivf_index(sf_dir: str, n_centroids: int = 16,
                         n_iter: int = 5,
                         root: str = "/tmp/search_engine_ray") -> str:
     """Centroid-partitioned IVF index, cached by corpus fingerprint."""
-    import hashlib
-    import json
-    import os
-    import shutil
-
     import ray.data as rd
 
-    src = f"{sf_dir}/embeddings.parquet"
-    st = os.stat(src)
-    cfg = {"n_centroids": n_centroids, "n_iter": n_iter,
-           "src_size": st.st_size, "src_mtime_ns": st.st_mtime_ns,
-           "version": 1}
-    h = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
-    out = os.path.join(root, f"ivf_{os.path.basename(sf_dir)}_{h}")
+    out, cfg = _index_dir(sf_dir, root, "ivf", {
+        "n_centroids": n_centroids, "n_iter": n_iter, "version": 1})
     if os.path.exists(os.path.join(out, "_SUCCESS")):
         return out
 
@@ -318,23 +322,15 @@ def build_ann_ivf_index(sf_dir: str, n_centroids: int = 16,
             "embedding": b.column("embedding"),
         })
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    (ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
-       .sort("cid").write_parquet(tmp, partition_cols=["cid"]))
-    shutil.rmtree(out, ignore_errors=True)
-    os.replace(tmp, out)
-    np.save(os.path.join(out, "_centroids.npy"), cents)
-    with open(os.path.join(out, "_SUCCESS"), "w") as f:
-        json.dump(cfg, f)
-    return out
+    return _publish(out, cfg, lambda tmp: (
+        ds.map_batches(assign, batch_format="pyarrow", batch_size=4096)
+          .sort("cid").write_parquet(tmp, partition_cols=["cid"])),
+        {"_centroids.npy": cents})
 
 
 def ann_topk_ivf(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
                  n_centroids: int = 16, nprobe: int = 4):
     """IVF ANN: scan only the nprobe centroids nearest the query."""
-    import os
-
     import ray.data as rd
 
     index_dir = build_ann_ivf_index(sf_dir, n_centroids=n_centroids)
@@ -419,20 +415,9 @@ def build_ann_ivfpq_index(sf_dir: str, n_centroids: int = 16,
     (vec_id, c0..c{m-1}, embedding) — codes for the ADC scan, raw
     embeddings co-located for the rerank read. Cached by corpus
     fingerprint + config."""
-    import hashlib
-    import json
-    import os
-    import shutil
-
-    src = f"{sf_dir}/embeddings.parquet"
-    st = os.stat(src)
-    cfg = {"n_centroids": n_centroids, "n_iter": n_iter, "m_sub": m_sub,
-           "n_codes": n_codes, "sample_cap": sample_cap,
-           "src_size": st.st_size, "src_mtime_ns": st.st_mtime_ns,
-           "version": 2}
-    h = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:12]
-    out = os.path.join(root, f"ivfpq_{os.path.basename(sf_dir)}_{h}")
+    out, cfg = _index_dir(sf_dir, root, "ivfpq", {
+        "n_centroids": n_centroids, "n_iter": n_iter, "m_sub": m_sub,
+        "n_codes": n_codes, "sample_cap": sample_cap, "version": 2})
     if os.path.exists(os.path.join(out, "_SUCCESS")):
         return out
 
@@ -488,26 +473,18 @@ def build_ann_ivfpq_index(sf_dir: str, n_centroids: int = 16,
         cols["embedding"] = b.column("embedding")
         return pa.table(cols)
 
-    tmp = out + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
     # sort by (cid, vec_id): vec_id-ordered rows inside each partition
     # give the parquet row groups disjoint vec_id ranges, so the rerank
     # scan's vec_id filter prunes at row-group granularity (bounded
     # bytes read per candidate); row_group_size bounds the granularity
-    (ds.map_batches(encode, batch_format="pyarrow", batch_size=4096)
-       .sort(["cid", "vec_id"]).write_parquet(
-           tmp, partition_cols=["cid"], row_group_size=4096))
-    shutil.rmtree(out, ignore_errors=True)
-    os.replace(tmp, out)
-    np.save(os.path.join(out, "_centroids.npy"), cents)
-    np.save(os.path.join(out, "_codebooks.npy"), books)
-    with open(os.path.join(out, "_SUCCESS"), "w") as f:
-        json.dump(cfg, f)
-    return out
+    return _publish(out, cfg, lambda tmp: (
+        ds.map_batches(encode, batch_format="pyarrow", batch_size=4096)
+          .sort(["cid", "vec_id"]).write_parquet(
+              tmp, partition_cols=["cid"], row_group_size=4096)),
+        {"_centroids.npy": cents, "_codebooks.npy": books})
 
 
 def _cid_paths(index_dir: str, cid: int) -> list[str]:
-    import os
     d = os.path.join(index_dir, f"cid={cid}")
     if not os.path.isdir(d):
         return []
@@ -523,8 +500,6 @@ def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     query residual), keep the best `rerank` candidates by approximate
     distance, then exact-cosine rerank those candidates from the
     co-located raw vectors. Returns (rank, vec_id) like ann_topk."""
-    import os
-
     import ray.data as rd
 
     index_dir = build_ann_ivfpq_index(sf_dir, n_centroids=n_centroids,

@@ -38,6 +38,7 @@ from ..kernels.shingles import (binary_column_from_ragged,
                                 POS_MULT)
 from ..kernels.textutils import avalanche64
 from ..pipelines.datasets import read_table
+from .join import gated_join
 
 MERSENNE = (1 << 61) - 1
 
@@ -250,20 +251,15 @@ def _verify_pairs(pairs_ds, shingles_ds, threshold_bp: int,
     against per-doc shingle sets on doc_a then doc_b (two pair-sized
     shuffles), verify vectorized per batch, collect only the final
     (output-sized) pair list."""
-    # fractional-CPU aggregators so the two joins' shuffle actor pools
-    # (2 × num_partitions actors, alive concurrently) co-schedule with
-    # the map tasks even on small CPU counts
-    agg_args = {"num_cpus": 0.1}
-    j1 = pairs_ds.join(shingles_ds, join_type="inner",
-                       num_partitions=num_partitions,
-                       on=("doc_a",), right_on=("doc_id",),
-                       aggregator_ray_remote_args=agg_args)
+    # gate 0: the shingle sets are corpus-sized, so they are always
+    # hash-joined and never pass through the driver
+    shingles_ds = shingles_ds.materialize()  # read by both joins
+    j1 = gated_join(pairs_ds, shingles_ds, ["doc_a"], ["doc_id"],
+                    num_partitions=num_partitions, broadcast_gate=0)
     # the right-side key column is dropped by the join itself
     j1 = j1.rename_columns({"shingles": "shingles_a"})
-    j2 = j1.join(shingles_ds, join_type="inner",
-                 num_partitions=num_partitions,
-                 on=("doc_b",), right_on=("doc_id",),
-                 aggregator_ray_remote_args=agg_args)
+    j2 = gated_join(j1, shingles_ds, ["doc_b"], ["doc_id"],
+                    num_partitions=num_partitions, broadcast_gate=0)
     j2 = j2.rename_columns({"shingles": "shingles_b"})
     verified = j2.map_batches(
         lambda b: _jaccard_verify_batch(b, threshold_bp),

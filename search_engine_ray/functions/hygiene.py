@@ -34,6 +34,7 @@ import ray
 from ..kernels.shingles import shingle_hash_batch, tokenize_hash_batch
 from ..pipelines.datasets import read_table
 from .dedup import _pool_size
+from .join import gated_join
 
 
 def _window_hashes(batch: pa.Table, k: int
@@ -128,7 +129,6 @@ def connected_components(pairs: pa.Table, nodes, num_partitions: int = 8,
     import ray.data as rd
     from ray.data.aggregate import Min as _Min, Sum as _Sum
 
-    agg_args = {"num_cpus": 0.1}
     a = pairs.column("doc_a").to_numpy(zero_copy_only=False)
     b = pairs.column("doc_b").to_numpy(zero_copy_only=False)
     edges_tbl = pa.table({
@@ -145,6 +145,9 @@ def connected_components(pairs: pa.Table, nodes, num_partitions: int = 8,
     if edges_tbl.num_rows == 0:
         return labels.map_batches(_with_keep, batch_format="pyarrow")
     edges = rd.from_arrow(edges_tbl).materialize()
+    # one partition per 32 edges at most: a partition is one aggregator
+    # actor per join, two joins a round. On 1 CPU the 6-edge graph of
+    # tests/test_hygiene.py takes 52 s at 8 partitions, 13 s at 1.
     num_partitions = max(1, min(num_partitions,
                                 edges_tbl.num_rows // 32 or 1))
 
@@ -165,22 +168,19 @@ def connected_components(pairs: pa.Table, nodes, num_partitions: int = 8,
     prev = label_sum(labels)
     converged = False
     for _ in range(max_rounds):
-        # hash-min step: min label among neighbors
-        j = edges.join(labels, join_type="inner",
-                       num_partitions=num_partitions,
-                       on=("src",), right_on=("doc_id",),
-                       aggregator_ray_remote_args=agg_args)
+        # hash-min step: min label among neighbors (gate 0: labels are
+        # node-sized, so both joins stay hash joins)
+        j = gated_join(edges, labels, ["src"], ["doc_id"],
+                       num_partitions=num_partitions, broadcast_gate=0)
         cand = j.map_batches(prop, batch_format="pyarrow")
         # pointer-jumping step: label(label(node)) — halves the
         # remaining path length each round, so deep chain components
         # converge in O(log diameter) rounds instead of O(diameter)
         # (cluster_id values are always doc_ids present in `labels`, so
         # the inner self-join covers every node)
-        j2 = (labels.map_batches(as_edges, batch_format="pyarrow")
-              .join(labels, join_type="inner",
-                    num_partitions=num_partitions,
-                    on=("src",), right_on=("doc_id",),
-                    aggregator_ray_remote_args=agg_args))
+        j2 = gated_join(labels.map_batches(as_edges, batch_format="pyarrow"),
+                        labels, ["src"], ["doc_id"],
+                        num_partitions=num_partitions, broadcast_gate=0)
         cand2 = j2.map_batches(prop, batch_format="pyarrow")
         labels = (labels.union(cand).union(cand2).groupby("doc_id")
                   .aggregate(_Min("cluster_id", alias_name="cluster_id"))

@@ -18,6 +18,7 @@ from ray.data.aggregate import Count  # noqa: F401
 
 from ..kernels.htmlparser import HtmlParser
 from ..pipelines.datasets import pages_dataset
+from .join import gated_join
 
 
 def _edges_batch(batch: pa.Table) -> pa.Table:
@@ -98,11 +99,10 @@ def pagerank_from_edges(edges_in, n_iter: int = 5, k: int = 50,
     import ray.data as rd  # noqa: F401
     from ray.data.aggregate import Count as _Count, Sum as _Sum
 
-    agg_args = {"num_cpus": 0.1}
     edges = edges_in.materialize()
-    # ray's hash join mis-handles empty partitions whose LEFT side is
-    # itself a join output (schema-less empty blocks) — keep every
-    # partition non-trivially populated
+    # one partition per 32 edges at most: a partition is one aggregator
+    # actor per join. On 1 CPU the 3-edge PageRank test in
+    # tests/test_graph_sketch.py takes 120 s at 8 partitions, 48 s at 1.
     num_partitions = max(1, min(num_partitions, edges.count() // 32 or 1))
     nodes = (edges.select_columns(["src"])
              .union(edges.select_columns(["dst"]).rename_columns(
@@ -111,17 +111,12 @@ def pagerank_from_edges(edges_in, n_iter: int = 5, k: int = 50,
              .drop_columns(["_c"]).rename_columns({"src": "url"})
              .materialize())
     n_nodes = nodes.count()
-    # distinct right-key name: same-named join keys can survive as a
-    # duplicate column on some block layouts, breaking the next join
-    outdeg = (edges.groupby("src").aggregate(_Count(alias_name="outdeg"))
-              .rename_columns({"src": "osrc"}).materialize())
-    edges_d = edges.join(outdeg, join_type="inner",
-                         num_partitions=num_partitions, on=("src",),
-                         right_on=("osrc",),
-                         aggregator_ray_remote_args=agg_args)
-    if "osrc" in edges_d.columns():
-        edges_d = edges_d.drop_columns(["osrc"])
-    edges_d = edges_d.materialize()
+    # gate 0: outdeg and ranks are node-sized, so every join stays a
+    # hash join
+    outdeg = edges.groupby("src").aggregate(_Count(alias_name="outdeg"))
+    edges_d = gated_join(edges, outdeg, ["src"],
+                         num_partitions=num_partitions,
+                         broadcast_gate=0).materialize()
 
     base = int(0.15e9) // n_nodes
     init = int(1e9) // n_nodes
@@ -137,10 +132,8 @@ def pagerank_from_edges(edges_in, n_iter: int = 5, k: int = 50,
     ranks = nodes.map_batches(seed, batch_format="pyarrow").materialize()
 
     for _ in range(n_iter):
-        j = edges_d.join(ranks, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("src",), right_on=("url",),
-                         aggregator_ray_remote_args=agg_args)
+        j = gated_join(edges_d, ranks, ["src"], ["url"],
+                       num_partitions=num_partitions, broadcast_gate=0)
 
         def contrib(b):
             import pyarrow as _pa

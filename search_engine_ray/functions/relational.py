@@ -1,5 +1,6 @@
 """Relational demo operators over the TPC-H-ish tables: pre-aggregated
-grouped aggregate, broadcast join, tumbling-window event aggregate.
+grouped aggregate, equi-joins (inner / semi / anti, all through
+``join.gated_join``), tumbling-window event aggregate.
 
 Money/values are emitted as integer cents/micros so the DuckDB oracle hash
 is exact (float summation order differs between engines).
@@ -16,6 +17,7 @@ import ray
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..pipelines.datasets import read_table
+from .join import BROADCAST_GATE, gated_join
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -25,13 +27,13 @@ def _cents(x: np.ndarray) -> np.ndarray:
 
 
 def _dim_order(keys: np.ndarray, name: str) -> np.ndarray:
-    """argsort of a broadcast dim's key column. The probes' searchsorted
-    finds ONE match per key where SQL emits every match, so a duplicate
-    key raises instead of silently dropping rows."""
+    """argsort of a small dim's key column for a searchsorted lookup,
+    which finds ONE match per key where SQL emits every match, so a
+    duplicate key raises instead of silently dropping rows."""
     order = np.argsort(keys)
     if (np.diff(keys[order]) == 0).any():
-        raise ValueError(f"{name} has duplicate keys; a broadcast probe "
-                         "needs a unique dim key")
+        raise ValueError(f"{name} has duplicate keys; a searchsorted "
+                         "lookup needs a unique dim key")
     return order
 
 
@@ -95,46 +97,42 @@ ORDER BY l_returnflag, l_linestatus
 
 
 # ---------------------------------------------------------------------------
-def orders_by_segment(sf_dir: str):
-    """Broadcast join: customer (small) is ray.put once and looked up inside
-    map_batches over orders — no shuffle join."""
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_mktsegment"]).to_pandas()
-    keys = cust["c_custkey"].to_numpy(dtype=np.int64)
-    order = _dim_order(keys, "customer.c_custkey")
-    seg_map_ref = ray.put((keys[order],
-                           cust["c_mktsegment"].to_numpy()[order]))
+def _orders_per_customer_attr(sf_dir: str, attr: str,
+                              num_partitions: int = 8,
+                              broadcast_gate: int = BROADCAST_GATE):
+    """(``attr``, n_orders, total_cents): orders ⋈ customer on custkey,
+    summed per customer ``attr``. The fact side is pre-aggregated per
+    batch FIRST (one row per distinct o_custkey per batch), so what
+    ``gated_join`` moves is order partials, not order rows."""
+    orders = read_table(sf_dir, "orders",
+                        columns=["o_custkey", "o_totalprice"])
 
-    ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
+    def order_partial(b: pa.Table) -> pa.Table:
+        t = pa.table({
+            "o_custkey": b.column("o_custkey"),
+            "n_orders": pa.array(np.ones(len(b), np.int64)),
+            "total_cents": pa.array(_cents(b.column(
+                "o_totalprice").to_numpy(zero_copy_only=False))),
+        })
+        return _gsum(t, ["o_custkey"], ["n_orders", "total_cents"])
 
-    class JoinSegment:
-        def __init__(self):
-            # sorted key array + parallel values: the broadcast lookup
-            # is one vectorized searchsorted, no per-row dict probes
-            self.keys, self.segs = ray.get(seg_map_ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ck = b.column("o_custkey").to_numpy(zero_copy_only=False)
-            pos = np.clip(np.searchsorted(self.keys, ck), 0,
-                          len(self.keys) - 1)
-            hit = self.keys[pos] == ck  # inner-join semantics: an
-            # o_custkey absent from customer drops (the oracle's JOIN),
-            # never silently lands on the next key's segment
-            seg = self.segs[pos[hit]]
-            t = pa.table({
-                "c_mktsegment": pa.array(seg, pa.string()),
-                "n_orders": pa.array(np.ones(int(hit.sum()), np.int64)),
-                "total_cents": pa.array(_cents(
-                    b.column("o_totalprice").to_numpy(
-                        zero_copy_only=False)[hit])),
-            })
-            return _gsum(t, ["c_mktsegment"], ["n_orders", "total_cents"])
-
-    partials = ds.map_batches(JoinSegment, batch_format="pyarrow",
-                              concurrency=2)
-    return partials.groupby("c_mktsegment").aggregate(
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", attr])
+    joined = gated_join(
+        orders.map_batches(order_partial, batch_format="pyarrow"), cust,
+        ["o_custkey"], ["c_custkey"], num_partitions=num_partitions,
+        broadcast_gate=broadcast_gate)
+    return joined.map_batches(
+        lambda b: _gsum(b, [attr], ["n_orders", "total_cents"]),
+        batch_format="pyarrow").groupby(attr).aggregate(
         Sum("n_orders", alias_name="n_orders"),
         Sum("total_cents", alias_name="total_cents"))
+
+
+def orders_by_segment(sf_dir: str):
+    """Order count and revenue per customer market segment: the
+    customer dim (small) is broadcast by ``gated_join`` — no shuffle
+    join at this corpus's scale."""
+    return _orders_per_customer_attr(sf_dir, "c_mktsegment")
 
 
 SQL_ORDERS_BY_SEGMENT = """
@@ -684,83 +682,17 @@ ORDER BY error_id, purchase_id
 
 # ---------------------------------------------------------------------------
 def revenue_by_nation(sf_dir: str, num_partitions: int = 8,
-                      broadcast_gate: int = 4_000_000):
+                      broadcast_gate: int = BROADCAST_GATE):
     """Order revenue per nation: a size-gated DISTRIBUTED EQUI-JOIN
-    (customer ⋈ orders on custkey) — the shape ``orders_by_segment``'s
-    always-broadcast join can't take when BOTH sides are large.
-
-    Join-strategy gate (the same pattern as build.py's size-gated driver
-    paths): if the dim side (customer) has ≤ ``broadcast_gate`` rows it
-    is ``ray.put`` once as a sorted key/value pair and probed by
-    searchsorted inside map_batches — zero shuffle; above the gate both
-    sides go through Ray Data's native partitioned hash join.  Either
-    way the fact side is pre-aggregated per batch FIRST (one row per
-    distinct o_custkey per batch), so what moves is order partials, not
-    order rows; the 25-row nation dim is applied as a searchsorted
-    lookup after the post-join re-aggregation.  Both paths are pinned
-    equal by tests/test_sampling.py.
+    (customer ⋈ orders on custkey) through ``gated_join``: customer is
+    broadcast at or under ``broadcast_gate`` rows, and above it both
+    sides go through Ray Data's native partitioned hash join. The
+    25-row nation dim is applied as a searchsorted lookup after the
+    post-join re-aggregation. Both paths are pinned equal by
+    tests/test_sampling.py.
     """
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_custkey", "o_totalprice"])
-
-    def order_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "o_custkey": b.column("o_custkey"),
-            "n_orders": pa.array(np.ones(len(b), np.int64)),
-            "total_cents": pa.array(_cents(b.column(
-                "o_totalprice").to_numpy(zero_copy_only=False))),
-        })
-        return _gsum(t, ["o_custkey"], ["n_orders", "total_cents"])
-
-    fact = orders.map_batches(order_partial, batch_format="pyarrow")
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey"])
-    # metadata-only row count (parquet footer) — no data scan
-    n_cust = cust.count()
-    if n_cust <= broadcast_gate:
-        ct = cust.to_pandas()
-        ck = ct["c_custkey"].to_numpy(dtype=np.int64)
-        order = _dim_order(ck, "customer.c_custkey")
-        dim_ref = ray.put((ck[order],
-                           ct["c_nationkey"].to_numpy(np.int64)[order]))
-
-        class Probe:
-            def __init__(self):
-                self.keys, self.nk = ray.get(dim_ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                k = b.column("o_custkey").to_numpy(zero_copy_only=False)
-                pos = np.clip(np.searchsorted(self.keys, k), 0,
-                              max(len(self.keys) - 1, 0))
-                hit = (self.keys[pos] == k) if len(self.keys) else \
-                    np.zeros(len(k), bool)
-                return pa.table({
-                    "c_nationkey": pa.array(self.nk[pos[hit]], pa.int64()),
-                    "n_orders": b.column("n_orders").filter(pa.array(hit)),
-                    "total_cents": b.column("total_cents").filter(
-                        pa.array(hit)),
-                })
-
-        joined = fact.map_batches(Probe, batch_format="pyarrow",
-                                  concurrency=2)
-    else:
-        joined = fact.join(cust, join_type="inner",
-                           num_partitions=num_partitions,
-                           on=("o_custkey",), right_on=("c_custkey",))
-
-    def nation_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({
-            "c_nationkey": b.column("c_nationkey"),
-            "n_orders": b.column("n_orders"),
-            "total_cents": b.column("total_cents"),
-        })
-        return _gsum(t, ["c_nationkey"], ["n_orders", "total_cents"])
-
-    per_nation = joined.map_batches(
-        nation_partial, batch_format="pyarrow").groupby(
-        "c_nationkey").aggregate(
-        Sum("n_orders", alias_name="n_orders"),
-        Sum("total_cents", alias_name="total_cents"))
+    per_nation = _orders_per_customer_attr(sf_dir, "c_nationkey",
+                                           num_partitions, broadcast_gate)
 
     # 25-row dim: sorted-key lookup inside the final (tiny) stream
     import pyarrow.parquet as pq
@@ -883,7 +815,7 @@ ORDER BY t.step
 # ---------------------------------------------------------------------------
 def customers_without_orders(sf_dir: str, priority: str = "1-URGENT",
                              num_partitions: int = 8,
-                             broadcast_gate: int = 4_000_000):
+                             broadcast_gate: int = BROADCAST_GATE):
     """ANTI-JOIN: customers with no order of the given priority — the
     NOT EXISTS shape (degenerately empty for the unfiltered "no order
     at all" question on the TPC-H-ish corpus, where every customer
@@ -891,12 +823,10 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT",
 
     The order side first collapses to its DISTINCT custkeys with a
     per-batch filter + ``np.unique`` partial + one groupby, so whatever
-    plan follows never moves order-sized data.  Size gate (same pattern
-    as ``revenue_by_nation``): at or under ``broadcast_gate`` distinct
-    keys the sorted key array is ``ray.put`` once and each customer
-    batch drops hits via searchsorted — zero further shuffle; above it,
-    Ray Data's native ``left_anti`` partitioned hash join.  Both paths
-    pinned equal by tests/test_distinct.py.
+    plan follows never moves order-sized data.  Then one ``left_anti``
+    ``gated_join``: the distinct keys are broadcast at or under
+    ``broadcast_gate`` of them, and hash-joined natively above.  Both
+    paths pinned equal by tests/test_distinct.py.
     """
     orders = read_table(sf_dir, "orders",
                         columns=["o_custkey", "o_orderpriority"])
@@ -906,12 +836,9 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT",
         k = np.unique(b.column("o_custkey").to_numpy(zero_copy_only=False))
         return pa.table({"o_custkey": pa.array(k, pa.int64())})
 
-    # materialize: count() on a derived dataset would otherwise run
-    # the scan+shuffle once for the count and AGAIN for the probe/join
     keys = (orders.map_batches(key_partial, batch_format="pyarrow")
                   .groupby("o_custkey")
-                  .aggregate(Sum("o_custkey", alias_name="_one"))
-                  .materialize())
+                  .aggregate(Sum("o_custkey", alias_name="_one")))
 
     cust_cols = ["c_custkey", "c_name", "c_mktsegment", "c_acctbal"]
     cust = read_table(sf_dir, "customer", columns=cust_cols)
@@ -925,30 +852,10 @@ def customers_without_orders(sf_dir: str, priority: str = "1-URGENT",
                 .to_numpy(zero_copy_only=False))),
         })
 
-    n_keys = keys.count()
-    if n_keys <= broadcast_gate:
-        karr = np.sort(keys.to_pandas()["o_custkey"]
-                       .to_numpy(dtype=np.int64))
-        key_ref = ray.put(karr)
-
-        class Drop:
-            def __init__(self):
-                self.keys = ray.get(key_ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                k = b.column("c_custkey").to_numpy(zero_copy_only=False)
-                pos = np.clip(np.searchsorted(self.keys, k), 0,
-                              max(len(self.keys) - 1, 0))
-                miss = (self.keys[pos] != k) if len(self.keys) else \
-                    np.ones(len(k), bool)
-                return project(b.filter(pa.array(miss)))
-
-        return cust.map_batches(Drop, batch_format="pyarrow",
-                                concurrency=2)
-    left = cust.join(keys, join_type="left_anti",
-                     num_partitions=num_partitions,
-                     on=("c_custkey",), right_on=("o_custkey",))
-    return left.map_batches(project, batch_format="pyarrow")
+    return gated_join(cust, keys, ["c_custkey"], ["o_custkey"],
+                      how="left_anti", num_partitions=num_partitions,
+                      broadcast_gate=broadcast_gate).map_batches(
+        project, batch_format="pyarrow")
 
 
 SQL_CUSTOMERS_WITHOUT_ORDERS = """
@@ -1003,7 +910,7 @@ ORDER BY year, month
 # ---------------------------------------------------------------------------
 def parts_shipped(sf_dir: str, min_qty: float = 50.0,
                   num_partitions: int = 8,
-                  broadcast_gate: int = 4_000_000):
+                  broadcast_gate: int = BROADCAST_GATE):
     """SEMI-JOIN: parts with at least one BULK lineitem shipment
     (quantity ≥ ``min_qty``) — the EXISTS shape, completing the join
     family (inner = ``revenue_by_nation``, anti =
@@ -1012,11 +919,10 @@ def parts_shipped(sf_dir: str, min_qty: float = 50.0,
     parts qualify; unfiltered, every part ships).
 
     Same plan skeleton as the anti-join: the lineitem side collapses to
-    DISTINCT partkeys first (per-batch ``np.unique`` + one groupby);
-    below ``broadcast_gate`` the sorted key array is broadcast and
-    probed by searchsorted (keep hits), above it Ray Data's native
-    ``left_semi`` partitioned hash join.  Paths pinned equal by
-    tests/test_distinct.py.
+    DISTINCT partkeys first (per-batch ``np.unique`` + one groupby),
+    then one ``left_semi`` ``gated_join`` (broadcast at or under
+    ``broadcast_gate`` keys, native hash join above).  Paths pinned
+    equal by tests/test_distinct.py.
     """
     li = read_table(sf_dir, "lineitem",
                     columns=["l_partkey", "l_quantity"])
@@ -1026,12 +932,9 @@ def parts_shipped(sf_dir: str, min_qty: float = 50.0,
         k = np.unique(b.column("l_partkey").to_numpy(zero_copy_only=False))
         return pa.table({"l_partkey": pa.array(k, pa.int64())})
 
-    # materialize: see customers_without_orders — avoids paying the
-    # lineitem scan+shuffle twice (count, then probe/join)
     keys = (li.map_batches(key_partial, batch_format="pyarrow")
               .groupby("l_partkey")
-              .aggregate(Sum("l_partkey", alias_name="_one"))
-              .materialize())
+              .aggregate(Sum("l_partkey", alias_name="_one")))
 
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_name", "p_brand"])
@@ -1039,30 +942,10 @@ def parts_shipped(sf_dir: str, min_qty: float = 50.0,
     def project(b: pa.Table) -> pa.Table:
         return b.select(["p_partkey", "p_name", "p_brand"])
 
-    n_keys = keys.count()
-    if n_keys <= broadcast_gate:
-        karr = np.sort(keys.to_pandas()["l_partkey"]
-                       .to_numpy(dtype=np.int64))
-        key_ref = ray.put(karr)
-
-        class Keep:
-            def __init__(self):
-                self.keys = ray.get(key_ref)
-
-            def __call__(self, b: pa.Table) -> pa.Table:
-                k = b.column("p_partkey").to_numpy(zero_copy_only=False)
-                pos = np.clip(np.searchsorted(self.keys, k), 0,
-                              max(len(self.keys) - 1, 0))
-                hit = (self.keys[pos] == k) if len(self.keys) else \
-                    np.zeros(len(k), bool)
-                return project(b.filter(pa.array(hit)))
-
-        return part.map_batches(Keep, batch_format="pyarrow",
-                                concurrency=2)
-    semi = part.join(keys, join_type="left_semi",
-                     num_partitions=num_partitions,
-                     on=("p_partkey",), right_on=("l_partkey",))
-    return semi.map_batches(project, batch_format="pyarrow")
+    return gated_join(part, keys, ["p_partkey"], ["l_partkey"],
+                      how="left_semi", num_partitions=num_partitions,
+                      broadcast_gate=broadcast_gate).map_batches(
+        project, batch_format="pyarrow")
 
 
 SQL_PARTS_SHIPPED = """

@@ -26,6 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..pipelines.datasets import read_table
+from .join import BROADCAST_GATE, gated_join
 
 ROLL_WINDOW_US = 10 * 60 * 1_000_000  # 10 min
 
@@ -116,39 +117,6 @@ def _value_micros(value: pa.ChunkedArray) -> np.ndarray:
     return np.floor(v * 1e6).astype(np.int64)
 
 
-def _join_bands(inband, summary, broadcast_gate: int,
-                num_partitions: int, finish):
-    """``finish`` over in-band rows joined with their (user_id, band)
-    summary row. Up to ``broadcast_gate`` summary rows, the summary is
-    broadcast as one Arrow table and joined per batch in the rows'
-    order, with no shuffle; above it, Ray Data's native hash join.
-    Arrow-side on both paths: a pandas merge would turn a nullable
-    int64 column into float64 and round values past 2^53."""
-    import ray
-
-    keys = ["user_id", "band"]
-    tabs = ([t for t in ray.get(summary.to_arrow_refs()) if t.num_columns]
-            if summary.count() <= broadcast_gate else [])
-    if not tabs:  # above the gate, or an empty summary
-        joined = inband.join(summary, join_type="inner",
-                             num_partitions=num_partitions, on=tuple(keys))
-        return joined.map_batches(finish, batch_format="pyarrow")
-    ref = ray.put(pa.concat_tables(tabs))
-
-    class Lookup:
-        def __init__(self):
-            self.summary = ray.get(ref)
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            rows = pa.array(np.arange(len(b)), pa.int64())
-            m = b.append_column("_row", rows).join(
-                self.summary, keys=keys, join_type="left outer")
-            return finish(m.sort_by("_row").drop_columns(["_row"]))
-
-    return inband.map_batches(Lookup, batch_format="pyarrow",
-                              concurrency=2)
-
-
 def _cumsum_group(g: pa.Table) -> pa.Table:
     us = g.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
     ev = g.column("event_id").to_numpy(zero_copy_only=False)
@@ -192,7 +160,7 @@ BAND_US = 6 * 60 * 60 * 1_000_000  # 6 h
 
 def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
                                 num_partitions: int = 8,
-                                broadcast_gate: int = 4_000_000):
+                                broadcast_gate: int = BROADCAST_GATE):
     """Skew-proof running total: the scale path for the hot-user case
     the plain ``events_running_total`` documents away.
 
@@ -204,11 +172,10 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
     resulting offsets are added back per batch.  Group size is bounded
     by events-per-user-per-band regardless of how hot a user is; total
     shuffle = events once + two summary-sized exchanges.  Offsets are
-    applied via a broadcast merge below ``broadcast_gate`` distinct
-    (user, band) pairs and Ray Data's native two-key hash join above
-    it.  Pinned row-identical to the plain plan (and to the DuckDB
-    window oracle) in tests/test_distinct.py, including on the 83%-
-    hot-user skew fixture.
+    applied by ``gated_join`` on (user, band), gated at
+    ``broadcast_gate`` summary rows.  Pinned row-identical to the plain
+    plan (and to the DuckDB window oracle) in tests/test_distinct.py,
+    including on the 83%-hot-user skew fixture.
     """
     from ray.data.aggregate import Sum
 
@@ -271,10 +238,8 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
             "offset": pa.array(off, pa.int64()),
         })
 
-    # materialize: count() on a derived dataset would otherwise run the
-    # summary aggregation twice (count, then broadcast/join)
     offsets = totals.groupby("user_id").map_groups(
-        prefix, batch_format="pyarrow").materialize()
+        prefix, batch_format="pyarrow")
 
     def finish(b: pa.Table) -> pa.Table:
         run = (b.column("in_cum").to_numpy(zero_copy_only=False)
@@ -286,13 +251,15 @@ def events_running_total_banded(sf_dir: str, band_us: int = BAND_US,
             "running_micros": pa.array(run, pa.int64()),
         })
 
-    return _join_bands(inband, offsets, broadcast_gate, num_partitions,
-                       finish)
+    return gated_join(inband, offsets, ["user_id", "band"],
+                      num_partitions=num_partitions,
+                      broadcast_gate=broadcast_gate).map_batches(
+        finish, batch_format="pyarrow")
 
 
 def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
                            num_partitions: int = 8,
-                           broadcast_gate: int = 4_000_000):
+                           broadcast_gate: int = BROADCAST_GATE):
     """Skew-proof LAG: (user, time-band) groups + a per-user pass over
     band SUMMARIES that hands every band its previous NONEMPTY band's
     last timestamp (empty bands simply don't appear in the summary, so
@@ -370,7 +337,7 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
         })
 
     carries = summaries.groupby("user_id").map_groups(
-        carry, batch_format="pyarrow").materialize()
+        carry, batch_format="pyarrow")
 
     def finish(b: pa.Table) -> pa.Table:
         first = b.column("is_first").to_numpy(zero_copy_only=False)
@@ -389,8 +356,10 @@ def events_user_lag_banded(sf_dir: str, band_us: int = BAND_US,
                 np.int64), pa.int64(), mask=isnull),
         })
 
-    return _join_bands(inband, carries, broadcast_gate, num_partitions,
-                       finish)
+    return gated_join(inband, carries, ["user_id", "band"],
+                      num_partitions=num_partitions,
+                      broadcast_gate=broadcast_gate).map_batches(
+        finish, batch_format="pyarrow")
 
 
 def events_rolling_count_banded(sf_dir: str,

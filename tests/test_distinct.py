@@ -405,3 +405,31 @@ def test_user_lag_banded_carry_exact_past_2_53(ray_session, tmp_path):
     assert banded == [(1, 7, t0, None), (2, 7, ts[1], BAND_US + 3),
                       (3, 7, ts[2], 7), (4, 8, ts[3], None)]
     assert banded == rows(events_user_lag(d))
+
+
+def test_user_lag_banded_native_join_sparse_partitions(ray_session,
+                                                       tmp_path):
+    """The banded LAG's native join (gate 0) at the default 8 partitions
+    on 4 events of 2 users: most hash partitions get no row, and Ray's
+    shuffle used to build them column-less when an input's first block
+    was empty (``ArrowInvalid`` on ``user_id``). Rows equal the plain
+    plan."""
+    import pyarrow as pa
+    import ray
+
+    from search_engine_ray.functions.windows import (BAND_US,
+                                                     events_user_lag,
+                                                     events_user_lag_banded)
+    t0 = 2**53 + 1
+    ts = [t0, t0 + BAND_US + 3, t0 + BAND_US + 10, t0 + 5]
+    d = _write_events(tmp_path, [1, 2, 3, 4], ts, [7, 7, 7, 8],
+                      [1.0] * 4)
+
+    def rows(ds):
+        tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
+        got = pa.concat_tables(tabs).to_pydict()
+        return sorted(zip(got["event_id"], got["user_id"], got["ts_us"],
+                          got["gap_us"]))
+
+    assert rows(events_user_lag_banded(d, broadcast_gate=0)) == \
+        rows(events_user_lag(d))

@@ -148,9 +148,9 @@ def test_events_json_stats_drops_missing_field(tmp_path, ray_session):
 
 
 def test_revenue_by_nation_rejects_duplicate_dim_keys(tmp_path, ray_session):
-    """The broadcast probe finds one customer per c_custkey, where SQL
-    joins every match: a duplicate dim key raises on that path, while
-    the native hash join (gate 0) emits both matches."""
+    """A duplicate c_custkey joins every match, as SQL does, on both
+    halves of the gated join: the broadcast half (default gate) and the
+    native hash join (gate 0) each emit both customers' nations."""
     from search_engine_ray.functions.relational import revenue_by_nation
     pq.write_table(pa.table({
         "o_orderkey": pa.array([1, 2], pa.int64()),
@@ -165,9 +165,8 @@ def test_revenue_by_nation_rejects_duplicate_dim_keys(tmp_path, ray_session):
         "n_nationkey": pa.array([0, 1], pa.int64()),
         "n_name": ["ALPHA", "BETA"],
     }), tmp_path / "nation.parquet")
-    with pytest.raises(ValueError, match="c_custkey has duplicate keys"):
-        revenue_by_nation(str(tmp_path))
-    t = revenue_by_nation(str(tmp_path), num_partitions=2,
-                          broadcast_gate=0).to_pandas()
-    assert sorted(zip(t["n_name"], t["n_orders"])) == [("ALPHA", 2),
-                                                       ("BETA", 2)]
+    for gate in (4_000_000, 0):
+        t = revenue_by_nation(str(tmp_path), num_partitions=2,
+                              broadcast_gate=gate).to_pandas()
+        assert sorted(zip(t["n_name"], t["n_orders"])) == [
+            ("ALPHA", 2), ("BETA", 2)], gate

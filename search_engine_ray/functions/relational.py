@@ -268,7 +268,7 @@ def suppliers_per_region(sf_dir: str):
         keys, names_ = ray.get(lookup_ref)
         snk = b.column("s_nationkey").to_numpy(zero_copy_only=False)
         pos = np.clip(np.searchsorted(keys, snk), 0, len(keys) - 1)
-        hit = keys[pos] == snk  # inner-join semantics (see JoinSegment)
+        hit = keys[pos] == snk  # inner join: a key absent from the dim drops
         rn = names_[pos[hit]]
         t = pa.table({"r_name": pa.array(rn, pa.string()),
                       "n_suppliers": pa.array(
@@ -938,14 +938,9 @@ def parts_shipped(sf_dir: str, min_qty: float = 50.0,
 
     part = read_table(sf_dir, "part",
                       columns=["p_partkey", "p_name", "p_brand"])
-
-    def project(b: pa.Table) -> pa.Table:
-        return b.select(["p_partkey", "p_name", "p_brand"])
-
     return gated_join(part, keys, ["p_partkey"], ["l_partkey"],
                       how="left_semi", num_partitions=num_partitions,
-                      broadcast_gate=broadcast_gate).map_batches(
-        project, batch_format="pyarrow")
+                      broadcast_gate=broadcast_gate)
 
 
 SQL_PARTS_SHIPPED = """

@@ -1,10 +1,13 @@
 """``functions.join.gated_join`` against one in-process Arrow join of
 the same inputs, on both halves (broadcast and native hash join) and
 every join type, with the inputs that break a raw Ray Data hash join:
-an empty first block, more partitions than keys, an empty side."""
+an empty first block, more partitions than keys, an empty side. The
+broadcast probe alone is also checked against ``Table.join`` on
+multi-column, string and null keys."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -16,7 +19,7 @@ _VERB = {"inner": "inner", "left_semi": "left semi",
 
 def _rows(t: pa.Table) -> list:
     t = t.select(sorted(t.column_names))
-    return sorted(zip(*t.to_pydict().values()))
+    return sorted(zip(*t.to_pydict().values()), key=repr)  # None-safe
 
 
 @pytest.mark.parametrize("gate", [0, BROADCAST_GATE])
@@ -52,3 +55,38 @@ def test_gated_join_matches_arrow_join(ray_session, how, gate):
                          rd.from_arrow(right), ["k"], ["rk"], how=how,
                          num_partitions=8, broadcast_gate=gate)
         assert out.count() == 0
+
+
+def _keys(rng, n: int, typ: pa.DataType) -> pa.Array:
+    v = rng.integers(0, 6, n)
+    nulls = rng.random(n) < 0.2
+    return pa.array([None if z else (f"s{x}" if typ == pa.string() else
+                                     int(x)) for x, z in zip(v, nulls)], typ)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_semi", "left_anti"])
+def test_broadcast_probe_matches_arrow_join(how):
+    """The broadcast half's sorted-key probe, per left batch, returns
+    what ``Table.join`` returns: duplicate right keys emit every match,
+    a null key never matches, one or two key columns."""
+    from search_engine_ray.functions.join import _SortedRight
+
+    rng = np.random.default_rng(7)
+    for trial in range(24):
+        typ = [pa.int64(), pa.string(), pa.int32()][trial % 3]
+        nl, nr = int(rng.integers(0, 50)), int(rng.integers(0, 30))
+        if trial % 8 == 0:
+            nr = 0  # an empty right side
+        left = pa.table({"a": _keys(rng, nl, typ),
+                         "b": _keys(rng, nl, pa.int64()),
+                         "lv": pa.array(np.arange(nl))})
+        right = pa.table({"ra": _keys(rng, nr, typ),
+                          "rb": _keys(rng, nr, pa.int64()),
+                          "rv": pa.array(np.arange(nr) * 10)})
+        for keys, rkeys in [(["a"], ["ra"]), (["a", "b"], ["ra", "rb"]),
+                            (["b", "a"], ["rb", "ra"])]:
+            got = _SortedRight(right, rkeys, keys, how)(left)
+            want = left.join(right, keys=keys, right_keys=rkeys,
+                             join_type=_VERB[how])
+            assert got.schema == want.schema, (trial, keys)
+            assert _rows(got) == _rows(want), (trial, keys)

@@ -24,10 +24,12 @@ Boolean semantics (engine mode):
 Synonym terms (SynOr right subtrees) score with weight SYN_WEIGHT=0.4,
 mirroring the reference ranker's synonym blend factor (Ranker.hpp:110).
 
-Serving processes stay lean, like the reference's csolver nodes: what a
-searcher or frontend runs imports numpy, pyarrow core and
-pyarrow.parquet only — never pandas or pyarrow.dataset (~45 MB per
-actor; pinned by tests/test_serving_imports.py).
+Serving processes stay lean, like the reference's csolver nodes: a
+frontend (compile, route, merge) runs inside a searcher process rather
+than a process of its own, and what a searcher runs, frontend included,
+imports numpy, pyarrow core and pyarrow.parquet only — never pandas or
+pyarrow.dataset (~45 MB per actor; pinned by
+tests/test_serving_imports.py).
 """
 
 from __future__ import annotations
@@ -344,10 +346,6 @@ class ShardIndex:
         loc = i - int(self._doc_rg_starts[g])
         return (tab.column("url")[loc].as_py(),
                 tab.column("title")[loc].as_py())
-
-    def doc_id_of(self, ordinals: np.ndarray) -> np.ndarray:
-        """Map shard ordinals to real doc ids (output boundary only)."""
-        return self.doc_ids[ordinals]
 
     def doc_dl(self, cand: np.ndarray) -> np.ndarray:
         """dl per doc ordinal — direct index into the docmeta order."""
@@ -850,9 +848,16 @@ class ShardIndex:
         return out
 
 
-@ray.remote
+@ray.remote(concurrency_groups={"front": 1})
 class SegmentSearcher:
-    """Actor owning several shards (T3: state loaded once in __init__)."""
+    """Actor owning several shards (T3: state loaded once in __init__)
+    and, after ``open_frontend``, a query frontend, on two threads. The
+    default group's thread scores (``ready``, ``search``, ``score_many``)
+    and is the only one touching ``ShardIndex`` state, so no lock. The
+    ``front`` thread runs the frontend, which fans out to every searcher,
+    this one included, by the normal RPC; score methods never call out,
+    so that wait has no deadlock cycle. A frontend needs no process of
+    its own: a bare Ray actor is ~120 MB before it imports anything."""
 
     def __init__(self, index_dir: str, shards: list[int],
                  wand_ok_shards: set[int] | None = None):
@@ -860,6 +865,7 @@ class SegmentSearcher:
         self.shards = [ShardIndex(index_dir, s,
                                   wand_ok=(ok is None or s in ok))
                        for s in shards]
+        self._front: SearchEngine | None = None
 
     def ready(self) -> bool:
         return True
@@ -872,14 +878,47 @@ class SegmentSearcher:
         results.sort(key=lambda r: (-r[0], r[1]))
         return results[:k]
 
-    def search_many(self, plans: list, k: int, idfs: list[dict],
-                    avgdl: float) -> list[list[tuple]]:
-        """Batch serving: many queries in ONE RPC. Driver fan-out cost
+    def score_many(self, plans: list, k: int, idfs: list[dict],
+                   avgdl: float) -> list[list[tuple]]:
+        """Batch scoring: many queries in ONE RPC. Driver fan-out cost
         becomes O(actors) per batch instead of O(actors × queries) —
         the throughput-mode analogue of the reference csolver reading a
         socket stream of queries per node."""
         return [self.search(p, k, i, avgdl)
                 for p, i in zip(plans, idfs)]
+
+    @ray.method(concurrency_group="front")
+    def open_frontend(self, index_dir: str, actors: list,
+                      use_synonyms: bool = True,
+                      actor_shards: list | None = None,
+                      dir_pool=None) -> None:
+        """Host a shared-pool SearchEngine over ``actors``; a second open
+        raises rather than serve with another pool's settings."""
+        if self._front is not None:
+            raise ValueError("searcher already hosts an open frontend")
+        self._front = SearchEngine(index_dir, use_synonyms=use_synonyms,
+                                   actors=actors,
+                                   actor_shards=actor_shards,
+                                   dir_pool=dir_pool)
+
+    @ray.method(concurrency_group="front")
+    def close_frontend(self) -> None:
+        self._front = None
+
+    @ray.method(concurrency_group="front")
+    def search_many(self, queries: list[str], k: int = 10
+                    ) -> list[pa.RecordBatch]:
+        """One result RecordBatch per query (FrontendPool.search_stream
+        turns them into the tables ``SearchEngine.search`` returns).
+        Not tables: Ray pickles a ``pa.Table`` through its own reducer,
+        which imports ray.air and with it pandas (~40 MB in every
+        searcher), while a RecordBatch pickles through pyarrow's."""
+        if self._front is None:
+            raise ValueError("no frontend open on this searcher")
+        # each table is built from one batch: one chunk per column
+        return [pa.RecordBatch.from_arrays(
+                    [c.chunk(0) for c in t.columns], schema=t.schema)
+                for t in self._front.search_batch(queries, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -939,53 +978,43 @@ class SearchEngine:
         # LRU cache template, lib/cache.h — T5); off by default so latency
         # benchmarks stay honest
         self._cache = LRU(cache_size)
-        if actors is not None:
-            # share an existing searcher pool (frontend tier): this
-            # engine only compiles, fans out and merges. actor_shards
-            # (parallel to actors) enables bloom fan-out pruning.
-            self.actors = list(actors)
-            self._owns_actors = False
-            self._actor_shards = ([list(sh) for sh in actor_shards]
-                                  if actor_shards is not None else None)
-            self._load_blooms(index_dir)
-            self._setup_directory(index_dir, man["stats"],
-                                  use_directory, dir_pool)
-            return
-        self._owns_actors = True
-        if num_searchers is None:
-            # pool size balances two costs: per-query latency is bounded
-            # by the slowest actor's SERIAL shard loop (wants more
-            # actors — measured p50 104 → 76 ms at 3.2M docs going
-            # cpus/2 → cpus), but every actor adds ~0.3 ms of driver
-            # fan-out RPC overhead (wants fewer — measured p50 19.5 →
-            # 14.7 ms at 98 shards going 32 → 16 actors). Target ≈ 8
-            # shards per actor, clamped to [cpus/2, cpus].
-            cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
-            if profile == "throughput":
-                # one searcher per core: maximizes aggregate qps when
-                # queries arrive concurrently (e.g. behind a
-                # FrontendPool) — per-query fan-out overhead is paid by
-                # the frontends, not a single driver loop
-                num_searchers = min(num_shards, cpus)
-            else:
-                num_searchers = min(num_shards, cpus,
-                                    max(cpus // 2, -(-num_shards // 8),
-                                        1))
-        # shards whose block-max bounds predate an append score
-        # exhaustively until refresh_block_max (ShardIndex.wand_ok)
-        stale = set(man["stats"].get("wand_stale_shards", []))
-        wand_ok = {s for s in range(num_shards) if s not in stale}
-        assign: list[list[int]] = [[] for _ in range(num_searchers)]
-        for s in range(num_shards):
-            assign[s % num_searchers].append(s)
-        self.actors = [SegmentSearcher.remote(index_dir, sh,
-                                              wand_ok & set(sh))
-                       for sh in assign if sh]
-        self._actor_shards = [sh for sh in assign if sh]
+        self._owns_actors = actors is None
+        if self._owns_actors:
+            # shards whose block-max bounds predate an append score
+            # exhaustively until refresh_block_max (ShardIndex.wand_ok)
+            stale = set(man["stats"].get("wand_stale_shards", []))
+            wand_ok = {s for s in range(num_shards) if s not in stale}
+            n = num_searchers or self._pool_size(num_shards, profile)
+            actor_shards = [list(range(i, num_shards, n))
+                            for i in range(min(n, num_shards))]
+            actors = [SegmentSearcher.remote(index_dir, sh,
+                                             wand_ok & set(sh))
+                      for sh in actor_shards]
+        # else a shared pool (frontend tier): only compile, fan out and
+        # merge; actor_shards (parallel to actors) enables pruning
+        self.actors = list(actors)
+        self._actor_shards = ([list(sh) for sh in actor_shards]
+                              if actor_shards is not None else None)
         self._load_blooms(index_dir)
         self._setup_directory(index_dir, man["stats"],
                               use_directory, dir_pool)
-        ray.get([a.ready.remote() for a in self.actors])
+        if self._owns_actors:
+            ray.get([a.ready.remote() for a in self.actors])
+
+    @staticmethod
+    def _pool_size(num_shards: int, profile: str) -> int:
+        """Latency is bounded by the slowest actor's SERIAL shard loop
+        (wants more actors: p50 104 → 76 ms at 3.2M docs going cpus/2 →
+        cpus), but each actor adds ~0.3 ms of fan-out RPC (wants fewer:
+        p50 19.5 → 14.7 ms at 98 shards going 32 → 16 actors), so aim at
+        ≈ 8 shards per actor within [cpus/2, cpus]. ``throughput``: one
+        searcher per core, for concurrent queries (a FrontendPool's
+        frontends pay the per-query fan-out)."""
+        cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
+        if profile == "throughput":
+            return min(num_shards, cpus)
+        return min(num_shards, cpus,
+                   max(cpus // 2, -(-num_shards // 8), 1))
 
     def _setup_directory(self, index_dir: str, stats: dict,
                          use_directory: bool, dir_pool) -> None:
@@ -994,15 +1023,12 @@ class SearchEngine:
         directory matches the live manifest. Never required — absent or
         stale directories fall back to Bloom pruning."""
         from ..state import term_directory as td
-        self._dir_pool = dir_pool
-        self._owns_dir_pool = False
-        if dir_pool is not None or not use_directory \
-                or not self._owns_actors:
-            # shared-searcher engines (frontend tier) only ADOPT a pool:
-            # spinning one per frontend would multiply directory actors
-            return
-        meta = td.directory_matches(index_dir, stats)
-        if meta is not None and self._actor_shards is not None:
+        self._dir_pool, self._owns_dir_pool = dir_pool, False
+        # shared-searcher engines (frontend tier) only ADOPT a pool:
+        # spinning one per frontend would multiply directory actors
+        meta = (td.directory_matches(index_dir, stats) if dir_pool is None
+                and use_directory and self._owns_actors else None)
+        if meta is not None:
             self._dir_pool = td.DirectoryPool(index_dir,
                                               meta["n_buckets"])
             self._owns_dir_pool = True
@@ -1012,17 +1038,14 @@ class SearchEngine:
         fan-out pruning skips actors whose shards can't contain any
         plan term — see state/bloom.py for the 10^5-shard scale path."""
         self._blooms: dict[int, bytes] = {}
-        if self._actor_shards is None:
-            return
-        for sh in self._actor_shards:
-            for s in sh:
-                p = os.path.join(index_dir, "segments", f"shard={s}",
-                                 "_vocab.bloom")
-                try:
-                    with open(p, "rb") as f:
-                        self._blooms[s] = f.read()
-                except OSError:
-                    pass  # pre-bloom index: no pruning for this shard
+        for s in (s for sh in self._actor_shards or () for s in sh):
+            p = os.path.join(index_dir, "segments", f"shard={s}",
+                             "_vocab.bloom")
+            try:
+                with open(p, "rb") as f:
+                    self._blooms[s] = f.read()
+            except OSError:
+                pass  # pre-bloom index: no pruning for this shard
 
     def _actor_mask(self, plan) -> "list | None":
         """Actors whose shards may contain at least one plan term.
@@ -1073,7 +1096,7 @@ class SearchEngine:
 
     def search_batch(self, queries: list[str], k: int = 10
                      ) -> list[pa.Table]:
-        """The one fan-out: one search_many RPC per actor for the whole
+        """The one fan-out: one score_many RPC per actor for the whole
         query list (``search`` is this on one query, behind the result
         cache)."""
         plans = [self.compile(q) for q in queries]
@@ -1106,7 +1129,7 @@ class SearchEngine:
                 refs = (ray.put([sub_plans[j] for j in qjs]),
                         ray.put([idfs[j] for j in qjs]))
                 put_cache[key] = refs
-            futs.append(self.actors[ai].search_many.remote(
+            futs.append(self.actors[ai].score_many.remote(
                 refs[0], k, refs[1], self.avgdl))
             fut_qs.append(qjs)
         per_query: list[list] = [[] for _ in live]
@@ -1124,73 +1147,45 @@ class SearchEngine:
             for a in self.actors:
                 ray.kill(a)
         self.actors = []
-        if getattr(self, "_owns_dir_pool", False) \
-                and self._dir_pool is not None:
+        if self._owns_dir_pool and self._dir_pool is not None:
             self._dir_pool.close()
         self._dir_pool = None
 
 
 # ---------------------------------------------------------------------------
-# frontend tier: N query coordinators over ONE shared searcher pool
+# frontend tier: N query coordinators hosted by the shared searcher pool
 # ---------------------------------------------------------------------------
 
-@ray.remote(num_cpus=0)
-class _FrontendActor:
-    """A query front-end: compiles, fans out to the shared searcher
-    pool and merges — inside an actor, so the per-query Python work
-    (compile + ray.put + merge, ~2-6 ms) runs in parallel across
-    frontends instead of serializing on one driver loop (the reference
-    runs one csolver *driver* per front-end machine for the same
-    reason, csolver/main.cpp). num_cpus=0: frontends spend their time
-    blocked in ray.get on searcher RPCs; on a multi-node cluster give
-    them a fractional CPU + SPREAD scheduling instead."""
-
-    def __init__(self, index_dir: str, actors: list,
-                 use_synonyms: bool = True,
-                 actor_shards: list | None = None, dir_pool=None):
-        self.eng = SearchEngine(index_dir, use_synonyms=use_synonyms,
-                                actors=actors,
-                                actor_shards=actor_shards,
-                                dir_pool=dir_pool)
-
-    def ready(self) -> bool:
-        return True
-
-    def search_many(self, queries: list[str], k: int = 10
-                    ) -> list[pa.RecordBatch]:
-        """One result RecordBatch per query (FrontendPool.search_stream
-        turns them into the tables ``SearchEngine.search`` returns).
-        Not tables: Ray pickles a ``pa.Table`` through its own reducer,
-        which imports ray.air and with it pandas (~40 MB in every
-        frontend), while a RecordBatch pickles through pyarrow's."""
-        # each table is built from one batch: one chunk per column
-        return [pa.RecordBatch.from_arrays(
-                    [c.chunk(0) for c in t.columns], schema=t.schema)
-                for t in self.eng.search_batch(queries, k)]
-
-
 class FrontendPool:
-    """Interactive serving through ``n_frontends`` coordinator actors
-    sharing one searcher pool. ``search_stream`` keeps every frontend
-    busy with bounded in-flight chunks and returns results in input
-    order — the multi-frontend topology VERDICT r3 asked to demonstrate
-    (one driver's Python loop was the interactive scaling floor).
-    Frontends answer with one RecordBatch per query (see
-    _FrontendActor.search_many); ``search_stream`` returns the same
-    ``pa.Table``s as ``SearchEngine.search``."""
+    """Interactive serving through frontends hosted by the first
+    ``min(n_frontends, len(actors))`` searchers (one per searcher): each
+    compiles, fans out and merges on its own thread, in parallel, not on
+    one driver loop (the reference runs one csolver *driver* per
+    front-end machine, csolver/main.cpp). ``search_stream`` returns the
+    same ``pa.Table``s as ``SearchEngine.search``, in input order. The
+    searchers belong to their SearchEngine: ``close`` drops the hosted
+    engines and kills nothing. Close the pool or the engine: the hosted
+    engines hold handles to every searcher, which keep them alive."""
 
     def __init__(self, index_dir: str, actors: list,
                  n_frontends: int = 4, use_synonyms: bool = True,
                  actor_shards: list | None = None, dir_pool=None):
         # one shared DirectoryPool handle set: frontends route through
         # the same directory actors (each keeps its own term cache)
-        self.frontends = [
-            _FrontendActor.remote(index_dir, list(actors),
-                                  use_synonyms=use_synonyms,
-                                  actor_shards=actor_shards,
-                                  dir_pool=dir_pool)
-            for _ in range(n_frontends)]
-        ray.get([f.ready.remote() for f in self.frontends])
+        hosts = list(actors)[:n_frontends]
+        opening = [a.open_frontend.remote(index_dir, list(actors),
+                                          use_synonyms, actor_shards,
+                                          dir_pool) for a in hosts]
+        self.frontends, errors = [], []
+        for a, ref in zip(hosts, opening):
+            try:
+                ray.get(ref)
+                self.frontends.append(a)
+            except Exception as e:
+                errors.append(e)
+        if errors:  # close only what this pool opened
+            self.close()
+            raise errors[0]
 
     def search_stream(self, queries: list[str], k: int = 10,
                       chunk: int = 4, depth: int = 2) -> list[pa.Table]:
@@ -1221,6 +1216,9 @@ class FrontendPool:
                 for part in parts for b in part or []]
 
     def close(self) -> None:
-        for f in self.frontends:
-            ray.kill(f)
+        for ref in [f.close_frontend.remote() for f in self.frontends]:
+            try:
+                ray.get(ref)
+            except ray.exceptions.RayActorError:
+                pass  # its searcher is gone, and its frontend with it
         self.frontends = []

@@ -8,6 +8,7 @@ import math
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -345,9 +346,8 @@ def test_search_batch_matches_per_query(index_dir, ray_session):
 
 
 def test_frontend_pool_matches_engine(index_dir, ray_session):
-    """FrontendPool (N coordinator actors over the shared searcher
-    pool) returns exactly what the driver-side engine returns, in
-    input order."""
+    """FrontendPool (frontends hosted by the shared searchers) returns
+    exactly what the driver-side engine returns, in input order."""
     from search_engine_ray.pipelines.search import (FrontendPool,
                                                     SearchEngine)
 
@@ -365,7 +365,135 @@ def test_frontend_pool_matches_engine(index_dir, ray_session):
         fp.close()
         eng.close()
         # shared pool must survive a frontend close: closing the engine
-        # after the pool killed its frontends still worked above
+        # after the pool closed its frontends still worked above
+
+
+def test_frontends_serve_concurrently_with_the_driver(index_dir,
+                                                      ray_session):
+    """Frontends hosted in the searchers answer a stream while the
+    driver fans out over the same searchers and calls frontends
+    directly. Every answer equals ``eng.search``; every wait is bounded,
+    so a deadlock fails the test instead of hanging it."""
+    import threading
+
+    import ray
+
+    from search_engine_ray.pipelines.search import (FrontendPool,
+                                                    SearchEngine)
+
+    out, _, _ = index_dir
+    eng = SearchEngine(out, num_searchers=3)
+    fp = FrontendPool(out, eng.actors, n_frontends=3)
+    try:
+        queries = ["running", "children & data", "word1 | word2",
+                   '"some phrase"', "~nosuchwordatall", ""] * 4
+        want = {q: eng.search(q, k=10) for q in set(queries)}
+        got: dict = {}
+        threads = [
+            threading.Thread(target=lambda: got.update(
+                stream=fp.search_stream(queries, k=10, chunk=2)),
+                daemon=True),
+            threading.Thread(target=lambda: got.update(
+                batch=eng.search_batch(queries, k=10)), daemon=True)]
+        for th in threads:
+            th.start()
+        direct = [(queries[i:i + 3],
+                   fp.frontends[i // 3 % 3].search_many.remote(
+                       queries[i:i + 3], 10))
+                  for i in range(0, len(queries), 3)]
+        for qs, ref in direct:
+            for q, b in zip(qs, ray.get(ref, timeout=120)):
+                assert pa.Table.from_batches([b]).equals(want[q]), q
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive(), "a driver call did not finish"
+        for name in ("stream", "batch"):
+            assert [t.equals(want[q])
+                    for q, t in zip(queries, got[name])] == \
+                [True] * len(queries), name
+    finally:
+        # searchers first: a deadlocked frontend could not close
+        eng.close()
+        fp.close()
+
+
+def test_frontend_pool_lifecycle(index_dir, ray_session):
+    """A pool closes without touching its searchers; a later pool on
+    the same searchers serves with its own settings; a second pool over
+    searchers that still host an open one raises; a stream over closed
+    searchers raises RayActorError instead of hanging."""
+    import threading
+
+    from ray.exceptions import RayActorError
+
+    from search_engine_ray.pipelines.search import (FrontendPool,
+                                                    SearchEngine)
+
+    out, _, _ = index_dir
+    eng = SearchEngine(out, num_searchers=2)
+    plain = SearchEngine(out, actors=eng.actors, use_synonyms=False)
+    queries = ["running", "children & data", "word1 | word2",
+               '"some phrase"', "~nosuchwordatall", ""]
+    try:
+        want = [eng.search(q, k=10) for q in queries]
+        # synonyms change this answer, so the settings are visible
+        assert not want[1].equals(plain.search(queries[1], k=10))
+        fp = FrontendPool(out, eng.actors, n_frontends=1)
+        with pytest.raises(ValueError, match="already hosts"):
+            FrontendPool(out, eng.actors, n_frontends=2,
+                         use_synonyms=False)
+        assert fp.search_stream(queries, k=10) == want
+        fp.close()
+        assert [eng.search(q, k=10) for q in queries] == want
+        # the failed pool closed the frontend it had opened on actor 1
+        fp = FrontendPool(out, eng.actors, n_frontends=2,
+                          use_synonyms=False)
+        for q, t in zip(queries, fp.search_stream(queries, k=10)):
+            assert t.equals(plain.search(q, k=10)), q
+    finally:
+        eng.close()
+    got: dict = {}
+
+    def stream():
+        try:
+            fp.search_stream(queries, k=10)
+        except Exception as e:  # its type is asserted below
+            got["error"] = e
+
+    th = threading.Thread(target=stream, daemon=True)
+    th.start()
+    th.join(timeout=120)
+    assert not th.is_alive(), "search_stream hung on dead searchers"
+    assert isinstance(got.get("error"), RayActorError), got
+    fp.close()
+
+
+def test_frontends_are_searchers(index_dir, ray_session):
+    """A pool starts no actor: its frontends are a subset of the
+    searchers, capped at one per searcher."""
+    import ray._private.state as ray_state
+
+    from search_engine_ray.pipelines import search as S
+
+    def alive() -> list[str]:  # the GCS actor table
+        return [a["ActorClassName"] for a in ray_state.actors().values()
+                if a["State"] == "ALIVE"]
+
+    out, _, _ = index_dir
+    eng = S.SearchEngine(out, num_searchers=2)
+    before = sorted(alive())
+    fp = S.FrontendPool(out, eng.actors, n_frontends=5)
+    try:
+        assert len(fp.frontends) == len(eng.actors) == 2
+        ids = {a._actor_id for a in eng.actors}
+        assert {f._actor_id for f in fp.frontends} <= ids
+        assert sorted(alive()) == before
+        assert not hasattr(S, "_FrontendActor")
+        assert fp.search_stream(["running"], k=10)[0].equals(
+            eng.search("running", k=10))
+    finally:
+        fp.close()
+        eng.close()
 
 
 def test_lru_evicts_least_recently_used():

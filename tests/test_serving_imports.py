@@ -22,9 +22,9 @@ from search_engine_ray.sources.fixtures import gen_pages
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BANNED = ("pandas", "pyarrow.dataset", "pyarrow.compute")
 
-# Everything a SegmentSearcher (open shards, score_topk) and a
-# _FrontendActor (shared-pool SearchEngine: compile, route, merge, build
-# the result batch and pickle it) do, in one fresh interpreter.
+# Everything a SegmentSearcher does, scoring (open shards, score_topk)
+# and its hosted frontend (shared-pool SearchEngine: compile, route,
+# merge, build the result batch and pickle it), in one fresh interpreter.
 SERVE = r"""
 import json, pickle, sys
 

@@ -187,25 +187,6 @@ def run_bench() -> dict:
                                       else len(eng_t.actors))
     results["n_actors_total"] = len(eng_t.actors)
 
-    # two-hop term directory (exact routing): same probes through a
-    # directory-routed engine sharing the throughput searcher pool —
-    # a rare term RPCs O(its shards), an absent term RPCs nobody
-    from search_engine_ray.state.term_directory import (DirectoryPool,
-                                                        build_term_directory,
-                                                        read_meta)
-    t0 = time.time()
-    build_term_directory(index_dir, n_buckets=32)
-    results["dir_build_sec"] = round(time.time() - t0, 3)
-    pool = DirectoryPool(index_dir, read_meta(index_dir)["n_buckets"])
-    eng_d = SearchEngine(index_dir, actors=eng_t.actors,
-                         actor_shards=eng_t._actor_shards, dir_pool=pool)
-    md = eng_d._actor_mask(eng_d.compile(rare_q))
-    results["dir_actors_rare"] = (len(md) if md is not None
-                                  else len(eng_t.actors))
-    md0 = eng_d._actor_mask(eng_d.compile("qqzzneverindexed"))
-    results["dir_actors_absent"] = (len(md0) if md0 is not None
-                                    else len(eng_t.actors))
-    pool.close()
     eng = eng_t  # batch mode below uses the throughput pool too
 
     # batch serving (score_many: one RPC per actor per batch — the

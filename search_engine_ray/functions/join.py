@@ -4,13 +4,20 @@ The right side is materialised and counted once; that count picks one
 of two halves:
 
 - **broadcast** (≤ ``broadcast_gate`` right rows): the right side is
-  ``ray.put`` once as one Arrow table, and each actor of a
-  ``concurrency=2`` pool sorts it by key once; each left batch then
-  finds its matches by binary search, with no shuffle and no hash
-  table rebuilt per batch;
+  ``ray.put`` once as one Arrow table, and each actor of a pool of one
+  or two sorts it by key once; each left batch then finds its matches
+  by binary search, with no shuffle and no hash table rebuilt per
+  batch;
 - **native**: Ray Data's partitioned hash join, whose aggregators take
   a tenth of a CPU so a join's actor pool co-schedules with the map
   tasks on small boxes.
+
+The probe actors hold no CPU: they run in the plan of the left input,
+after its read, and a read task needs a whole CPU. At one CPU each, two
+probe actors in a 2-CPU session held both CPUs and the read never ran;
+at a tenth of a CPU, one actor still starved the read in a 1-CPU
+session. The pool starts at one actor, so a one-block left input
+starts no second.
 
 Both halves return what ``pyarrow.Table.join`` returns (Ray's join
 aggregators call it per partition; the broadcast probe is pinned to it
@@ -59,7 +66,7 @@ def gated_join(left, right, on, right_on=None, how: str = "inner",
         table = _empty_table(right)
     return left.map_batches(
         _SortedRight, fn_constructor_args=(ray.put(table), right_on, on, how),
-        batch_format="pyarrow", concurrency=2)
+        batch_format="pyarrow", concurrency=(1, 2), num_cpus=0)
 
 
 def _nonempty(ds):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -890,16 +891,14 @@ class SegmentSearcher:
     @ray.method(concurrency_group="front")
     def open_frontend(self, index_dir: str, actors: list,
                       use_synonyms: bool = True,
-                      actor_shards: list | None = None,
-                      dir_pool=None) -> None:
+                      actor_shards: list | None = None) -> None:
         """Host a shared-pool SearchEngine over ``actors``; a second open
         raises rather than serve with another pool's settings."""
         if self._front is not None:
             raise ValueError("searcher already hosts an open frontend")
         self._front = SearchEngine(index_dir, use_synonyms=use_synonyms,
                                    actors=actors,
-                                   actor_shards=actor_shards,
-                                   dir_pool=dir_pool)
+                                   actor_shards=actor_shards)
 
     @ray.method(concurrency_group="front")
     def close_frontend(self) -> None:
@@ -954,8 +953,7 @@ class SearchEngine:
                  use_synonyms: bool = True, cache_size: int = 0,
                  actors: list | None = None,
                  profile: str = "latency",
-                 actor_shards: list[list[int]] | None = None,
-                 use_directory: bool = True, dir_pool=None):
+                 actor_shards: list[list[int]] | None = None):
         man = seg.read_manifest(index_dir)
         if man is None or "terms" not in man.get("stages_done", []):
             raise FileNotFoundError(f"no complete index at {index_dir}")
@@ -996,8 +994,6 @@ class SearchEngine:
         self._actor_shards = ([list(sh) for sh in actor_shards]
                               if actor_shards is not None else None)
         self._load_blooms(index_dir)
-        self._setup_directory(index_dir, man["stats"],
-                              use_directory, dir_pool)
         if self._owns_actors:
             ray.get([a.ready.remote() for a in self.actors])
 
@@ -1016,27 +1012,10 @@ class SearchEngine:
         return min(num_shards, cpus,
                    max(cpus // 2, -(-num_shards // 8), 1))
 
-    def _setup_directory(self, index_dir: str, stats: dict,
-                         use_directory: bool, dir_pool) -> None:
-        """Exact two-hop fan-out routing (state/term_directory.py):
-        adopt a shared DirectoryPool, or spin one up when the on-disk
-        directory matches the live manifest. Never required — absent or
-        stale directories fall back to Bloom pruning."""
-        from ..state import term_directory as td
-        self._dir_pool, self._owns_dir_pool = dir_pool, False
-        # shared-searcher engines (frontend tier) only ADOPT a pool:
-        # spinning one per frontend would multiply directory actors
-        meta = (td.directory_matches(index_dir, stats) if dir_pool is None
-                and use_directory and self._owns_actors else None)
-        if meta is not None:
-            self._dir_pool = td.DirectoryPool(index_dir,
-                                              meta["n_buckets"])
-            self._owns_dir_pool = True
-
     def _load_blooms(self, index_dir: str) -> None:
         """Per-shard vocab blooms (KBs each, written at merge time):
         fan-out pruning skips actors whose shards can't contain any
-        plan term — see state/bloom.py for the 10^5-shard scale path."""
+        plan term — see state/bloom.py for where this stops scaling."""
         self._blooms: dict[int, bytes] = {}
         for s in (s for sh in self._actor_shards or () for s in sh):
             p = os.path.join(index_dir, "segments", f"shard={s}",
@@ -1048,25 +1027,13 @@ class SearchEngine:
                 pass  # pre-bloom index: no pruning for this shard
 
     def _actor_mask(self, plan) -> "list | None":
-        """Actors whose shards may contain at least one plan term.
-        Directory routing when available (EXACT: a rare term RPCs only
-        the actors owning its shards; an absent term RPCs nobody), else
+        """Actors whose shards may contain at least one plan term, by
         the per-shard Bloom test (false-positive-only). None = no
         pruning possible."""
-        if self._actor_shards is None:
+        if self._actor_shards is None or not self._blooms:
             return None
         terms = [t for t, _ in flatten_terms(plan)]
         if not terms:
-            return None
-        if self._dir_pool is not None:
-            shard_map = self._dir_pool.shards_for(terms)
-            want = {int(s) for arr in shard_map.values() for s in arr}
-            if not want:
-                return []
-            return [a for a, shards in zip(self.actors,
-                                           self._actor_shards)
-                    if any(s in want for s in shards)]
-        if not self._blooms:
             return None
         hashes = sb.hash_terms(terms)  # hash once, test per blob
         live = []
@@ -1147,9 +1114,6 @@ class SearchEngine:
             for a in self.actors:
                 ray.kill(a)
         self.actors = []
-        if self._owns_dir_pool and self._dir_pool is not None:
-            self._dir_pool.close()
-        self._dir_pool = None
 
 
 # ---------------------------------------------------------------------------
@@ -1164,19 +1128,22 @@ class FrontendPool:
     front-end machine, csolver/main.cpp). ``search_stream`` returns the
     same ``pa.Table``s as ``SearchEngine.search``, in input order. The
     searchers belong to their SearchEngine: ``close`` drops the hosted
-    engines and kills nothing. Close the pool or the engine: the hosted
-    engines hold handles to every searcher, which keep them alive."""
+    engines and kills nothing."""
 
     def __init__(self, index_dir: str, actors: list,
                  n_frontends: int = 4, use_synonyms: bool = True,
-                 actor_shards: list | None = None, dir_pool=None):
-        # one shared DirectoryPool handle set: frontends route through
-        # the same directory actors (each keeps its own term cache)
+                 actor_shards: list | None = None):
         hosts = list(actors)[:n_frontends]
         opening = [a.open_frontend.remote(index_dir, list(actors),
-                                          use_synonyms, actor_shards,
-                                          dir_pool) for a in hosts]
+                                          use_synonyms, actor_shards)
+                   for a in hosts]
         self.frontends, errors = [], []
+        # the hosted engines hold handles to every searcher, a cycle
+        # Ray's handle counting never frees: a pool dropped unclosed
+        # closes its frontends, so the searchers' owner can free them
+        self._finalizer = weakref.finalize(self, _close_frontends,
+                                           self.frontends)
+        self._finalizer.atexit = False  # ray.shutdown frees them anyway
         for a, ref in zip(hosts, opening):
             try:
                 ray.get(ref)
@@ -1216,9 +1183,17 @@ class FrontendPool:
                 for part in parts for b in part or []]
 
     def close(self) -> None:
-        for ref in [f.close_frontend.remote() for f in self.frontends]:
+        for ref in self._finalizer() or ():
             try:
                 ray.get(ref)
             except ray.exceptions.RayActorError:
                 pass  # its searcher is gone, and its frontend with it
         self.frontends = []
+
+
+def _close_frontends(frontends: list) -> list:
+    """Ask each hosting searcher to drop its frontend; the refs to wait
+    on. A no-op once Ray is shut down: the searchers went with it."""
+    if not ray.is_initialized():
+        return []
+    return [f.close_frontend.remote() for f in frontends]

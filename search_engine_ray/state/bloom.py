@@ -9,12 +9,11 @@ shard) and skips every actor none of whose shards can contain any of
 the plan's terms. False positives only over-include (an extra RPC that
 returns empty), never change results.
 
-Scale note: one driver holding every shard's bloom works to ~10^4
+Scale note: one engine holding every shard's bloom works to ~10^4
 shards (tens of GB of blooms at web-scale per-shard vocabularies).
-Beyond that the directory itself shards: a hash-partitioned
-term→shard-bitmap actor tier queried per term before the fan-out
-(two-hop routing, like a DHT lookup) — the blooms here are the
-single-hop degenerate case of that design.
+The planned replacement is a memory-mapped terms table that stores,
+per term, its df and the shards holding it (ROADMAP direction H): one
+probe then gives idf and exact routing, with no Bloom files.
 
 No reference analogue: the reference csolver scans every chunk for
 every query (csolver.cpp:135-149).

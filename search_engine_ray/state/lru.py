@@ -1,5 +1,5 @@
 """The one bounded cache every serving layer uses (row groups, postings
-views, phrase results, engine results, directory routes)."""
+views, phrase results, engine results)."""
 
 from __future__ import annotations
 

@@ -496,6 +496,48 @@ def test_frontends_are_searchers(index_dir, ray_session):
         eng.close()
 
 
+def test_dropped_pool_and_engine_free_their_searchers(ray_session,
+                                                      tmp_path):
+    """An engine and pool dropped without ``close`` leave no searcher
+    alive: the hosted engines' handles to every searcher would otherwise
+    keep them all alive until ``ray.shutdown``."""
+    import gc
+    import time
+
+    import ray._private.state as ray_state
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.build import build_index
+    from search_engine_ray.pipelines.search import (FrontendPool,
+                                                    SearchEngine)
+
+    pages_path = str(tmp_path / "pages")
+    os.makedirs(pages_path)
+    pq.write_table(gen_pages(200), os.path.join(pages_path, "p.parquet"))
+    out = str(tmp_path / "index")
+    build_index(lambda columns: rd.read_parquet(pages_path,
+                                                columns=columns),
+                out, docs_per_shard=64)
+
+    def alive(ids: set[str]) -> set[str]:  # the GCS actor table
+        return {a["ActorID"] for a in ray_state.actors().values()
+                if a["State"] == "ALIVE"} & ids
+
+    eng = SearchEngine(out, num_searchers=2)
+    fp = FrontendPool(out, eng.actors, n_frontends=2)
+    assert len(fp.frontends) == 2
+    assert fp.search_stream(["running"], k=10)[0].equals(
+        eng.search("running", k=10))
+    ids = {a._actor_id.hex() for a in eng.actors}
+    assert alive(ids) == ids
+    del eng, fp
+    gc.collect()
+    deadline = time.monotonic() + 30
+    while alive(ids) and time.monotonic() < deadline:
+        time.sleep(0.5)
+    assert not alive(ids), "dropped searchers are still alive"
+
+
 def test_lru_evicts_least_recently_used():
     """The serving caches' LRU: a hit moves its key to the recent end,
     so after filling to the bound, touching key 0 and inserting one

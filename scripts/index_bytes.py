@@ -12,10 +12,15 @@ one "parquet overhead" row (footer and magic bytes: the file size less its
 column chunks). Every other file (``_vocab.bloom``, ``_SUCCESS``) counts
 under its own name. The rows sum to the directories' on-disk size, so the
 total is perfbench's ``index_bytes_per_doc`` for the same index.
+
+A line before the total sizes the vocabulary filters from their headers:
+file count, keys (the segments' row counts), bits per key and the k
+values.
 """
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
 from collections import Counter
@@ -50,6 +55,27 @@ def breakdown(index_dir: str) -> Counter:
     return out
 
 
+def filter_sizes(index_dir: str) -> tuple[int, int, int, Counter]:
+    """(files, keys, bits, files per k) of the ``_vocab.bloom`` files:
+    keys are the row counts of the segment beside each filter, bits and
+    k come from the filter's header."""
+    from search_engine_ray.state import bloom
+
+    files = keys = bits = 0
+    ks: Counter = Counter()
+    for path in glob.glob(os.path.join(index_dir, "segments", "shard=*",
+                                       "_vocab.bloom")):
+        with open(path, "rb") as f:
+            k, m_bits = bloom.header(f.read())
+        files += 1
+        bits += m_bits
+        ks[k] += 1
+        for seg_file in glob.glob(os.path.join(os.path.dirname(path),
+                                               "*.parquet")):
+            keys += pq.read_metadata(seg_file).num_rows
+    return files, keys, bits, ks
+
+
 def main(argv: list[str]) -> None:
     if len(argv) != 1:
         sys.exit(__doc__)
@@ -64,6 +90,10 @@ def main(argv: list[str]) -> None:
                                key=lambda kv: (DIRS.index(kv[0][0]),
                                                -kv[1])):
         print(f"{d:<10}{item:<20}{b:>12}{b / n_docs:>12.1f}")
+    files, keys, bits, ks = filter_sizes(index_dir)
+    k_list = ", ".join(f"k={k} x{n}" for k, n in sorted(ks.items()))
+    print(f"vocab filters: {files} files, {keys} keys, "
+          f"{bits / max(keys, 1):.2f} bits/key, {k_list}")
     total = sum(rows.values())
     print(f"{'total':<30}{total:>12}{total / n_docs:>12.4f}")
 

@@ -695,7 +695,7 @@ class VideoFrameSample:
 
 
 def _pool_concurrency(cap: int, divisor: int) -> int:
-    """Actor-pool size strictly below the node's CPU count so the pool
+    """Actor-pool size cap strictly below the node's CPU count so the pool
     can never starve its upstream synthesis/read tasks (a pool that
     reserves every CPU deadlocks the pipeline — observed at
     num_cpus=4).  Safe before ray.init: falls back to the default."""
@@ -720,7 +720,7 @@ def media_rows_for_sf(sf_dir: str) -> int:
 
 
 def media_pipeline(n: int | None = None, sf_dir: str | None = None,
-                   concurrency: int | None = None):
+                   concurrency: int | tuple[int, int] | None = None):
     """Demo pipeline over the synthetic media table: decode+resize images
     (actor pool, small batches for wide binary rows), frame-sample audio
     and video; returns (image_features, audio_frames, video_frames).
@@ -732,8 +732,9 @@ def media_pipeline(n: int | None = None, sf_dir: str | None = None,
         n = media_rows_for_sf(sf_dir) if sf_dir else 64
     if concurrency is None:
         # pure-Python codecs are CPU-bound: size the pool to the node,
-        # capped so three stages don't oversubscribe it
-        concurrency = _pool_concurrency(12, 3)
+        # capped so three stages don't oversubscribe it; start at one
+        # actor, so a one-block input starts no idle second one
+        concurrency = (1, _pool_concurrency(12, 3))
     # materialize once: the three stages fork from the same blocks
     # (object-store-resident, distributed) instead of re-synthesizing
     # the corpus per consumer
@@ -853,6 +854,6 @@ def media_audio_spectrogram(sf_dir: str | None = None,
     if n is None:
         n = media_rows_for_sf(sf_dir) if sf_dir else 64
     media = synth_media_dataset(n)
-    concurrency = _pool_concurrency(8, 2)
+    concurrency = (1, _pool_concurrency(8, 2))
     return media.map_batches(AudioSpectrogram, batch_format="pyarrow",
                              batch_size=8, concurrency=concurrency)

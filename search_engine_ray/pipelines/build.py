@@ -280,9 +280,11 @@ def _write_terms(index_dir: str) -> None:
         for r, _, files in os.walk(segments_dir) for f in files)
     if seg_bytes > TERMS_LOCAL_MAX_BYTES:
         segs = rd.read_parquet(segments_dir, columns=["term", "df"])
+        # Ray Data's dataset writer takes no store_schema
+        opts = parquet_options(TERMS_SCHEMA)
+        del opts["store_schema"]
         _atomic_write(segs.groupby("term").aggregate(
-            Sum("df", alias_name="df")), terms_path,
-            **parquet_options(TERMS_SCHEMA))
+            Sum("df", alias_name="df")), terms_path, **opts)
         return
     shards = [seg.read_parquet_dir(os.path.join(segments_dir, name),
                                    columns=["term", "df"])

@@ -36,10 +36,18 @@ encoding fitted to each column's data (``COLUMN_ENCODING``):
   4-byte length per cell, which outweighs the 1-2 byte payload of a
   df = 1 row; DELTA_LENGTH_BYTE_ARRAY packs the lengths as deltas and
   leaves the payloads contiguous for zstd;
-- everything else (``df``, ``tfs``, the block metadata, docmeta's ints,
-  ``title``) is dictionary-coded: those columns repeat values (a one-byte
-  ``tfs`` of a df = 1 row, a null block column, a common dl, the title
-  of a templated or re-crawled page).
+- docmeta's ``doc_id`` is a distinct 64-bit url hash per row: a
+  dictionary shares nothing, so it is stored PLAIN;
+- everything else (``df``, ``tfs``, the block metadata, docmeta's other
+  ints, ``title``) is dictionary-coded: those columns repeat values (a
+  one-byte ``tfs`` of a df = 1 row, a null block column, a common dl,
+  the title of a templated or re-crawled page).
+
+Footers carry no serialized Arrow schema (``store_schema=False``): the
+parquet schema already reads back every index column's type, and the
+~630-byte ``ARROW:schema`` copy was paid once per file. Ray Data's
+dataset writer has no such option, so the terms files of the
+distributed path (past ~1 GiB of segments) keep it.
 
 Parquet decodes any encoding transparently, so readers never depend on
 the policy: indexes written with pyarrow's defaults keep serving, alone
@@ -82,6 +90,7 @@ COLUMN_ENCODING = {
     "url": "DELTA_BYTE_ARRAY",
     "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
     "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY",
+    "doc_id": "PLAIN",
 }
 
 
@@ -93,6 +102,7 @@ def parquet_options(schema: pa.Schema) -> dict:
     cells is pure write-side memcpy."""
     return {
         "compression": "zstd",
+        "store_schema": False,
         "use_dictionary": [n for n in schema.names
                            if n not in COLUMN_ENCODING],
         "column_encoding": {n: COLUMN_ENCODING[n] for n in schema.names
@@ -169,9 +179,10 @@ def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
     write through ``parquet_options``: zstd, prefix-coded ``term``/``url``
     (each shares a prefix with the value before it), length-delta
     ``doc_gaps``/``pos_gaps`` (distinct varint streams, mostly 1-2 bytes,
-    where a PLAIN 4-byte length would dominate) and dictionary-coded
-    others (``df``, ``tfs``, block metadata, docmeta ints and ``title``
-    repeat values)."""
+    where a PLAIN 4-byte length would dominate), PLAIN ``doc_id``
+    (distinct hashes), dictionary-coded others (``df``, ``tfs``, block
+    metadata, docmeta's other ints and ``title`` repeat values) and no
+    Arrow schema copy in the footer."""
     dst = os.path.join(root, f"shard={s}")
     tmp = f"{dst}.{os.getpid()}.tmp"
     shutil.rmtree(tmp, ignore_errors=True)

@@ -319,7 +319,8 @@ def test_append_of_known_urls_is_a_noop(small_base, known_append):
 # every other column of an index file is dictionary-coded
 POLICY_ENCODING = {"term": "DELTA_BYTE_ARRAY", "url": "DELTA_BYTE_ARRAY",
                    "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
-                   "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY"}
+                   "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY",
+                   "doc_id": "PLAIN"}
 
 
 def index_files(idx: str) -> list[str]:
@@ -346,15 +347,25 @@ def policy_violations(idx: str) -> list:
                 want = POLICY_ENCODING.get(
                     name, None if col.physical_type == "BOOLEAN"
                     else "RLE_DICTIONARY")
-                if want and want not in col.encodings:
+                if (want and want not in col.encodings) or (
+                        name in POLICY_ENCODING
+                        and "RLE_DICTIONARY" in col.encodings):
                     bad.append((f, name, col.encodings))
     return bad
+
+
+def arrow_schema_footers(idx: str) -> list[str]:
+    """Index files whose footer holds a serialized Arrow schema."""
+    return [f for f in index_files(idx)
+            if b"ARROW:schema" in (pq.ParquetFile(f).metadata.metadata
+                                   or {})]
 
 
 def test_every_index_file_uses_the_writer_policy(small_base, sparse_append,
                                                  tmp_path):
     """Build, an append that leaves new shards empty, and
-    refresh_block_max all write through the one writer policy."""
+    refresh_block_max all write through the one writer policy, with no
+    Arrow schema copy in any footer."""
     from search_engine_ray.pipelines.append import refresh_block_max
 
     _, base, _, _ = small_base
@@ -372,6 +383,7 @@ def test_every_index_file_uses_the_writer_policy(small_base, sparse_append,
     for path in (base, idx, refreshed):
         assert any(f.endswith("terms.parquet") for f in index_files(path))
         assert policy_violations(path) == []
+        assert arrow_schema_footers(path) == []
 
 
 def rewrite_with_pyarrow_defaults(files: list[str]) -> None:

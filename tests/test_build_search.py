@@ -4,6 +4,7 @@ brute-force BM25 cross-check and resume semantics."""
 
 from __future__ import annotations
 
+import glob
 import math
 import os
 
@@ -171,6 +172,11 @@ def test_index_bytes_total_is_the_benchmark_figure(index_dir, capsys):
     assert sum(rows.values()) == size
     assert rows["segments", "term"] > 0 and rows["docmeta", "url"] > 0
     assert rows["segments", "_vocab.bloom"] > 0
+    files, keys, bits, ks = script.filter_sizes(out)
+    assert files == man["stats"]["num_shards"] == sum(ks.values())
+    assert keys == sum(pq.read_metadata(f).num_rows for f in glob.glob(
+        os.path.join(out, "segments", "shard=*", "*.parquet")))
+    assert 9 < bits / keys < 10.5 and set(ks) == {7}
     script.main([out])
     n_docs = seg.read_manifest(out)["stats"]["n_docs"]
     total = capsys.readouterr().out.splitlines()[-1].split()

@@ -257,7 +257,7 @@ def run_bench() -> dict:
     freq_t = freq_terms[0][0]
     # rare term from SHARD 0's own vocabulary (global terms can miss a
     # given shard): the least-frequent term with at least a few postings
-    sdf = sorted(zip(sh._terms.to_pylist(),
+    sdf = sorted(zip(sh.vocab(),
                      sh._table.column("df").to_pylist()),
                  key=lambda x: x[1])
     rare_t = next(t for t, d in sdf if d >= 4)

@@ -13,9 +13,12 @@ column chunks). Every other file (``_vocab.bloom``, ``_SUCCESS``) counts
 under its own name. The rows sum to the directories' on-disk size, so the
 total is perfbench's ``index_bytes_per_doc`` for the same index.
 
-A line before the total sizes the vocabulary filters from their headers:
-file count, keys (the segments' row counts), bits per key and the k
-values.
+Two lines before the total size the vocabulary: the ``vocabulary:``
+line gives the terms table's rows (the one copy of the term strings),
+the segments' rows and the bits per segment row of their ``term_id``
+key; the ``vocab filters:`` line gives the filters' file count, keys
+(the segments' row counts), bits per key and k values, from their
+headers.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ def filter_sizes(index_dir: str) -> tuple[int, int, int, Counter]:
     return files, keys, bits, ks
 
 
+def parquet_rows(index_dir: str, d: str) -> int:
+    """Rows of every parquet file under ``index_dir/d``."""
+    return sum(pq.read_metadata(f).num_rows for f in glob.glob(
+        os.path.join(index_dir, d, "**", "*.parquet"), recursive=True))
+
+
 def main(argv: list[str]) -> None:
     if len(argv) != 1:
         sys.exit(__doc__)
@@ -90,6 +99,11 @@ def main(argv: list[str]) -> None:
                                key=lambda kv: (DIRS.index(kv[0][0]),
                                                -kv[1])):
         print(f"{d:<10}{item:<20}{b:>12}{b / n_docs:>12.1f}")
+    seg_rows = parquet_rows(index_dir, "segments")
+    print(f"vocabulary: {parquet_rows(index_dir, 'terms')} terms rows, "
+          f"{seg_rows} segment rows, "
+          f"{8 * rows['segments', 'term_id'] / max(seg_rows, 1):.2f} "
+          "term_id bits/segment row")
     files, keys, bits, ks = filter_sizes(index_dir)
     k_list = ", ".join(f"k={k} x{n}" for k, n in sorted(ks.items()))
     print(f"vocab filters: {files} files, {keys} keys, "

@@ -855,5 +855,9 @@ def media_audio_spectrogram(sf_dir: str | None = None,
         n = media_rows_for_sf(sf_dir) if sf_dir else 64
     media = synth_media_dataset(n)
     concurrency = (1, _pool_concurrency(8, 2))
+    # the pool holds no CPU: on a 1-CPU node an actor holding the one CPU
+    # left the synthesis tasks feeding it unscheduled, and the dataset
+    # never finished (the join's probe pool, functions/join.py, likewise)
     return media.map_batches(AudioSpectrogram, batch_format="pyarrow",
-                             batch_size=8, concurrency=concurrency)
+                             batch_size=8, concurrency=concurrency,
+                             num_cpus=0)

@@ -10,12 +10,18 @@ from the manifest:
   set (doc_id = fnv64(url)); new pages whose fingerprint is already
   indexed are dropped — the exact version of the reference's persisted
   Bloom filter (Parser.cpp:32-34,248-252)
+- the generation's shard count comes from its distinct urls that are
+  not yet indexed, so a generation of mostly re-crawls adds no empty
+  shards it does not need
 - the fused parse → assign ids → exchange-emit pass writes docs/gen=K;
   new docs get FRESH shard ids (old_num_shards..), so the shard stage
   writes new segments/docmeta dirs and never touches old ones
-- n_docs and avgdl come from the dl scan over docs/, term df from the
-  terms stage over every shard; a generation that adds no docs changes
-  nothing
+- n_docs and avgdl come from the dl scan over docs/; the terms stage
+  folds the generation's term counts into the terms table: old terms
+  keep their term_id and add to their df, new terms take ids after the
+  largest one, in term order. The folded table is staged beside
+  ``terms/`` for the new shards' merge and replaces it only once they
+  are written. A generation that adds no docs changes nothing
 - because avgdl shifts, OLD shards' stored block-max bounds become stale:
   the manifest lists them in ``wand_stale_shards``, and searchers score
   them exhaustively until ``refresh_block_max`` recomputes their bounds.
@@ -36,33 +42,28 @@ import pyarrow.parquet as pq
 import ray
 
 from ..state import segments as seg
-from .build import (_corpus_stats, _exchange_dir_for, _fingerprint_urls,
-                    _kill, _merge_shards, _parse_emit, _spawn_merge_pool,
-                    _write_terms, dedup_pages_with_count)
+from .build import (_corpus_stats, _count_terms, _dedup_pages,
+                    _exchange_dir_for, _fingerprint_urls, _kill,
+                    _merge_shards, _parse_emit, _spawn_merge_pool,
+                    _write_terms)
 from .exchange import write_shard_dir
 
 
 def append_to_index(pages_factory, index_dir: str, *,
                     docs_per_shard: int = 4096) -> dict:
-    man = seg.read_manifest(index_dir)
-    if man is None or "terms" not in man.get("stages_done", []):
-        raise FileNotFoundError(f"no complete index at {index_dir}")
-    if man["stats"].get("posting_format") != "ordinal":
-        # never append ordinal-valued shards onto a pre-v18 index whose
-        # old shards hold raw doc fingerprints — the mix would serve
-        # wrong results with no error at append time
-        raise ValueError(
-            f"index at {index_dir} predates the ordinal posting layout "
-            "(v18); rebuild it with build_index(force=True) first")
+    # never append onto an older layout: new shards in the current one
+    # beside old ones would serve wrong results with no error
+    man = seg.read_index_manifest(index_dir)
     stats = man["stats"]
     first_shard = stats["num_shards"]
     gen = stats.get("generations", 1)
     docs_dir = os.path.join(index_dir, "docs")
 
     # cross-run dedup set: existing url fingerprints == doc ids
-    known_ref = ray.put(np.sort(pq.read_table(
+    known = np.sort(pq.read_table(
         os.path.join(index_dir, "docmeta"),
-        columns=["doc_id"]).column("doc_id").to_numpy()))
+        columns=["doc_id"]).column("doc_id").to_numpy())
+    known_ref = ray.put(known)
 
     def drop_known(t: pa.Table) -> pa.Table:
         h = _fingerprint_urls(t.column("url"))
@@ -71,22 +72,24 @@ def append_to_index(pages_factory, index_dir: str, *,
     t0 = time.time()
     # within-batch dedup first (same winner-pick rule as the base build),
     # then the cross-run drop of known urls; the shard count comes from
-    # the generation's page count, as a build's does
-    deduped, n_pages = dedup_pages_with_count(pages_factory)
-    num_shards = max(1, -(-n_pages // docs_per_shard))
+    # the generation's distinct new urls, counted in the same hash pass
+    deduped, _, n_new = _dedup_pages(pages_factory, known)
+    num_shards = max(1, -(-n_new // docs_per_shard))
     num_groups = max(1, min(num_shards, 64))
     build_id = f"append-gen{gen}-{time.time_ns()}"
     exchange_dir = _exchange_dir_for(index_dir) + f"_gen{gen}"
     gen_dir = os.path.join(docs_dir, f"gen={gen}")
     tmp = gen_dir + ".tmp"
+    terms_dir = os.path.join(index_dir, "terms")
+    staged_terms = f"{terms_dir}.gen{gen}"
     merge_pool: list = []
     try:
-        for d in (exchange_dir, tmp):
+        for d in (exchange_dir, tmp, staged_terms):
             shutil.rmtree(d, ignore_errors=True)
         os.makedirs(exchange_dir)
         merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
                                           num_shards, num_groups, build_id,
-                                          first_shard)
+                                          staged_terms, first_shard)
         _parse_emit(deduped.map_batches(drop_known, batch_format="pyarrow"),
                     exchange_dir, num_shards, num_groups,
                     first_shard).write_parquet(tmp)
@@ -94,14 +97,18 @@ def append_to_index(pages_factory, index_dir: str, *,
             return man
         shutil.rmtree(gen_dir, ignore_errors=True)
         os.replace(tmp, gen_dir)
+        _write_terms(staged_terms, _count_terms(merge_pool, num_groups),
+                     old=seg.read_parquet_dir(terms_dir))
         n_docs, avgdl = _corpus_stats(docs_dir)
         _merge_shards(index_dir, merge_pool,
                       range(first_shard, first_shard + num_shards),
                       num_groups, build_id, avgdl)
+        shutil.rmtree(terms_dir)
+        os.replace(staged_terms, terms_dir)
     finally:
         _kill(merge_pool)
-        shutil.rmtree(exchange_dir, ignore_errors=True)
-    _write_terms(index_dir)
+        for d in (exchange_dir, staged_terms):
+            shutil.rmtree(d, ignore_errors=True)
 
     # all pre-existing shards now carry stale block-max bounds (avgdl
     # moved); WAND stays off for them until refresh_block_max
@@ -122,15 +129,11 @@ def refresh_block_max(index_dir: str) -> int:
     avgdl is stale, re-enabling WAND after appends. Only rows that store
     bounds (several blocks) are recomputed; one-block rows are copied
     unchanged. Returns the number of shards refreshed."""
-    man = seg.read_manifest(index_dir)
+    # same guard as SearchEngine/append_to_index: pre-v18 postings hold
+    # raw doc fingerprints — indexing d_dls with them would die with an
+    # opaque IndexError (or silently mis-score)
+    man = seg.read_index_manifest(index_dir)
     stats = man["stats"]
-    if stats.get("posting_format") != "ordinal":
-        # same guard as SearchEngine/append_to_index: pre-v18 postings
-        # hold raw doc fingerprints — indexing d_dls with them would
-        # die with an opaque IndexError (or silently mis-score)
-        raise ValueError(
-            f"index at {index_dir} predates the ordinal posting layout "
-            "(v18); rebuild it with build_index(force=True)")
     avgdl = stats["avgdl"]
     stale = sorted(stats.get("wand_stale_shards", []))
     segments_dir = os.path.join(index_dir, "segments")
@@ -149,11 +152,11 @@ def refresh_block_max(index_dir: str) -> int:
             if bmax is None:  # one block: WAND computes its bound
                 continue
             row = {name: t.column(name)[i].as_py()
-                   for name in ("term", "df", "doc_gaps", "tfs",
+                   for name in ("term_id", "df", "doc_gaps", "tfs",
                                 "block_offs", "block_last_doc",
                                 "block_max_impact")}
             tp = seg.LazyPostings(
-                row, where=f"shard {shard} term {row['term']!r}")
+                row, where=f"shard {shard} term_id {row['term_id']}")
             # posting doc values are ordinals into the doc_id-sorted
             # docmeta — direct indexing, no searchsorted
             new_bmax[i] = seg.block_max_bounds(
@@ -162,8 +165,9 @@ def refresh_block_max(index_dir: str) -> int:
         t = t.set_column(idx, "block_max_impact",
                          pa.array(new_bmax, pa.binary()))
         # the merge writer's layout (byte-bounded row groups, which the
-        # metadata-only cold start depends on) with the vocab bloom
-        # carried over unchanged: refresh only rewrites block_max_impact
+        # metadata-only cold start depends on) with term_id and the vocab
+        # bloom carried over unchanged: refresh only rewrites
+        # block_max_impact
         extra = {}
         bloom_path = os.path.join(path, "_vocab.bloom")
         if os.path.exists(bloom_path):

@@ -13,19 +13,22 @@ Ray-Data-first rebuild of the reference ingest path (SURVEY.md §3.1):
         emitted in the same streaming pass, grouped by shard-group to
         tmpfs
       → write docs/gen=0 parquet, unsorted             [checkpoint 1]
+      → terms stage: the merge workers count each group's exchange
+        partials (one row per (term, doc) run); the driver sums the
+        ≤ 64 group counts into the global df and writes terms/ as
+        (term, df, term_id), sorted by term, term_id = row number
       → corpus stats aggregate over the docs' dl column
       → shard stage: stateful actor-pool merge workers concat+sort+encode
-        final per-shard segments (delta-gap varint + 128-doc block-max)
-        and assemble each shard's NARROW docmeta, one file per shard dir,
-        written atomically with build-id markers — per-partition resume;
-        Ray sort/groupby appear nowhere in the postings path
-      → global term stats (df): driver merge under a size threshold,
-        distributed groupby beyond
+        final per-shard segments keyed by term_id (delta-gap varint +
+        128-doc block-max) and assemble each shard's NARROW docmeta, one
+        file per shard dir, written atomically with build-id markers —
+        per-partition resume; Ray sort/groupby appear nowhere in the
+        postings path
       → manifest.json                                  [completion marker]
 
 append_to_index (pipelines/append.py) runs the same parse→emit pass,
-shard stage and terms stage for a new generation, whose shards start at
-the current shard count.
+terms stage and shard stage for a new generation, whose shards start at
+the current shard count; its counts fold into the existing terms table.
 
 Skew: the shard key bounds every segment task by docs_per_shard documents
 regardless of term skew — a head term's global posting list is the
@@ -79,9 +82,8 @@ _EMPTY_DOCMETA = pa.table({
     "english": pa.array([], pa.bool_()),
     "tld": pa.array([], pa.uint8()),
 })
-TERMS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64())])
-# the terms stage sums df in-process below this many segment bytes
-TERMS_LOCAL_MAX_BYTES = 1 << 30
+TERMS_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()),
+                          ("term_id", pa.int32())])
 
 
 def _fingerprint_urls(urls) -> np.ndarray:
@@ -98,9 +100,11 @@ def _fingerprint_urls(urls) -> np.ndarray:
 # stage helpers
 # ---------------------------------------------------------------------------
 
-def _dup_hashes_and_count(url_ds, to_hash) -> tuple[np.ndarray, int]:
-    """The url-hash pass yields BOTH the duplicate set and the page count
-    (the count used to be a separate full pass). count() here is
+def _dup_hashes_and_count(url_ds, to_hash, known: np.ndarray
+                          ) -> tuple[np.ndarray, int, int]:
+    """The url-hash pass yields the duplicate set, the page count (the
+    count used to be a separate full pass) and the number of distinct
+    url hashes outside the sorted ``known`` ones. count() here is
     metadata-only for parquet sources; it also sizes the path choice
     BEFORE anything is collected to the driver."""
     n = url_ds.count()
@@ -110,22 +114,32 @@ def _dup_hashes_and_count(url_ds, to_hash) -> tuple[np.ndarray, int]:
             batch_size=1_048_576, batch_format="numpy")]
         all_h = np.concatenate(arrs) if arrs else np.empty(0, np.int64)
         uniq, cnt = np.unique(all_h, return_counts=True)
-        return uniq[cnt > 1], n
-    counts = hash_ds.groupby("url_hash").aggregate(Count(alias_name="n"))
+        return uniq[cnt > 1], n, int((~np.isin(uniq, known)).sum())
+    counts = hash_ds.groupby("url_hash").aggregate(
+        Count(alias_name="n")).materialize()
     dup_rows = counts.map_batches(
         lambda t: t.filter(pa.compute.greater(t["n"], 1)),
         batch_format="pyarrow").take_all()
+    known_ref = ray.put(known)
+    n_new = counts.map_batches(
+        lambda t: t.filter(pa.array(~np.isin(
+            t["url_hash"].to_numpy(), ray.get(known_ref)))),
+        batch_format="pyarrow").count()
     return np.asarray([r["url_hash"] for r in dup_rows],
-                      dtype=np.int64), n
-
-
-def dedup_pages_by_url(pages_factory) -> "rd.Dataset":
-    return dedup_pages_with_count(pages_factory)[0]
+                      dtype=np.int64), n, n_new
 
 
 def dedup_pages_with_count(pages_factory) -> tuple["rd.Dataset", int]:
     """Exact, deterministic url dedup; also returns the pre-dedup page
-    count from the same hash pass.
+    count from the same hash pass."""
+    return _dedup_pages(pages_factory, np.empty(0, np.int64))[:2]
+
+
+def _dedup_pages(pages_factory, known: np.ndarray
+                 ) -> tuple["rd.Dataset", int, int]:
+    """(deduped pages, pre-dedup page count, number of distinct urls
+    whose fingerprint is not in the sorted ``known``) — all from one
+    hash pass.
 
     Phase 1 shuffles ONLY the url column (pruned read) to find duplicated
     urls — at web scale a tiny fraction. Phase 2 streams the full pages:
@@ -145,10 +159,11 @@ def dedup_pages_with_count(pages_factory) -> tuple["rd.Dataset", int]:
     # Below ~50M pages the hash array fits on the driver (8B/row): collect
     # and count with numpy instead of paying a full groupby execution; the
     # groupby path engages automatically beyond that.
-    dup_hashes, n_pages = _dup_hashes_and_count(url_ds, to_hash)
+    dup_hashes, n_pages, n_new = _dup_hashes_and_count(url_ds, to_hash,
+                                                       known)
     pages = pages_factory(None)
     if not len(dup_hashes):
-        return pages, n_pages
+        return pages, n_pages, n_new
     dup_ref = ray.put(np.sort(dup_hashes))
 
     def split(keep_dups: bool):
@@ -168,7 +183,7 @@ def dedup_pages_with_count(pages_factory) -> tuple["rd.Dataset", int]:
     flagged = (pages.map_batches(split(True), batch_format="pyarrow")
                .groupby("url").map_groups(pick_winner,
                                           batch_format="pyarrow"))
-    return uniq.union(flagged), n_pages
+    return uniq.union(flagged), n_pages, n_new
 
 
 def _assign_ids(num_shards: int, first_shard: int):
@@ -223,13 +238,15 @@ def _kill(pool: list) -> None:
 
 
 def _spawn_merge_pool(index_dir: str, exchange_dir: str, num_shards: int,
-                      num_groups: int, build_id: str,
+                      num_groups: int, build_id: str, terms_dir: str,
                       first_shard: int = 0) -> list:
     """Spawn the stateful merge actor pool EARLY so its process spin-up
     and imports overlap the map pass; avgdl is delivered at
-    merge_groups() call time. num_cpus=0: the pool idles (holding no CPU
-    slots) while the map pass runs; by the time merge_groups() calls
-    arrive the map is done and nothing competes for cores."""
+    merge_groups() call time, and the workers key segment rows by the
+    ids of ``terms_dir``, which the terms stage writes before the first
+    merge. num_cpus=0: the pool idles (holding no CPU slots) while the
+    map pass runs; by the time its calls arrive the map is done and
+    nothing competes for cores."""
     n_workers = max(1, min(
         num_groups, int(ray.cluster_resources().get("CPU", 8))))
     actor_cls = ray.remote(num_cpus=0)(_GroupMergeWorker)
@@ -237,8 +254,51 @@ def _spawn_merge_pool(index_dir: str, exchange_dir: str, num_shards: int,
                              os.path.join(index_dir, "segments"),
                              num_shards, None, build_id,
                              os.path.join(index_dir, "docmeta"),
-                             first_shard)
+                             terms_dir, first_shard)
             for _ in range(n_workers)]
+
+
+def _count_terms(merge_pool: list, num_groups: int) -> list[pa.RecordBatch]:
+    """Each exchange group's (term, df) counts, counted on the pool."""
+    return ray.get([merge_pool[g % len(merge_pool)].count_terms.remote([g])
+                    for g in range(num_groups)])
+
+
+def _write_terms(terms_dir: str, counts: list[pa.RecordBatch],
+                 old: pa.Table | None = None) -> pa.Table:
+    """Write the terms table (term, df, term_id), sorted by term, to
+    ``terms_dir`` (replaced atomically) through the index writer policy,
+    and return it. ``counts`` are (term, df) batches, summed per term.
+    Without ``old`` (a fresh build) term_id is the row number; with the
+    current table ``old``, its terms keep their ids and add their counts,
+    and new terms take ids from its largest id + 1, in term order — ids
+    are stable, so no old segment changes."""
+    import pyarrow.compute as pc
+    tabs = [pa.Table.from_batches([b]) for b in counts] + (
+        [old.select(["term", "df"])] if old is not None else [])
+    summed = pa.concat_tables(tabs).group_by("term").aggregate(
+        [("df", "sum")]).sort_by("term")
+    ids = np.arange(summed.num_rows, dtype=np.int64)
+    if old is not None and old.num_rows:
+        pos = pc.index_in(summed.column("term"),
+                          value_set=old.column("term"))
+        is_new = pos.is_null().to_numpy(zero_copy_only=False)
+        old_ids = old.column("term_id").to_numpy()
+        ids[~is_new] = old_ids[pos.fill_null(0).to_numpy()[~is_new]]
+        ids[is_new] = int(old_ids.max()) + 1 + np.arange(is_new.sum())
+    if summed.num_rows and ids.max() >= 2**31:
+        raise ValueError("vocabulary exceeds int32 term ids")
+    terms = pa.table({"term": summed.column("term"),
+                      "df": summed.column("df_sum"),
+                      "term_id": pa.array(ids, pa.int32())})
+    tmp = terms_dir + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    pq.write_table(terms, os.path.join(tmp, "terms.parquet"),
+                   **parquet_options(TERMS_SCHEMA))
+    shutil.rmtree(terms_dir, ignore_errors=True)
+    os.replace(tmp, terms_dir)
+    return terms
 
 
 def _merge_shards(index_dir: str, merge_pool: list, shards: range,
@@ -264,43 +324,6 @@ def _merge_shards(index_dir: str, merge_pool: list, shards: range,
             if not marker_ok(root, s, build_id):
                 write_shard_dir(root, s, empty, filename, build_id,
                                 row_group_size=rows)
-
-
-def _write_terms(index_dir: str) -> None:
-    """Global term stats (term, df) from every shard's segment rows,
-    which are per-term-unique within a shard, written through the index
-    writer policy. Below ~1 GiB of segment files this process reads each
-    shard's (term, df) columns (the posting columns are pruned), sums df
-    with one Arrow group_by and writes one file sorted by term; beyond
-    that, a distributed groupby."""
-    segments_dir = os.path.join(index_dir, "segments")
-    terms_path = os.path.join(index_dir, "terms")
-    seg_bytes = sum(
-        os.path.getsize(os.path.join(r, f))
-        for r, _, files in os.walk(segments_dir) for f in files)
-    if seg_bytes > TERMS_LOCAL_MAX_BYTES:
-        segs = rd.read_parquet(segments_dir, columns=["term", "df"])
-        # Ray Data's dataset writer takes no store_schema
-        opts = parquet_options(TERMS_SCHEMA)
-        del opts["store_schema"]
-        _atomic_write(segs.groupby("term").aggregate(
-            Sum("df", alias_name="df")), terms_path, **opts)
-        return
-    shards = [seg.read_parquet_dir(os.path.join(segments_dir, name),
-                                   columns=["term", "df"])
-              for name in sorted(os.listdir(segments_dir))
-              if name.startswith("shard=") and name[6:].isdigit()]
-    summed = pa.concat_tables(shards).group_by("term").aggregate(
-        [("df", "sum")])
-    terms = pa.table({"term": summed.column("term"),
-                      "df": summed.column("df_sum")}).sort_by("term")
-    tmp = terms_path + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    pq.write_table(terms, os.path.join(tmp, "terms.parquet"),
-                   **parquet_options(TERMS_SCHEMA))
-    shutil.rmtree(terms_path, ignore_errors=True)
-    os.replace(tmp, terms_path)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +356,6 @@ def _exchange_dir_for(index_dir: str) -> str:
             os.path.abspath(index_dir).encode()).hexdigest()[:12])
 
 
-def _atomic_write(ds: "rd.Dataset", out_dir: str, **kwargs) -> None:
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp, **kwargs)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.replace(tmp, out_dir)
-
-
 def build_index(pages_factory, index_dir: str, *, docs_per_shard: int = 4096,
                 force: bool = False) -> dict:
     """Build (or resume) the sharded index under ``index_dir``.
@@ -368,7 +383,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     except Exception:
         pass
 
-    cfg = {"docs_per_shard": docs_per_shard, "version": 19}
+    cfg = {"docs_per_shard": docs_per_shard, "version": 20}
     cfg_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
     os.makedirs(index_dir, exist_ok=True)
@@ -379,6 +394,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     docs_dir = os.path.join(index_dir, "docs")
     segments_dir = os.path.join(index_dir, "segments")
     docmeta_dir = os.path.join(index_dir, "docmeta")
+    terms_dir = os.path.join(index_dir, "terms")
     exchange_dir = _exchange_dir_for(index_dir)
 
     t0 = time.time()
@@ -395,7 +411,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
         # map pass below streams
         merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
                                           num_shards, num_groups,
-                                          new_build_id)
+                                          new_build_id, terms_dir)
         docs = _parse_emit(deduped, exchange_dir, num_shards, num_groups)
         # replace the WHOLE docs dir (a base build resets all generations)
         tmp_root = docs_dir + ".tmp"
@@ -414,6 +430,41 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     num_groups = max(1, min(num_shards, 64))
     build_id = man["stats"].get("docs_build_id", cfg_hash)
 
+    def ensure_pool() -> None:
+        """The exchange and a merge pool over it: a resume whose (tmpfs)
+        exchange is gone rebuilds it from the docs checkpoint."""
+        if not (_stage_done(index_dir, "exchange", cfg_hash)
+                and os.path.isdir(exchange_dir)):
+            t = time.time()
+            shutil.rmtree(exchange_dir, ignore_errors=True)
+            os.makedirs(exchange_dir, exist_ok=True)
+            docs = rd.read_parquet(
+                docs_dir, columns=["doc_id", "dl", "terms", "shard", "url",
+                                   "title", "word_count", "title_length",
+                                   "url_length", "english", "tld"])
+            writer = _PartialExchangeWriter(exchange_dir, num_shards,
+                                            num_groups, emit_meta=True)
+            # plain function → stateless tasks (no actor-pool startup;
+            # the writer's "state" is a few config values)
+            docs.map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,
+                             batch_format="pyarrow").materialize()
+            _mark_stage(index_dir, "exchange", cfg_hash,
+                        exchange_wall_s=round(time.time() - t, 3))
+        # the pool was spawned before the map pass when possible, so
+        # actor spin-up overlaps useful work
+        if not merge_pool:
+            merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
+                                              num_shards, num_groups,
+                                              build_id, terms_dir)
+
+    t2 = time.time()
+    if not _stage_done(index_dir, "terms", cfg_hash):
+        # before the shard stage: segment rows are keyed by these ids
+        ensure_pool()
+        _write_terms(terms_dir, _count_terms(merge_pool, num_groups))
+        _mark_stage(index_dir, "terms", cfg_hash,
+                    terms_wall_s=round(time.time() - t2, 3))
+
     t1 = time.time()
     if not _stage_done(index_dir, "segments", cfg_hash):
         n_docs, avgdl = _corpus_stats(docs_dir)
@@ -430,36 +481,11 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
 
         if not all(marker_ok(root, s, build_id) for s in range(num_shards)
                    for root in (segments_dir, docmeta_dir)):
-            # fallback map pass for resumes where the (tmpfs) exchange is
-            # gone but the docs checkpoint survived
-            if not (_stage_done(index_dir, "exchange", cfg_hash)
-                    and os.path.isdir(exchange_dir)):
-                shutil.rmtree(exchange_dir, ignore_errors=True)
-                os.makedirs(exchange_dir, exist_ok=True)
-                docs = rd.read_parquet(
-                    docs_dir, columns=["doc_id", "dl", "terms", "shard",
-                                       "url", "title", "word_count",
-                                       "title_length", "url_length",
-                                       "english", "tld"])
-                writer = _PartialExchangeWriter(exchange_dir, num_shards,
-                                                num_groups, emit_meta=True)
-                # plain function → stateless tasks (no actor-pool startup;
-                # the writer's "state" is a few config values)
-                docs.map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,
-                                 batch_format="pyarrow").materialize()
-                _mark_stage(index_dir, "exchange", cfg_hash,
-                            exchange_wall_s=round(time.time() - t1, 3))
-
             # reduce side: stateful actor-pool merge workers — one
             # shard-group merged+encoded per call; each worker also
-            # assembles its shards' docmeta from the meta partials. The
-            # pool was spawned before the map pass when possible, so
-            # actor spin-up overlaps useful work.
+            # assembles its shards' docmeta from the meta partials
+            ensure_pool()
             tmg = time.time()
-            if not merge_pool:
-                merge_pool[:] = _spawn_merge_pool(index_dir, exchange_dir,
-                                                  num_shards, num_groups,
-                                                  build_id)
             _merge_shards(index_dir, merge_pool, range(num_shards),
                           num_groups, build_id, avgdl)
             _mark_stage(index_dir, "segments", cfg_hash,
@@ -470,17 +496,10 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
                     avgdl=avgdl, num_groups=num_groups,
                     wand_stale_shards=[],
                     # posting doc values are per-shard dense ordinals
-                    # (v18 layout); readers/appenders refuse older
-                    # fingerprint-valued indexes instead of
-                    # misinterpreting them
-                    posting_format="ordinal",
-                    segments_wall_s=round(time.time() - t1, 3))
-    _kill(merge_pool)  # pool spawned but segments already done
-
-    t2 = time.time()
-    if not _stage_done(index_dir, "terms", cfg_hash):
-        _write_terms(index_dir)
-        _mark_stage(index_dir, "terms", cfg_hash,
-                    terms_wall_s=round(time.time() - t2, 3),
+                    # (v18) and segment rows are keyed by term id (v20);
+                    # readers and appenders refuse older indexes
+                    # (seg.read_index_manifest) instead of misreading them
+                    posting_format="ordinal", segment_key="term_id",
+                    segments_wall_s=round(time.time() - t1, 3),
                     total_wall_s=round(time.time() - t0, 3))
     return seg.read_manifest(index_dir)

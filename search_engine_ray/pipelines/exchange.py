@@ -7,12 +7,17 @@ shard-group (grp = (doc_id % num_shards) % num_groups), and written one
 file per (batch, group) under exchange/grp=G/ — the reduce side reads
 exactly its own directory, touching no other group's data.
 
-Reduce side (_GroupMergeWorker, actor pool over group ids): reads a
-group's partial runs, sorts them once by (term, shard, doc) — bounded by
-the group's share of the corpus, the explicit skew/size bound — and
-encodes final per-shard segment tables, written atomically per shard with
-build-id markers (idempotent resume at shard granularity; already-valid
-shards are skipped so their files/mtimes are untouched).
+Reduce side (_GroupMergeWorker, actor pool over group ids), in two
+calls per group. ``count_terms`` counts the partials' term column, one
+row per (term, doc) run, so the counts summed over every group are the
+global df that the terms stage writes, with each term's id, to
+``terms/`` (pipelines/build.py). ``merge_groups`` then reads a group's
+partial runs, maps each term to its id in ``terms/``, sorts them once by
+(shard, term_id, doc) — bounded by the group's share of the corpus, the
+explicit skew/size bound — and encodes final per-shard segment tables,
+written atomically per shard with build-id markers (idempotent resume at
+shard granularity; already-valid shards are skipped so their
+files/mtimes are untouched).
 
 A build writes shards 0..num_shards-1; an append writes its generation's
 shards at ``first_shard`` + (doc_id % num_shards), so every shard dir of
@@ -27,10 +32,13 @@ Every index parquet file (segments/, docmeta/, terms/) is written through
 ONE writer policy, ``parquet_options``: zstd on every column, and an
 encoding fitted to each column's data (``COLUMN_ENCODING``):
 
-- ``term`` is sorted, and ``url`` strings share their scheme and host:
-  each shares a long prefix with the value before it, and
-  DELTA_BYTE_ARRAY stores it as (shared-prefix length, suffix) instead
-  of whole;
+- ``term`` (in ``terms/``) is sorted, and ``url`` strings share their
+  scheme and host: each shares a long prefix with the value before it,
+  and DELTA_BYTE_ARRAY stores it as (shared-prefix length, suffix)
+  instead of whole;
+- ``term_id`` ascends through a segment and nearly so through
+  ``terms/``: DELTA_BINARY_PACKED stores bit-packed deltas, a few bits
+  per row;
 - ``doc_gaps`` and ``pos_gaps`` are varint byte streams, nearly all
   distinct: dictionary coding finds nothing to share, and PLAIN pays a
   4-byte length per cell, which outweighs the 1-2 byte payload of a
@@ -45,9 +53,7 @@ encoding fitted to each column's data (``COLUMN_ENCODING``):
 
 Footers carry no serialized Arrow schema (``store_schema=False``): the
 parquet schema already reads back every index column's type, and the
-~630-byte ``ARROW:schema`` copy was paid once per file. Ray Data's
-dataset writer has no such option, so the terms files of the
-distributed path (past ~1 GiB of segments) keep it.
+~630-byte ``ARROW:schema`` copy was paid once per file.
 
 Parquet decodes any encoding transparently, so readers never depend on
 the policy: indexes written with pyarrow's defaults keep serving, alone
@@ -87,6 +93,7 @@ _EXT = {"ipc": ".arrow", "parquet": ".parquet"}
 # every other column of an index file is dictionary-coded
 COLUMN_ENCODING = {
     "term": "DELTA_BYTE_ARRAY",
+    "term_id": "DELTA_BINARY_PACKED",
     "url": "DELTA_BYTE_ARRAY",
     "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
     "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY",
@@ -96,10 +103,10 @@ COLUMN_ENCODING = {
 
 def parquet_options(schema: pa.Schema) -> dict:
     """Writer keyword arguments of the index writer policy for a table of
-    ``schema``: the same for ``pq.write_table``, ``pq.ParquetWriter`` and
-    Ray Data's ``write_parquet``. Statistics are off — the readers
-    binary-search the term column themselves and min/max over MB binary
-    cells is pure write-side memcpy."""
+    ``schema``: the same for ``pq.write_table`` and ``pq.ParquetWriter``.
+    Statistics are off — the readers binary-search the key columns
+    themselves and min/max over MB binary cells is pure write-side
+    memcpy."""
     return {
         "compression": "zstd",
         "store_schema": False,
@@ -211,17 +218,20 @@ def marker_ok(root: str, s: int, marker: str) -> bool:
         return False
 
 
-def _read_partials(files: list[str]) -> pa.Table | None:
-    """Concat partial runs; IPC files read zero-copy via mmap (Arrow
-    buffers reference the mapping, which stays alive with them)."""
+def _read_partials(files: list[str],
+                   columns: list[str] | None = None) -> pa.Table | None:
+    """Concat partial runs (only ``columns`` when given); IPC files read
+    zero-copy via mmap (Arrow buffers reference the mapping, which stays
+    alive with them)."""
     if not files:
         return None
     tabs = []
     for f in files:
         if f.endswith(".arrow"):
-            tabs.append(pa.ipc.open_stream(pa.memory_map(f)).read_all())
+            t = pa.ipc.open_stream(pa.memory_map(f)).read_all()
+            tabs.append(t.select(columns) if columns else t)
         else:
-            tabs.append(pq.read_table(f))
+            tabs.append(pq.read_table(f, columns=columns))
     return pa.concat_tables(tabs, promote_options="default") \
         if len(tabs) > 1 else tabs[0]
 
@@ -309,25 +319,73 @@ class _PartialExchangeWriter:
 
 
 class _GroupMergeWorker:
-    """Stateful merge worker: merges one shard-group's partial runs into
-    final per-shard segments (encode + block-max), atomically, and
-    assembles each shard's docmeta from the map-side meta partials —
-    replacing the former docmeta Ray sort. Shard ids are global:
-    ``first_shard`` + doc_id % num_shards."""
+    """Stateful merge worker: counts one shard-group's terms
+    (``count_terms``), then merges its partial runs into final per-shard
+    segments (encode + block-max) keyed by the term ids of
+    ``terms_dir``, atomically, and assembles each shard's docmeta from
+    the map-side meta partials — replacing the former docmeta Ray sort.
+    Shard ids are global: ``first_shard`` + doc_id % num_shards."""
 
     def __init__(self, exchange_dir: str, segments_dir: str,
                  num_shards: int, avgdl: float | None, build_id: str,
-                 docmeta_dir: str, first_shard: int = 0):
+                 docmeta_dir: str, terms_dir: str, first_shard: int = 0):
         self.exchange_dir = exchange_dir
         self.segments_dir = segments_dir
         self.num_shards = num_shards
         self.avgdl = avgdl  # may arrive later via merge_groups()
         self.build_id = build_id
         self.docmeta_dir = docmeta_dir
+        self.terms_dir = terms_dir
         self.first_shard = first_shard
+        self._terms = None  # (term, term_id) of terms_dir, read once
 
     def ready(self) -> bool:
         return True
+
+    def _files(self, g: int, prefix: str) -> list[str]:
+        """Group ``g``'s partial files of one kind. An explicit extension
+        filter: a crash between write and os.replace can leave a
+        truncated *.tmp, which the readers would otherwise try to
+        parse."""
+        gdir = os.path.join(self.exchange_dir, f"grp={g}")
+        if not os.path.isdir(gdir):
+            return []
+        return [os.path.join(gdir, f) for f in sorted(os.listdir(gdir))
+                if f.startswith(prefix) and f.endswith((".parquet",
+                                                        ".arrow"))]
+
+    def count_terms(self, groups: list[int]) -> pa.RecordBatch:
+        """(term, df) over ``groups``' partial runs: each row of a
+        partial is one (term, doc) run and a doc lives in one shard, so
+        a term's row count is its df summed over the groups' shards. A
+        RecordBatch, not a Table: Ray pickles a Table through a reducer
+        that imports pandas (~0.6 s per worker on one CPU)."""
+        import pyarrow.compute as pc
+        files = [f for g in groups for f in self._files(int(g), "part_")]
+        part = _read_partials(files, columns=["term"])
+        if part is None or not part.num_rows:
+            return pa.RecordBatch.from_arrays(
+                [pa.array([], pa.string()), pa.array([], pa.int64())],
+                ["term", "df"])
+        vc = pc.value_counts(part.column("term"))
+        return pa.RecordBatch.from_arrays(
+            [vc.field("values"), vc.field("counts")], ["term", "df"])
+
+    def _term_ids(self, strings: pa.Array) -> np.ndarray:
+        """term_id of each of the distinct ``strings``, from the terms
+        table (read once per worker); every term must be in it."""
+        import pyarrow.compute as pc
+        if self._terms is None:
+            t = seg.read_parquet_dir(self.terms_dir,
+                                     columns=["term", "term_id"])
+            self._terms = (t.column("term").combine_chunks(),
+                           t.column("term_id").to_numpy())
+        pos = pc.index_in(strings, value_set=self._terms[0])
+        if pos.null_count:
+            raise RuntimeError(
+                f"{pos.null_count} terms of the exchange missing from "
+                f"{self.terms_dir}")
+        return self._terms[1][pos.to_numpy()].astype(np.int64)
 
     def merge_groups(self, groups: list[int], avgdl: float | None = None
                      ) -> int:
@@ -370,19 +428,8 @@ class _GroupMergeWorker:
         out_shard, out_terms = [], []
         for g in batch.column("grp").to_pylist():
             g = int(g)
-            gdir = os.path.join(self.exchange_dir, f"grp={g}")
-            if not os.path.isdir(gdir):
-                continue
-            # explicit extension filter: a crash between write and
-            # os.replace can leave a truncated *.tmp, which the readers
-            # would otherwise try to parse
-            names = sorted(os.listdir(gdir))
-            exts = (".parquet", ".arrow")
-            files = [os.path.join(gdir, f) for f in names
-                     if f.endswith(exts) and f.startswith("part_")]
-            meta_files = [os.path.join(gdir, f) for f in names
-                          if f.endswith(exts) and f.startswith("meta_")]
-            meta = _read_partials(meta_files)
+            files = self._files(g, "part_")
+            meta = _read_partials(self._files(g, "meta_"))
             if meta is not None:
                 self._emit_docmeta(meta)
             # per-shard doc universe (sorted unique doc ids, keyed by
@@ -409,11 +456,12 @@ class _GroupMergeWorker:
             part = _read_partials(files)
             if part.num_rows == 0:
                 continue
-            terms_arr = part.column("term")
-            codes_a = terms_arr.combine_chunks().dictionary_encode()
-            codes = codes_a.indices.to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            vocab = np.asarray(codes_a.dictionary.to_pylist(), dtype=object)
+            codes_a = part.column("term").combine_chunks() \
+                .dictionary_encode()
+            vocab = codes_a.dictionary
+            codes = codes_a.indices.to_numpy(zero_copy_only=False)
+            # each run's term id; the strings stay only for the bloom
+            tids = self._term_ids(vocab)[codes]
             docs = part.column("doc_id").to_numpy(zero_copy_only=False)
             tfs = part.column("tf").to_numpy(zero_copy_only=False).astype(
                 np.int64)
@@ -421,7 +469,7 @@ class _GroupMergeWorker:
                 np.int64)
             shards = part.column("shard").to_numpy(zero_copy_only=False)
 
-            order = np.lexsort((docs, codes, shards))
+            order = np.lexsort((docs, tids, shards))
             # reorder the pos binary column ONCE; per-run blobs are then
             # contiguous (offset, data) buffer slices — no python bytes
             # large_binary (int64 offsets) so a merge group whose
@@ -438,13 +486,14 @@ class _GroupMergeWorker:
                         if _pd_buf is not None
                         else np.empty(0, dtype=np.uint8))
             codes = codes[order]
+            tids = tids[order]
             docs_s = docs[order]
             tfs_s = tfs[order]
             dls_s = dls[order]
             shards_s = shards[order]
 
             # map doc ids → per-shard dense ordinals (monotone within a
-            # shard, so the (shard, term, doc) sort order is preserved)
+            # shard, so the (shard, term_id, doc) sort order is preserved)
             ords = np.empty(len(docs_s), dtype=np.int64)
             sh_u, sh_starts = np.unique(shards_s, return_index=True)
             sh_bounds = np.append(sh_starts, len(shards_s))
@@ -464,12 +513,12 @@ class _GroupMergeWorker:
             docs_s = ords
 
             # (shard, term) run boundaries
-            change = np.empty(len(codes), dtype=bool)
+            change = np.empty(len(tids), dtype=bool)
             change[0] = True
             change[1:] = ((shards_s[1:] != shards_s[:-1])
-                          | (codes[1:] != codes[:-1]))
+                          | (tids[1:] != tids[:-1]))
             rstarts = np.nonzero(change)[0]
-            rbounds = np.append(rstarts, len(codes))
+            rbounds = np.append(rstarts, len(tids))
 
             # vectorized per-group encoding: ONE varint stream per column
             # with per-row byte offsets, so each posting list is a bytes
@@ -477,7 +526,7 @@ class _GroupMergeWorker:
             # loop was ~0.5 s/group at 350k rows)
             from ..stages.emit import _varint_stream_with_offsets
 
-            n_rows = len(codes)
+            n_rows = len(tids)
             ds64 = docs_s.astype(np.uint64)
             deltas = np.empty(n_rows, np.uint64)
             deltas[0] = ds64[0]
@@ -496,10 +545,12 @@ class _GroupMergeWorker:
                     continue
                 n = hi - lo
                 r = per_shard.setdefault(sh, {
-                    "term": [], "df": [], "doc_gaps": [],
+                    "term_id": [], "df": [], "doc_gaps": [],
                     "tfs": [], "pos_gaps": [], "block_last_doc": [],
-                    "block_max_impact": [], "block_offs": []})
-                r["term"].append(vocab[codes[lo]])
+                    "block_max_impact": [], "block_offs": [],
+                    "code": []})
+                r["term_id"].append(tids[lo])
+                r["code"].append(codes[lo])
                 r["df"].append(n)
                 r["doc_gaps"].append(doc_stream[doc_offs[lo]:doc_offs[hi]])
                 r["tfs"].append(tf_stream[tf_offs[lo]:tf_offs[hi]])
@@ -529,38 +580,28 @@ class _GroupMergeWorker:
                                     self.avgdl)))
 
             for sh, r in per_shard.items():
-                # rows arrive sorted by term code; re-sort by term string
-                # for deterministic, binary-searchable segment files
-                t_order = np.argsort(np.asarray(r["term"], dtype=object))
+                # rows arrive sorted by term id: the segment's key, which
+                # readers binary-search
                 tab = pa.table({
-                    "term": pa.array(
-                        [r["term"][i] for i in t_order], pa.string()),
-                    "df": pa.array(
-                        [r["df"][i] for i in t_order], pa.int64()),
-                    "doc_gaps": pa.array(
-                        [r["doc_gaps"][i] for i in t_order], pa.binary()),
-                    "tfs": pa.array(
-                        [r["tfs"][i] for i in t_order], pa.binary()),
-                    "pos_gaps": pa.array(
-                        [r["pos_gaps"][i] for i in t_order], pa.binary()),
-                    "block_last_doc": pa.array(
-                        [r["block_last_doc"][i] for i in t_order],
-                        pa.binary()),
-                    "block_max_impact": pa.array(
-                        [r["block_max_impact"][i] for i in t_order],
-                        pa.binary()),
-                    "block_offs": pa.array(
-                        [r["block_offs"][i] for i in t_order],
-                        pa.binary()),
+                    "term_id": pa.array(r["term_id"], pa.int32()),
+                    "df": pa.array(r["df"], pa.int64()),
+                    "doc_gaps": pa.array(r["doc_gaps"], pa.binary()),
+                    "tfs": pa.array(r["tfs"], pa.binary()),
+                    "pos_gaps": pa.array(r["pos_gaps"], pa.binary()),
+                    "block_last_doc": pa.array(r["block_last_doc"],
+                                               pa.binary()),
+                    "block_max_impact": pa.array(r["block_max_impact"],
+                                                 pa.binary()),
+                    "block_offs": pa.array(r["block_offs"], pa.binary()),
                 })
-                # vocab bloom alongside the segment (atomic with it):
-                # the engine prunes query fan-out with it — an actor
-                # whose shards can't contain any plan term is never
-                # RPC'd (state/bloom.py)
+                # vocab bloom over the shard's term strings, alongside
+                # the segment (atomic with it): the engine prunes query
+                # fan-out with it — an actor whose shards can't contain
+                # any plan term is never RPC'd (state/bloom.py)
                 write_shard_dir(
                     self.segments_dir, sh, tab, "segment.parquet",
                     self.build_id, extra_files={"_vocab.bloom": bloom.build(
-                        tab.column("term"))})
+                        vocab.take(pa.array(r["code"], pa.int64())))})
                 out_shard.append(sh)
                 out_terms.append(tab.num_rows)
         return pa.table({

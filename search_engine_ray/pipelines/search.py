@@ -10,7 +10,9 @@ Scoring is BM25 (k1=1.2, b=0.75 — documented choice; the reference defines
 no BM25 constants, SURVEY.md preamble) with Lucene-style idf
 ln(1 + (N - df + 0.5)/(df + 0.5)). Global df/N/avgdl come from the build
 manifest + terms table; idf is computed on the driver and shipped with the
-query, so actors never need the global vocabulary.
+query, so actors never need the global df. A searcher reads only the
+terms table's strings and ids (``Vocabulary``), once, to find a term's
+segment rows, which are keyed by term id.
 
 Boolean semantics (engine mode):
 - AND/OR/SynOr → sorted-array intersection/union (J6, I3-I5)
@@ -34,6 +36,7 @@ tests/test_serving_imports.py).
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import weakref
@@ -201,6 +204,40 @@ def _topk_tie_aware(docs: np.ndarray, scores: np.ndarray, k: int
     return top[np.lexsort((docs[top], -scores[top]))][:k]
 
 
+class Vocabulary:
+    """The index's terms table in a form a lookup can search: the byte-
+    sorted ``term`` strings under one SortedStrings, and each row's
+    ``term_id``, the key of the term's segment rows. Read once per
+    searcher and shared by its shards; the table is immutable until an
+    append or a rebuild replaces it, after which a new Vocabulary reads
+    the new one."""
+
+    __slots__ = ("_terms", "_index", "_ids", "_rows")
+
+    def __init__(self, index_dir: str):
+        t = seg.read_parquet_dir(os.path.join(index_dir, "terms"),
+                                 columns=["term", "term_id"])
+        self._terms = t.column("term").combine_chunks()
+        self._index = SortedStrings(self._terms)
+        # memoryview: indexing it yields an int ~4× faster than numpy
+        self._ids = memoryview(arrowbuf.view(t.column("term_id"), np.int32))
+        self._rows = None  # term_id → row, built on first strings()
+
+    def term_id(self, term: str) -> int | None:
+        """The term's id, or None when no shard holds it."""
+        i = self._index.find(term.encode())
+        return None if i is None else self._ids[i]
+
+    def strings(self, ids: np.ndarray) -> list[str]:
+        """The term of each id (testing and diagnostics)."""
+        if self._rows is None:
+            ids_np = np.asarray(self._ids)
+            self._rows = np.empty(int(ids_np.max(initial=-1)) + 1,
+                                  dtype=np.int64)
+            self._rows[ids_np] = np.arange(len(ids_np))
+        return [self._terms[int(r)].as_py() for r in self._rows[ids]]
+
+
 class ShardIndex:
     """One document shard: block-lazy posting lists + doc attributes.
 
@@ -217,6 +254,12 @@ class ShardIndex:
     unchanged; dense scoring indexes the docmeta arrays directly, and
     results map back to real doc ids only at output time.
 
+    Segment rows are keyed by ``term_id`` and sorted by it; the strings
+    live once, in the index's terms table (``Vocabulary``), which a
+    searcher reads once and hands to each of its shards as ``vocab``. A
+    shard opened without one reads its own. A lookup is one string
+    search in the vocabulary and one integer search in the shard.
+
     A one-block row (df ≤ 128) stores null block metadata: its view
     takes its last doc and its WAND bound from its decode
     (seg.LazyPostings). Null metadata on a longer row raises, naming
@@ -232,7 +275,8 @@ class ShardIndex:
     # segment columns read at open (heavy ones page in per row group)
     _LIGHT = ("df", "block_last_doc", "block_max_impact", "block_offs")
 
-    def __init__(self, index_dir: str, shard: int, wand_ok: bool = True):
+    def __init__(self, index_dir: str, shard: int, wand_ok: bool = True,
+                 vocab: Vocabulary | None = None):
         # wand_ok=False when this shard's block-max bounds were computed
         # with a stale avgdl (after append_to_index, before
         # refresh_block_max) — exact exhaustive scoring is used instead
@@ -242,7 +286,7 @@ class ShardIndex:
         doc_path = os.path.join(index_dir, "docmeta", f"shard={shard}")
         # COLD-START IS METADATA-ONLY: posting/position byte columns are
         # ~96% of a segment's size but only touched terms ever need
-        # them, so init reads just the light columns (term, df, block
+        # them, so init reads just the light columns (term_id, df, block
         # metadata — null on one-block rows; measured 90× cheaper) and
         # heavy cells page in PER ROW GROUP on first touch (segments are
         # written with 512-row groups, pipelines/exchange.py). At 100 TB
@@ -250,12 +294,11 @@ class ShardIndex:
         # resident set tracks the queried vocabulary, not the corpus.
         self._rg_cache = LRU(256)
         self._seg_pf, self._rg_starts = self._open_lazy(seg_path)
-        t = self._seg_pf.read(columns=list(self._LIGHT) + ["term"])
-        # segment rows are written term-sorted: lookups binary-search the
-        # Arrow column directly (O(log n) probes, cached) instead of
-        # materializing a python dict of every term at actor startup.
-        self._terms = t.column("term").combine_chunks()
-        self._term_index = SortedStrings(self._terms)
+        t = self._seg_pf.read(columns=list(self._LIGHT) + ["term_id"])
+        # segment rows are written sorted by term id; bisect over a
+        # memoryview costs a tenth of a scalar np.searchsorted call
+        self._term_ids = memoryview(arrowbuf.view(t.column("term_id"),
+                                                  np.int32))
         self._table = t
         self._postings = LRU(1024)
         self._phrase_cache = LRU(512)  # the index is immutable
@@ -268,6 +311,7 @@ class ShardIndex:
         self.doc_ids = doc_ids[order]
         self.dls = arrowbuf.view(d.column("dl"), np.int32)[order]
         self._doc_order = order  # ordinal → on-disk row
+        self._vocab = vocab if vocab is not None else Vocabulary(index_dir)
 
     @staticmethod
     def _open_lazy(dirpath: str):
@@ -300,11 +344,16 @@ class ShardIndex:
         return arr[i - int(self._rg_starts[g])].as_py()
 
     def vocab(self) -> list[str]:
-        """All terms in this shard (testing/diagnostics)."""
-        return self._terms.to_pylist()
+        """All terms in this shard, in row order (testing/diagnostics)."""
+        return self._vocab.strings(np.asarray(self._term_ids))
 
     def _find_row(self, term: str) -> int | None:
-        return self._term_index.find(term.encode())
+        tid = self._vocab.term_id(term)
+        if tid is None:
+            return None
+        i = bisect.bisect_left(self._term_ids, tid)
+        return i if i < len(self._term_ids) and self._term_ids[i] == tid \
+            else None
 
     def lookup(self, term: str, positions: bool = False
                ) -> "seg.LazyPostings | None":
@@ -863,8 +912,10 @@ class SegmentSearcher:
     def __init__(self, index_dir: str, shards: list[int],
                  wand_ok_shards: set[int] | None = None):
         ok = wand_ok_shards
+        vocab = Vocabulary(index_dir)  # one copy for every shard here
         self.shards = [ShardIndex(index_dir, s,
-                                  wand_ok=(ok is None or s in ok))
+                                  wand_ok=(ok is None or s in ok),
+                                  vocab=vocab)
                        for s in shards]
         self._front: SearchEngine | None = None
 
@@ -954,16 +1005,10 @@ class SearchEngine:
                  actors: list | None = None,
                  profile: str = "latency",
                  actor_shards: list[list[int]] | None = None):
-        man = seg.read_manifest(index_dir)
-        if man is None or "terms" not in man.get("stages_done", []):
-            raise FileNotFoundError(f"no complete index at {index_dir}")
-        if man["stats"].get("posting_format") != "ordinal":
-            # pre-v18 indexes store raw 63-bit doc fingerprints in the
-            # posting lists; interpreting them as dense ordinals would
-            # IndexError (or worse, mis-score) at query time — fail loud
-            raise ValueError(
-                f"index at {index_dir} predates the ordinal posting "
-                "layout (v18); rebuild it with build_index(force=True)")
+        # an older layout (raw doc fingerprints in the postings before
+        # v18, term-string segment keys before v20) would mis-score or
+        # miss terms at query time — fail loud
+        man = seg.read_index_manifest(index_dir)
         self.n_docs = man["stats"]["n_docs"]
         self.avgdl = man["stats"]["avgdl"]
         num_shards = man["stats"]["num_shards"]

@@ -5,10 +5,20 @@ Layout under ``index_dir``::
     manifest.json                 corpus stats, config, completed stages
     docmeta/shard=N/*.parquet     per-doc attributes (url, title, dl, ...)
     segments/shard=N/*.parquet    per-(shard, term) posting lists
+    terms/terms.parquet           the vocabulary: (term, df, term_id),
+                                  sorted by term
 
-A segment row is one term's postings within one document shard:
+The term strings live only in ``terms/``. Its ``term_id`` (int32) is a
+term's key in every segment: a fresh build numbers the sorted terms
+0, 1, ...; an append keeps every old term's id and numbers its new terms
+from the largest id + 1, in term order, so no old shard is rewritten.
+A reader finds a term's row by one string search in the vocabulary and
+one integer search in the shard.
 
-    shard:i32  term:str  df:i64
+A segment row is one term's postings within one document shard, and a
+shard's rows are sorted by term_id:
+
+    shard:i32  term_id:i32  df:i64
     doc_gaps:binary       varint delta-gaps of sorted doc_ids (abs first)
     tfs:binary            varint term frequencies, one per doc
     pos_gaps:binary       varint within-doc position gaps, concatenated in
@@ -46,6 +56,12 @@ bounds every group by the shard's doc count, which is the salt that keeps
 head-term skew out of the shuffle (SURVEY.md §4.3): a term's global posting
 list is the order-preserving concatenation of its per-shard lists because
 shards partition the doc-id space.
+
+An index whose manifest lacks ``segment_key: "term_id"`` keys its
+segment rows by term string (before v20), and one without
+``posting_format: "ordinal"`` stores raw doc fingerprints in its
+postings (before v18); ``read_index_manifest`` refuses both, loudly,
+rather than misread them.
 """
 
 from __future__ import annotations
@@ -66,7 +82,7 @@ B = 0.75
 
 SEGMENT_SCHEMA = pa.schema([
     ("shard", pa.int32()),
-    ("term", pa.string()),
+    ("term_id", pa.int32()),
     ("df", pa.int64()),
     ("doc_gaps", pa.binary()),
     ("tfs", pa.binary()),
@@ -325,6 +341,26 @@ class LazyPostings:
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
+
+def read_index_manifest(index_dir: str) -> dict:
+    """The manifest of a complete index in the current layout: postings
+    hold per-shard ordinals (v18) and segment rows are keyed by term id
+    (v20). FileNotFoundError when the build has not finished; ValueError
+    for an older layout, whose reading would mis-score or miss terms
+    without an error."""
+    man = read_manifest(index_dir)
+    if man is None or not {"terms", "segments"} <= set(
+            man.get("stages_done", [])):
+        raise FileNotFoundError(f"no complete index at {index_dir}")
+    for key, value, layout in (
+            ("posting_format", "ordinal", "ordinal posting layout (v18)"),
+            ("segment_key", "term_id", "term-id segment layout (v20)")):
+        if man["stats"].get(key) != value:
+            raise ValueError(
+                f"index at {index_dir} predates the {layout}; rebuild it "
+                "with build_index(force=True)")
+    return man
+
 
 def write_manifest(index_dir: str, payload: dict) -> None:
     payload = dict(payload)

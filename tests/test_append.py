@@ -1,10 +1,13 @@
 """Incremental append: add a second generation of pages to a built index
 without touching existing shards; search correctness over the union corpus
 (brute-force cross-check); WAND re-enabled after refresh_block_max; the
-merge pool gone when append returns; empty new shards and all-known
-generations; one parquet file per shard dir; every index file written
-through the one parquet writer policy, while an index in pyarrow's
-default layout still serves and appends."""
+merge pool gone when append returns; new shards sized by the generation's
+new urls, empty ones included, and all-known generations; one parquet
+file per shard dir; every index file written through the one parquet
+writer policy, while an index in pyarrow's default layout still serves
+and appends; segment rows keyed by stable term ids after a build, an
+append and a refresh; no stale vocabulary within one process; and an
+index in the term-string layout refused by every entry point."""
 
 from __future__ import annotations
 
@@ -22,7 +25,8 @@ import pytest
 from search_engine_ray.kernels.textutils import fnv1a_64
 from search_engine_ray.sources.fixtures import gen_pages
 from search_engine_ray.state import segments as seg
-from tests.test_build_search import brute_force_docs
+from tests.test_build_search import (brute_force_docs, check_id_layout,
+                                     segment_terms)
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +204,13 @@ def test_split_shard_dir_raises(appended, tmp_path, root):
 
 @pytest.fixture(scope="module")
 def small_base(ray_session, tmp_path_factory):
-    """A small base index plus two page sets to append to copies of it:
-    "sparse" (one new doc and two known urls) and "known" (known urls
-    only)."""
+    """A small base index plus page sets to append to copies of it:
+    "sparse" (one new doc and two known urls), "pair" (two new docs whose
+    url fingerprints share a residue mod 2, and a known url), "known"
+    (known urls only) and "more" (40 new pages)."""
     import ray.data as rd
 
+    from search_engine_ray.kernels.stemmer import stem
     from search_engine_ray.pipelines.build import build_index
 
     root = tmp_path_factory.mktemp("small_append")
@@ -219,7 +225,19 @@ def small_base(ray_session, tmp_path_factory):
     urls = more.column("url").to_pylist()
     sparse = pa.concat_tables([more.slice(urls.index(new_url), 1),
                                base.slice(0, 2)])
-    for name, t in (("sparse", sparse), ("known", base.slice(0, 5))):
+    new_urls = [u for u, terms in brute_force_docs(str(root / "more")).items()
+                if u not in base_docs
+                and any(not t.startswith("@") and stem(t) == t
+                        for t in terms)]
+    # doc_id = fnv1a_64(url) >> 1, and a new doc's shard is doc_id % 2
+    # past the old ones when the generation has two new shards
+    odd = [(fnv1a_64(u.encode()) >> 1) % 2 for u in new_urls]
+    pair_urls = [u for u, o in zip(new_urls, odd) if o == odd[0]][:2]
+    known = base.column("url").to_pylist().index(next(iter(base_docs)))
+    pair = pa.concat_tables([more.slice(urls.index(u), 1)
+                             for u in pair_urls] + [base.slice(known, 1)])
+    for name, t in (("sparse", sparse), ("known", base.slice(0, 5)),
+                    ("pair", pair)):
         os.makedirs(root / name)
         pq.write_table(t, str(root / name / "p.parquet"))
     out = str(root / "base_index")
@@ -262,37 +280,72 @@ def known_append(small_base):
     return _append_copy(small_base, "known")
 
 
+@pytest.fixture(scope="module")
+def pair_append(small_base):
+    return _append_copy(small_base, "pair")
+
+
 def test_append_returns_with_its_cpus_free(sparse_append):
     """The merge pool is gone when append returns: a task that needs
     every CPU starts at once."""
     assert sparse_append[2] < 5.0
 
 
-def test_append_with_empty_new_shards_serves(small_base, sparse_append):
-    """One new doc over three new shards: the two empty ones still get a
-    segment and a docmeta, and the index serves like a brute force."""
+def _serves_like_brute_force(idx: str, docs: dict, new_urls: list[str]
+                             ) -> None:
+    """Queries on a word of each new doc, and on old words, answer as a
+    brute force over ``docs`` does, and find every new doc."""
     from search_engine_ray.kernels.stemmer import stem
     from search_engine_ray.pipelines.search import SearchEngine
 
+    eng = SearchEngine(idx, num_searchers=2, use_synonyms=False)
+    try:
+        for url in new_urls:
+            new_word = next(t for t in docs[url]
+                            if not t.startswith("@") and stem(t) == t)
+            for query in [new_word, "running", "word1 | word2",
+                          f"{new_word} | running"]:
+                got = eng.search(query, k=10).column("url").to_pylist()
+                assert got == brute_force_urls(docs, query, 10), query
+            assert url in eng.search(new_word, k=50).column(
+                "url").to_pylist()
+    finally:
+        eng.close()
+
+
+def test_append_with_empty_new_shards_serves(small_base, sparse_append):
+    """One new doc and two known urls: the generation is sized by its one
+    new url, so it adds one shard, and the index serves like a brute
+    force."""
     root, base, base_docs, new_url = small_base
     idx, man, _ = sparse_append
     man0 = seg.read_manifest(base)
-    assert man["stats"]["num_shards"] == man0["stats"]["num_shards"] + 3
+    assert man["stats"]["num_shards"] == man0["stats"]["num_shards"] + 1
     assert man["stats"]["n_docs"] == man0["stats"]["n_docs"] + 1
     docs = dict(base_docs)
     docs[new_url] = brute_force_docs(str(root / "sparse"))[new_url]
-    new_word = next(t for t in docs[new_url]
-                    if not t.startswith("@") and stem(t) == t)
-    eng = SearchEngine(idx, num_searchers=2, use_synonyms=False)
-    try:
-        for query in [new_word, "running", "word1 | word2",
-                      f"{new_word} | running"]:
-            got = eng.search(query, k=10).column("url").to_pylist()
-            assert got == brute_force_urls(docs, query, 10), query
-        assert new_url in eng.search(new_word, k=50).column(
-            "url").to_pylist()
-    finally:
-        eng.close()
+    _serves_like_brute_force(idx, docs, [new_url])
+
+
+def test_append_backfills_an_empty_new_shard(small_base, pair_append):
+    """Two new docs whose fingerprints share a residue mod 2, and a known
+    url: two new shards, one holding both docs and the other empty, which
+    still gets a segment and a docmeta; the index serves like a brute
+    force."""
+    root, base, base_docs, _ = small_base
+    idx, man, _ = pair_append
+    n0 = seg.read_manifest(base)["stats"]["num_shards"]
+    assert man["stats"]["num_shards"] == n0 + 2
+    new = {u: t for u, t in brute_force_docs(str(root / "pair")).items()
+           if u not in base_docs}
+    assert len(new) == 2
+    assert man["stats"]["n_docs"] == len(base_docs) + 2
+    for d, name in (("docmeta", "docmeta.parquet"),
+                    ("segments", "segment.parquet")):
+        rows = sorted(pq.read_metadata(os.path.join(
+            idx, d, f"shard={s}", name)).num_rows for s in (n0, n0 + 1))
+        assert rows[0] == 0 < rows[1], (d, rows)
+    _serves_like_brute_force(idx, {**base_docs, **new}, sorted(new))
 
 
 def test_append_of_known_urls_is_a_noop(small_base, known_append):
@@ -318,6 +371,7 @@ def test_append_of_known_urls_is_a_noop(small_base, known_append):
 # the index writer policy (pipelines/exchange.py), pinned here on its own:
 # every other column of an index file is dictionary-coded
 POLICY_ENCODING = {"term": "DELTA_BYTE_ARRAY", "url": "DELTA_BYTE_ARRAY",
+                   "term_id": "DELTA_BINARY_PACKED",
                    "doc_gaps": "DELTA_LENGTH_BYTE_ARRAY",
                    "pos_gaps": "DELTA_LENGTH_BYTE_ARRAY",
                    "doc_id": "PLAIN"}
@@ -361,15 +415,15 @@ def arrow_schema_footers(idx: str) -> list[str]:
                                    or {})]
 
 
-def test_every_index_file_uses_the_writer_policy(small_base, sparse_append,
+def test_every_index_file_uses_the_writer_policy(small_base, pair_append,
                                                  tmp_path):
-    """Build, an append that leaves new shards empty, and
+    """Build, an append that leaves a new shard empty, and
     refresh_block_max all write through the one writer policy, with no
     Arrow schema copy in any footer."""
     from search_engine_ray.pipelines.append import refresh_block_max
 
     _, base, _, _ = small_base
-    idx, man, _ = sparse_append
+    idx, man, _ = pair_append
     refreshed = str(tmp_path / "refreshed")
     shutil.copytree(idx, refreshed)
     stale = man["stats"]["wand_stale_shards"]
@@ -442,23 +496,169 @@ def test_default_layout_index_serves_and_appends(small_base, tmp_path,
             assert a.equals(b), q
 
 
-def test_distributed_terms_stage_matches_local(small_base, tmp_path,
-                                                monkeypatch):
-    """The terms stage's distributed path (taken above ~1 GiB of
-    segments) writes the in-process path's (term, df) rows through the same
-    writer policy."""
-    from search_engine_ray.pipelines import build
+@pytest.fixture(scope="module")
+def more_append(small_base, tmp_path_factory):
+    """A copy of the small base index with the "more" pages appended."""
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.append import append_to_index
+
+    root, base, _, _ = small_base
+    idx = str(tmp_path_factory.mktemp("more_append") / "index")
+    shutil.copytree(base, idx)
+    append_to_index(lambda columns: rd.read_parquet(
+        str(root / "more"), columns=columns), idx, docs_per_shard=32)
+    return idx
+
+
+def _term_ids(idx: str) -> dict:
+    t = seg.read_parquet_dir(os.path.join(idx, "terms"))
+    assert t.column("term").to_pylist() == sorted(
+        t.column("term").to_pylist())
+    return dict(zip(t.column("term").to_pylist(),
+                    t.column("term_id").to_pylist()))
+
+
+def test_term_ids_after_build_append_and_refresh(small_base, more_append,
+                                                 tmp_path):
+    """After the build, after an append that adds new terms and after
+    refresh_block_max, segments are keyed by term id alone
+    (check_id_layout); the append keeps every old term's id and numbers
+    the new terms after the largest one in term order; refresh leaves
+    every term_id as it was."""
+    from search_engine_ray.pipelines.append import refresh_block_max
 
     _, base, _, _ = small_base
+    check_id_layout(base)
+    check_id_layout(more_append)
+    old, grown = _term_ids(base), _term_ids(more_append)
+    assert {t: grown[t] for t in old} == old
+    new = sorted(set(grown) - set(old))
+    assert new, "the appended pages must bring new terms"
+    top = max(old.values())
+    assert [grown[t] for t in new] == list(range(top + 1,
+                                                 top + 1 + len(new)))
+    refreshed = str(tmp_path / "refreshed")
+    shutil.copytree(more_append, refreshed)
+    assert refresh_block_max(refreshed) > 0
+    check_id_layout(refreshed)
+    for f in glob.glob(os.path.join(more_append, "segments", "shard=*",
+                                    "*.parquet")):
+        g = f.replace(more_append, refreshed)
+        assert pq.read_table(g, columns=["term_id"]).equals(
+            pq.read_table(f, columns=["term_id"])), f
+
+
+def test_pool_counted_terms_match_the_segments(small_base, more_append):
+    """The terms table the merge pool's counts build (one row per term:
+    its df summed over the exchange runs) equals a count over the written
+    segments, after a build and after an append, and is written through
+    the writer policy."""
+    _, base, _, _ = small_base
+    for idx in (base, more_append):
+        df: dict = {}
+        for d in glob.glob(os.path.join(idx, "segments", "shard=*")):
+            counts = pq.read_table(d, columns=["df"]).column("df")
+            for term, n in zip(segment_terms(d), counts.to_pylist()):
+                df[term] = df.get(term, 0) + n
+        got = seg.read_parquet_dir(os.path.join(idx, "terms"))
+        assert dict(zip(got.column("term").to_pylist(),
+                        got.column("df").to_pylist())) == df
+        assert policy_violations(idx) == []
+
+
+def _finds_every_term(idx: str, shard: int) -> None:
+    """A ShardIndex opened now on ``shard`` finds each of its segment's
+    terms, at that term's own row."""
+    from search_engine_ray.pipelines.search import ShardIndex
+
+    d = os.path.join(idx, "segments", f"shard={shard}")
+    terms = segment_terms(d)
+    assert terms, d
+    sh = ShardIndex(idx, shard)
+    dfs = pq.read_table(d, columns=["df"]).column("df").to_pylist()
+    assert [sh.lookup(t).df for t in terms] == dfs
+
+
+def test_no_stale_vocabulary_in_one_process(small_base, tmp_path):
+    """Shards opened in this process before an append, and after it, and
+    after a force rebuild at the same path with another corpus, each
+    read the vocabulary the index holds when they open."""
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.append import append_to_index
+    from search_engine_ray.pipelines.build import build_index
+    from search_engine_ray.pipelines.search import ShardIndex
+
+    root, base, _, _ = small_base
     idx = str(tmp_path / "index")
     shutil.copytree(base, idx)
-    monkeypatch.setattr(build, "TERMS_LOCAL_MAX_BYTES", -1)
-    build._write_terms(idx)
-    assert not any(f.endswith("terms.parquet") for f in index_files(idx))
-    assert policy_violations(idx) == []
-    got, want = (seg.read_parquet_dir(os.path.join(path, "terms"))
-                 for path in (idx, base))
-    assert got.num_rows == want.num_rows
-    assert dict(zip(got.column("term").to_pylist(),
-                    got.column("df").to_pylist())) == dict(
-        zip(want.column("term").to_pylist(), want.column("df").to_pylist()))
+    n0 = seg.read_manifest(idx)["stats"]["num_shards"]
+    before = ShardIndex(idx, 0)
+    old_terms = segment_terms(os.path.join(idx, "segments", "shard=0"))
+    assert before.lookup(old_terms[-1]) is not None
+    man = append_to_index(lambda columns: rd.read_parquet(
+        str(root / "more"), columns=columns), idx, docs_per_shard=32)
+    assert man["stats"]["num_shards"] > n0
+    for s in (0, n0 - 1, n0, man["stats"]["num_shards"] - 1):
+        _finds_every_term(idx, s)
+
+    other = str(tmp_path / "other")
+    os.makedirs(other)
+    pq.write_table(gen_pages(40, seed=99), os.path.join(other, "p.parquet"))
+    build_index(lambda columns: rd.read_parquet(other, columns=columns),
+                idx, docs_per_shard=32, force=True)
+    _finds_every_term(idx, 0)
+    vocab = set(_term_ids(idx))
+    gone = [t for t in _term_ids(base) if t not in vocab]
+    assert gone, "the other corpus must drop some terms"
+    sh = ShardIndex(idx, 0)
+    assert all(sh.lookup(t) is None for t in gone)
+
+
+def _to_term_string_layout(idx: str) -> None:
+    """Rewrite an index into the layout before term ids: segment rows
+    keyed and sorted by their term string, a terms table of (term, df)
+    and no ``segment_key`` in the manifest."""
+    t = seg.read_parquet_dir(os.path.join(idx, "terms"))
+    by_id = dict(zip(t.column("term_id").to_pylist(),
+                     t.column("term").to_pylist()))
+    for f in glob.glob(os.path.join(idx, "segments", "shard=*",
+                                    "*.parquet")):
+        rows = pq.read_table(f)
+        names = pa.array([by_id[i] for i in
+                          rows.column("term_id").to_pylist()], pa.string())
+        rows = rows.drop_columns(["term_id"])
+        rows = rows.add_column(0, "term", names).sort_by("term")
+        pq.write_table(rows, f)
+    pq.write_table(t.drop_columns(["term_id"]),
+                   os.path.join(idx, "terms", "terms.parquet"))
+    man = seg.read_manifest(idx)
+    del man["stats"]["segment_key"]
+    seg.write_manifest(idx, man)
+
+
+def test_term_string_layout_is_refused(small_base, tmp_path):
+    """An index whose segments are keyed by term strings raises the
+    rebuild ValueError from the engine, append and refresh_block_max,
+    and the refused append writes nothing."""
+    import ray.data as rd
+
+    from search_engine_ray.pipelines.append import (append_to_index,
+                                                    refresh_block_max)
+    from search_engine_ray.pipelines.search import SearchEngine
+
+    root, base, _, _ = small_base
+    idx = str(tmp_path / "index")
+    shutil.copytree(base, idx)
+    _to_term_string_layout(idx)
+    msg = re.escape(f"index at {idx} predates the term-id segment layout "
+                    "(v20); rebuild it with build_index(force=True)")
+    with pytest.raises(ValueError, match=msg):
+        SearchEngine(idx, num_searchers=1)
+    with pytest.raises(ValueError, match=msg):
+        append_to_index(lambda columns: rd.read_parquet(
+            str(root / "more"), columns=columns), idx, docs_per_shard=32)
+    with pytest.raises(ValueError, match=msg):
+        refresh_block_max(idx)
+    assert sorted(os.listdir(os.path.join(idx, "docs"))) == ["gen=0"]

@@ -15,6 +15,7 @@ import pytest
 
 from search_engine_ray.state import segments as seg
 from test_conjunctive import _encode_row
+from tests.test_build_search import segment_terms
 
 BS = seg.BLOCK_SIZE
 META = ("block_last_doc", "block_max_impact", "block_offs")
@@ -22,7 +23,9 @@ META = ("block_last_doc", "block_max_impact", "block_offs")
 
 def _write_shard(root, terms: list[str], dls, avgdl: float):
     """Build shard 0 of an index under ``root`` straight through the
-    exchange writer and merge worker (no Ray) and open it."""
+    exchange writer, the terms stage's count and the merge worker (no
+    Ray) and open it."""
+    from search_engine_ray.pipelines.build import _write_terms
     from search_engine_ray.pipelines.exchange import (_GroupMergeWorker,
                                                       _PartialExchangeWriter)
     from search_engine_ray.pipelines.search import ShardIndex
@@ -46,9 +49,13 @@ def _write_shard(root, terms: list[str], dls, avgdl: float):
     for d in ("segments", "docmeta"):
         os.makedirs(os.path.join(root, d))
     _PartialExchangeWriter(exchange, 1, 1, emit_meta=True)(batch)
-    _GroupMergeWorker(exchange, os.path.join(root, "segments"), 1, avgdl,
-                      "bid", docmeta_dir=os.path.join(root, "docmeta"))(
-        pa.table({"grp": pa.array([0], pa.int32())}))
+    terms_dir = os.path.join(root, "terms")
+    worker = _GroupMergeWorker(exchange, os.path.join(root, "segments"), 1,
+                               avgdl, "bid",
+                               docmeta_dir=os.path.join(root, "docmeta"),
+                               terms_dir=terms_dir)
+    _write_terms(terms_dir, [worker.count_terms([0])])
+    worker(pa.table({"grp": pa.array([0], pa.int32())}))
     return ShardIndex(root, 0)
 
 
@@ -68,7 +75,7 @@ def _assert_bounds_hold(rows, dls: np.ndarray, avgdl: float) -> int:
         imps = seg.bm25_impact(tp.tfs, dls[tp.doc_ids], avgdl)
         for b in range(len(bound)):
             assert (imps[b * BS:(b + 1) * BS] <= bound[b]).all(), \
-                (row["term"], b)
+                (row["term_id"], b)
             checked += 1
     return checked
 
@@ -176,12 +183,13 @@ def random_shard(tmp_path_factory):
 def test_merge_layout_and_bounds(random_shard):
     shard, root, dls, avgdl = random_shard
     rows = _rows(os.path.join(root, "segments"))
-    assert {r["term"]: r["df"] for r in rows} == {"f": 8400, "m": 4200,
-                                                  "r": 40}
+    names = segment_terms(os.path.join(root, "segments", "shard=0"))
+    assert {t: r["df"] for t, r in zip(names, rows)} == {
+        "f": 8400, "m": 4200, "r": 40}
     for r in rows:
         assert "cf" not in r
         if r["df"] <= BS:
-            assert all(r[c] is None for c in META), r["term"]
+            assert all(r[c] is None for c in META), r["term_id"]
         else:
             nb = -(-r["df"] // BS)
             assert len(np.frombuffer(r["block_max_impact"], np.float32)) \
@@ -219,7 +227,7 @@ def test_corrupt_null_long_row_names_shard_and_term(random_shard,
     path = os.path.join(bad, "segments", "shard=0", "segment.parquet")
     t = pq.read_table(path)
     cells = t.column("block_last_doc").to_pylist()
-    cells[t.column("term").to_pylist().index("m")] = None
+    cells[segment_terms(os.path.dirname(path)).index("m")] = None
     t = t.set_column(t.schema.get_field_index("block_last_doc"),
                      "block_last_doc", pa.array(cells, pa.binary()))
     pq.write_table(t, path)
@@ -292,12 +300,13 @@ def test_built_index_layout(built_index):
                     names = pq.read_schema(os.path.join(dirpath, f)).names
                     assert "cf" not in names, (sub, f)
     assert pq.read_schema(os.path.join(
-        built_index, "terms", "terms.parquet")).names == ["term", "df"]
+        built_index, "terms", "terms.parquet")).names == [
+            "term", "df", "term_id"]
     rows = _rows(os.path.join(built_index, "segments", "shard=0"))
     multi = 0
     for r in rows:
         if r["df"] <= BS:
-            assert all(r[c] is None for c in META), r["term"]
+            assert all(r[c] is None for c in META), r["term_id"]
             continue
         multi += 1
         nb = -(-r["df"] // BS)

@@ -10,10 +10,12 @@ import shutil
 import struct
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from search_engine_ray.state import bloom
+from tests.test_build_search import segment_terms
 
 _MAGIC = 0x534E424C
 
@@ -113,7 +115,7 @@ def _shard_filters(index_dir: str) -> dict:
         with open(p, "rb") as f:
             blob = f.read()
         d = os.path.dirname(p)
-        out[d] = blob, pq.read_table(d, columns=["term"]).column("term")
+        out[d] = blob, pa.array(segment_terms(d), pa.string())
     return out
 
 
@@ -126,9 +128,7 @@ def test_every_shard_term_is_in_its_filter(many_shards):
 
 def _rare_term(out: str, blooms: dict) -> str:
     """A term of shard 0 that at most half the shards' blooms admit."""
-    seg0 = pq.read_table(os.path.join(out, "segments", "shard=0"),
-                         columns=["term"])
-    for t in seg0.column("term").to_pylist():
+    for t in segment_terms(os.path.join(out, "segments", "shard=0")):
         if sum(bool(bloom.contains_any(b, [t]))
                for b in blooms.values()) <= len(blooms) // 2:
             return t
@@ -189,9 +189,8 @@ def test_frontends_prune_and_match_the_engine(many_shards):
                       actor_shards=eng._actor_shards)
     try:
         # a shard-0 term that rules out a searcher hosting no frontend
-        seg0 = pq.read_table(os.path.join(many_shards, "segments",
-                                          "shard=0"), columns=["term"])
-        for rare in seg0.column("term").to_pylist():
+        for rare in segment_terms(os.path.join(many_shards, "segments",
+                                               "shard=0")):
             live = {id(a) for a in eng._actor_mask(qc.Word(rare, rare))}
             idle = [a for a in eng.actors[2:] if id(a) not in live]
             if idle:

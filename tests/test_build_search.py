@@ -62,6 +62,46 @@ def brute_force_docs(pages_path):
     return {u: t for u, t in seen.items() if t is not None}
 
 
+def segment_terms(segment_dir: str) -> list[str]:
+    """The term of each row of a segment (INDEX/segments/shard=N), in
+    row order: its term_id looked up in the index's terms table."""
+    index_dir = os.path.dirname(os.path.dirname(segment_dir))
+    t = pq.read_table(os.path.join(index_dir, "terms"),
+                      columns=["term", "term_id"])
+    by_id = dict(zip(t.column("term_id").to_pylist(),
+                     t.column("term").to_pylist()))
+    ids = pq.read_table(segment_dir, columns=["term_id"]).column("term_id")
+    return [by_id[i] for i in ids.to_pylist()]
+
+
+def check_id_layout(index_dir: str) -> None:
+    """Segment rows are keyed by term id alone: no segment file holds a
+    term column; every segment term_id names exactly one terms row, whose
+    string tests present in its shard's vocab filter; and each term's df
+    in the terms table is its decoded postings summed over shards."""
+    from search_engine_ray.state import bloom
+
+    terms = pq.read_table(os.path.join(index_dir, "terms"))
+    ids = terms.column("term_id").to_pylist()
+    assert len(set(ids)) == len(ids)
+    by_id = dict(zip(ids, terms.column("term").to_pylist()))
+    postings = dict.fromkeys(by_id.values(), 0)
+    for f in glob.glob(os.path.join(index_dir, "segments", "shard=*",
+                                    "*.parquet")):
+        assert "term" not in pq.read_schema(f).names, f
+        seg_rows = pq.read_table(f, columns=["term_id", "doc_gaps"])
+        names = [by_id[i] for i in seg_rows.column("term_id").to_pylist()]
+        for name, gaps in zip(names, seg_rows.column("doc_gaps").to_pylist()):
+            # one varint per posting: count the bytes that end one
+            postings[name] += sum(b < 0x80 for b in gaps)
+        if names:
+            with open(os.path.join(os.path.dirname(f), "_vocab.bloom"),
+                      "rb") as fb:
+                assert bloom.contains(fb.read(), names).all(), f
+    assert dict(zip(terms.column("term").to_pylist(),
+                    terms.column("df").to_pylist())) == postings
+
+
 def test_build_stats(index_dir):
     out, man, pages_path = index_dir
     docs = brute_force_docs(pages_path)
@@ -93,22 +133,29 @@ def test_terms_df_matches_bruteforce(index_dir):
 
 def test_terms_table_sums_segment_df_sorted(index_dir):
     """The terms table holds one row per term, sorted by term, whose df
-    is the sum of that term's df over every shard's segment row."""
+    is the sum of that term's df over every shard's segment row; a fresh
+    build numbers the terms by row, and each segment's rows ascend by
+    term id."""
     from search_engine_ray.pipelines.build import TERMS_SCHEMA
 
     out, man, pages_path = index_dir
+    assert man["stats"]["segment_key"] == "term_id"
     df = {}
     for name in os.listdir(os.path.join(out, "segments")):
-        t = seg.read_parquet_dir(os.path.join(out, "segments", name),
-                                 columns=["term", "df"])
-        for term, n in zip(t.column("term").to_pylist(),
-                           t.column("df").to_pylist()):
+        d = os.path.join(out, "segments", name)
+        ids = seg.read_parquet_dir(d, columns=["term_id"]).column(
+            "term_id").to_pylist()
+        assert ids == sorted(ids) and len(set(ids)) == len(ids)
+        t = seg.read_parquet_dir(d, columns=["df"])
+        for term, n in zip(segment_terms(d), t.column("df").to_pylist()):
             df[term] = df.get(term, 0) + n
     t = seg.read_parquet_dir(os.path.join(out, "terms"))
     assert t.schema == TERMS_SCHEMA
     terms = t.column("term").to_pylist()
     assert terms == sorted(df)
     assert t.column("df").to_pylist() == [df[term] for term in terms]
+    assert t.column("term_id").to_pylist() == list(range(len(terms)))
+    check_id_layout(out)
 
 
 def test_dedup_keeps_smallest_html_fingerprint(ray_session, tmp_path):
@@ -170,7 +217,8 @@ def test_index_bytes_total_is_the_benchmark_figure(index_dir, capsys):
                for d in ("segments", "docmeta", "terms"))
     rows = script.breakdown(out)
     assert sum(rows.values()) == size
-    assert rows["segments", "term"] > 0 and rows["docmeta", "url"] > 0
+    assert rows["segments", "term_id"] > 0 and rows["docmeta", "url"] > 0
+    assert ("segments", "term") not in rows and rows["terms", "term"] > 0
     assert rows["segments", "_vocab.bloom"] > 0
     files, keys, bits, ks = script.filter_sizes(out)
     assert files == man["stats"]["num_shards"] == sum(ks.values())
@@ -179,7 +227,13 @@ def test_index_bytes_total_is_the_benchmark_figure(index_dir, capsys):
     assert 9 < bits / keys < 10.5 and set(ks) == {7}
     script.main([out])
     n_docs = seg.read_manifest(out)["stats"]["n_docs"]
-    total = capsys.readouterr().out.splitlines()[-1].split()
+    printed = capsys.readouterr().out.splitlines()
+    vocab = next(line for line in printed if line.startswith("vocabulary:"))
+    n_terms = pq.read_metadata(os.path.join(out, "terms",
+                                            "terms.parquet")).num_rows
+    assert vocab.startswith(f"vocabulary: {n_terms} terms rows, {keys} "
+                            "segment rows, "), vocab
+    total = printed[-1].split()
     assert total == ["total", str(size), f"{size / n_docs:.4f}"]
 
 
@@ -560,3 +614,20 @@ def test_lru_evicts_least_recently_used():
     nothing = LRU(0)           # maxsize 0 caches nothing
     nothing.put("k", 1)
     assert nothing.get("k") is None and len(nothing) == 0
+
+
+def test_lru_zero_holds_nothing_and_one_holds_the_newest():
+    """``SearchEngine``'s default ``cache_size=0`` is an LRU(0): its put
+    evicts the key just inserted, so a repeated ``search`` is answered
+    by the searchers again, never from the cache. LRU(1) keeps only the
+    key put last."""
+    from search_engine_ray.state.lru import LRU
+
+    zero = LRU(0)
+    zero.put(("q", 10), "table")
+    assert ("q", 10) not in zero and len(zero) == 0
+    assert zero.get(("q", 10), "miss") == "miss"
+    one = LRU(1)
+    one.put("old", 1)
+    one.put("new", 2)
+    assert "old" not in one and one.get("new") == 2 and len(one) == 1

@@ -48,9 +48,12 @@ def ref_rows(shard_setup):
 
     import pyarrow.parquet as pq
 
+    from tests.test_build_search import segment_terms
+
     out, _ = shard_setup
-    t = pq.read_table(os.path.join(out, "segments", "shard=0")).to_pylist()
-    return {r["term"]: _decode_row(r) for r in t}
+    d = os.path.join(out, "segments", "shard=0")
+    t = pq.read_table(d).to_pylist()
+    return {term: _decode_row(r) for term, r in zip(segment_terms(d), t)}
 
 
 def _uvarints(buf: bytes) -> list[int]:
@@ -97,8 +100,7 @@ def _and_plan(terms):
 
 
 def _df_sorted_vocab(sh):
-    import pyarrow.parquet as pq  # noqa: F401
-    terms = sh._table.column("term").to_pylist()
+    terms = sh.vocab()  # in row order, like the df column
     dfs = sh._table.column("df").to_pylist()
     return sorted(zip(terms, dfs), key=lambda x: -x[1])
 

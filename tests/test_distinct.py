@@ -216,6 +216,46 @@ def test_audio_spectrogram_peak_band(ray_session):
         assert got == want_band, (got, want_band)
 
 
+# media_audio_spectrogram(n=24) in a fresh process with its own 1-CPU
+# Ray; prints the sorted-row hash
+_SPECTROGRAM_1CPU = r"""
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from search_engine_ray.functions.multimodal import media_audio_spectrogram
+from tests.test_distinct import _sorted_row_hash
+print(_sorted_row_hash(media_audio_spectrogram(n=24)))
+ray.shutdown()
+"""
+
+
+def _sorted_row_hash(ds) -> str:
+    import hashlib
+
+    rows = sorted(tuple(v.item() if hasattr(v, "item") else v
+                        for v in r.values()) for r in ds.take_all())
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_audio_spectrogram_finishes_on_one_cpu(ray_session):
+    """The spectrogram pool holds no CPU, so on a 1-CPU node its actor
+    leaves the one CPU to the synthesis tasks feeding it: the dataset
+    finishes, with the rows the tier-1 session computes."""
+    import os
+    import subprocess
+    import sys
+
+    from search_engine_ray.functions.multimodal import media_audio_spectrogram
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    want = _sorted_row_hash(media_audio_spectrogram(n=24))
+    p = subprocess.run([sys.executable, "-c", _SPECTROGRAM_1CPU],
+                       capture_output=True, text=True, cwd=repo,
+                       env=dict(os.environ, PYTHONPATH=repo), timeout=240)
+    assert p.returncode == 0, p.stderr[-2000:]
+    assert p.stdout.strip().splitlines()[-1] == want
+
+
 def test_audio_spectrogram_short_and_fallback_clips(ray_session):
     """Clips shorter than one frame and non-WAV byte-fallback payloads
     produce bounded output instead of crashing; a zero-sample clip is

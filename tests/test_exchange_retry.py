@@ -32,6 +32,26 @@ def _fake_docs_batch(n: int = 64) -> pa.Table:
     })
 
 
+def _count_and_merge(worker, groups: list[int]) -> None:
+    """The terms stage's count, then the merge, on one worker."""
+    from search_engine_ray.pipelines.build import _write_terms
+
+    _write_terms(worker.terms_dir, [worker.count_terms(groups)])
+    worker(pa.table({"grp": pa.array(groups, pa.int32())}))
+
+
+def _named_segments(segments: str, terms: str, columns=None) -> pa.Table:
+    """Every shard's segment rows with each term_id replaced by its term
+    string from the terms table."""
+    segs = pq.read_table(segments, columns=columns)
+    t = pq.read_table(terms, columns=["term", "term_id"])
+    by_id = dict(zip(t.column("term_id").to_pylist(),
+                     t.column("term").to_pylist()))
+    names = [by_id[i] for i in segs.column("term_id").to_pylist()]
+    return segs.drop_columns(["term_id"]).append_column(
+        "term", pa.array(names, pa.string()))
+
+
 def test_duplicate_emit_is_idempotent(tmp_path):
     from search_engine_ray.pipelines.exchange import (_GroupMergeWorker,
                                                       _PartialExchangeWriter)
@@ -48,17 +68,20 @@ def test_duplicate_emit_is_idempotent(tmp_path):
                                    emit_meta=True)
         for _ in range(n_emits):  # a retry re-emits the same batch
             w(batch)
+        terms = str(tmp_path / f"terms_{tag}")
         m = _GroupMergeWorker(exchange, segments, 4, 5.0, "bid",
-                              docmeta_dir=docmeta)
-        m(pa.table({"grp": pa.array([0, 1], pa.int32())}))
+                              docmeta_dir=docmeta, terms_dir=terms)
+        _count_and_merge(m, [0, 1])
         # exact tfs bytes: a duplicated posting would change them (and
         # their sum, the collection frequency)
-        segs = pq.read_table(segments, columns=["term", "df", "tfs"])
+        segs = _named_segments(segments, terms,
+                               columns=["term_id", "df", "tfs"])
         meta = pq.read_table(docmeta, columns=["doc_id"])
         return (sorted(zip(segs.column("term").to_pylist(),
                            segs.column("df").to_pylist(),
                            segs.column("tfs").to_pylist())),
-                sorted(meta.column("doc_id").to_pylist()))
+                sorted(meta.column("doc_id").to_pylist()),
+                pq.read_table(terms).to_pydict())
 
     once = run(1, "once")
     twice = run(3, "retry")
@@ -85,10 +108,11 @@ def test_parquet_exchange_format_equals_ipc(tmp_path, monkeypatch):
         ext = ".arrow" if fmt == "ipc" else ".parquet"
         names = os.listdir(os.path.join(exchange, "grp=0"))
         assert any(n.endswith(ext) for n in names), names
+        terms = str(tmp_path / f"terms_{fmt}")
         m = ex._GroupMergeWorker(exchange, segments, 4, 5.0, "bid",
-                                 docmeta_dir=docmeta)
-        m(pa.table({"grp": pa.array([0, 1], pa.int32())}))
-        segs = pq.read_table(segments)
+                                 docmeta_dir=docmeta, terms_dir=terms)
+        _count_and_merge(m, [0, 1])
+        segs = _named_segments(segments, terms)
         si = segs.schema.get_field_index("shard")
         segs = segs.set_column(si, "shard",
                                segs.column("shard").cast(pa.int32()))

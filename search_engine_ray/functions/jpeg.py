@@ -114,13 +114,6 @@ def _blocks_of(plane: np.ndarray) -> np.ndarray:
             .transpose(0, 2, 1, 3).reshape(-1, 8, 8))
 
 
-def _unblocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    ph, pw = -(-h // 8) * 8, -(-w // 8) * 8
-    plane = (blocks.reshape(ph // 8, pw // 8, 8, 8)
-             .transpose(0, 2, 1, 3).reshape(ph, pw))
-    return plane[:h, :w]
-
-
 def _rgb_to_ycbcr(arr: np.ndarray) -> np.ndarray:
     a = arr.astype(np.float64)
     r, g, b = a[..., 0], a[..., 1], a[..., 2]

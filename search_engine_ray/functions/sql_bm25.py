@@ -158,9 +158,8 @@ def _phrase_pred(stems: list[str]) -> str:
 
 
 def _pred(node, qc, cols: "_Cols") -> str:
-    """Candidate predicate from the plan tree — mirrors
-    ShardIndex.eval / ShardIndex._eval_mask (pipelines/search.py)
-    exactly."""
+    """Candidate predicate from the plan tree — mirrors ShardIndex.eval
+    (pipelines/search.py) exactly."""
     if node is None:
         return "FALSE"
     if isinstance(node, qc.Word):

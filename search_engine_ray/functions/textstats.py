@@ -217,13 +217,6 @@ def _winnow_batch(texts: pa.Array, k: int = 5, window: int = 4
     return unique_per_segment(wm, wc)
 
 
-def _winnow_fingerprints(text: str, k: int = 5, window: int = 4
-                         ) -> np.ndarray:
-    """Scalar wrapper over the batch winnowing kernel (for tests)."""
-    vu, _ = _winnow_batch(pa.array([text], pa.string()), k, window)
-    return vu
-
-
 def fingerprints(sf_dir: str):
     """Winnowed fingerprint summary per doc (counts + xor fold are
     integers so results hash exactly)."""

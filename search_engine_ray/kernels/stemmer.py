@@ -57,10 +57,6 @@ STOPWORDS = frozenset((
 ))
 
 
-def _is_vowel(ch: str) -> bool:
-    return ch in _VOWELS
-
-
 def _contains_vowel(s: str) -> bool:
     for ch in s:
         if ch in _VOWELS:

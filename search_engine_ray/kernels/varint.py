@@ -3,19 +3,22 @@
 Two layers:
 
 1. Reference-layout codecs (scalar) — byte-identical to the C++
-   serialization in /root/reference/engine/indexer/Posts.hpp:
+   serialization in the reference's engine/indexer/Posts.hpp:
    - word posts:  varint(location - prev_location) + 1 flags byte
      (Posts.hpp:143-181)
    - doc posts:   varint(start - prev_end) varint(end - start) varint(docId)
      (Posts.hpp:184-242)
-   Used by the compat path and pinned by tests/test_varint.py against the
-   layout rules.
+   No index path uses them (the compat path neither); they document the
+   reference layout and are pinned by tests/test_kernels.py against its
+   rules.
 
 2. Columnar stream codecs (numpy-vectorized) — our segment format stores
    doc_id gaps / tfs / position gaps as separate contiguous varint streams,
    which decodes with numpy at ~100x the scalar speed and compresses
    equally. This is the scale path; the encoding scheme (delta-gap + LEB128)
-   is the same as the reference's.
+   is the same as the reference's. ``encode_u64_offsets`` is the one
+   encoder: the emit stage and the merge slice its stream per posting
+   run by its offsets.
 """
 
 from __future__ import annotations
@@ -113,32 +116,50 @@ _THRESHOLDS = (1 << 7, 1 << 14, 1 << 21, 1 << 28, 1 << 35, 1 << 42,
                1 << 49, 1 << 56, 1 << 63)
 
 
-def encode_u64_stream(vals: np.ndarray) -> bytes:
-    """Concatenated LEB128 varints of a uint64 array, vectorized."""
+def encode_u64_offsets(vals: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Encode a uint64 array as one LEB128 stream, vectorized; also
+    return the byte offset of each value (length n+1) for slicing."""
     v = np.ascontiguousarray(vals, dtype=np.uint64)
     n = len(v)
     if n == 0:
-        return b""
+        return b"", np.zeros(1, dtype=np.int64)
+    if int(v.max()) < (1 << 14):
+        # 1-2 byte fast path (covers within-doc position gaps)
+        two = v >= np.uint64(128)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(1 + two.astype(np.int64), out=offsets[1:])
+        out = np.zeros(int(offsets[-1]), dtype=np.uint8)
+        b0 = (v & np.uint64(0x7F)).astype(np.uint8)
+        b0[two] |= 0x80
+        out[offsets[:-1]] = b0
+        if two.any():
+            out[offsets[:-1][two] + 1] = (v[two] >> np.uint64(7)
+                                          ).astype(np.uint8)
+        return out.tobytes(), offsets
     nb = np.ones(n, dtype=np.int64)
     for t in _THRESHOLDS:
         nb += v >= t
-    total = int(nb.sum())
-    out = np.zeros(total, dtype=np.uint8)
-    pos = np.zeros(n, dtype=np.int64)
-    np.cumsum(nb[:-1], out=pos[1:])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nb, out=offsets[1:])
+    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
     cur = v.copy()
     active = np.arange(n)
-    offset = 0
+    shift = 0
     while len(active):
         chunk = cur[active]
         byte = (chunk & np.uint64(0x7F)).astype(np.uint8)
         more = chunk >= np.uint64(0x80)
         byte[more] |= 0x80
-        out[pos[active] + offset] = byte
+        out[offsets[active] + shift] = byte
         cur[active] = chunk >> np.uint64(7)
         active = active[more]
-        offset += 1
-    return out.tobytes()
+        shift += 1
+    return out.tobytes(), offsets
+
+
+def encode_u64_stream(vals: np.ndarray) -> bytes:
+    """Concatenated LEB128 varints of a uint64 array, vectorized."""
+    return encode_u64_offsets(vals)[0]
 
 
 def decode_u64_stream(buf) -> np.ndarray:

@@ -208,7 +208,7 @@ def _parse_emit(pages: "rd.Dataset", exchange_dir: str, num_shards: int,
     dataset is the parsed docs, ready for the docs checkpoint. No re-read
     of the wide terms column, no separate docmeta sort."""
     writer = _PartialExchangeWriter(exchange_dir, num_shards, num_groups,
-                                    emit_meta=True, passthrough=True,
+                                    passthrough=True,
                                     first_shard=first_shard)
     return (pages
             .map_batches(parse_pages_batch, batch_format="pyarrow",
@@ -443,7 +443,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
                                    "title", "word_count", "title_length",
                                    "url_length", "english", "tld"])
             writer = _PartialExchangeWriter(exchange_dir, num_shards,
-                                            num_groups, emit_meta=True)
+                                            num_groups)
             # plain function → stateless tasks (no actor-pool startup;
             # the writer's "state" is a few config values)
             docs.map_batches(writer.__call__, batch_size=EMIT_BATCH_SIZE,

@@ -79,16 +79,6 @@ from ..state import segments as seg
 DOCMETA_COLUMNS = ["doc_id", "shard", "dl", "url", "title", "word_count",
                    "title_length", "url_length", "english", "tld"]
 
-# Partial-run file format. "ipc" (default): uncompressed Arrow IPC
-# stream — raw buffer writes on the map side, ZERO-COPY memory-mapped
-# reads on the merge side (no decompression pass, no parquet
-# decode/encode memcpys); the partials are transient intra-build spill,
-# so parquet's compression/compat advantages buy nothing here. "parquet"
-# keeps the former snappy-parquet partials (smaller bytes on disk —
-# useful when the exchange dir is on slow real storage, not tmpfs).
-EXCHANGE_FORMAT = os.environ.get("SE_EXCHANGE_FORMAT", "ipc")
-_EXT = {"ipc": ".arrow", "parquet": ".parquet"}
-
 # the index writer policy's non-dictionary columns (module docstring);
 # every other column of an index file is dictionary-coded
 COLUMN_ENCODING = {
@@ -119,16 +109,16 @@ def parquet_options(schema: pa.Schema) -> dict:
 
 
 def _atomic_write(tab: pa.Table, path: str) -> None:
-    """Write-then-rename with a UNIQUE tmp name: concurrent duplicate
-    executions of the same task race only on the atomic os.replace (last
-    wins, identical content), never on the file bytes."""
+    """Write one partial run file: an uncompressed Arrow IPC stream (raw
+    buffer writes here, ZERO-COPY memory-mapped reads on the merge side;
+    the partials are transient intra-build spill, so compression buys
+    nothing). Write-then-rename with a UNIQUE tmp name: concurrent
+    duplicate executions of the same task race only on the atomic
+    os.replace (last wins, identical content), never on the file
+    bytes."""
     tmp = f"{path}.{os.getpid()}.{id(tab) & 0xffffff:x}.tmp"
-    if path.endswith(".arrow"):
-        with pa.OSFile(tmp, "wb") as f, \
-                pa.ipc.new_stream(f, tab.schema) as w:
-            w.write_table(tab)
-    else:
-        pq.write_table(tab, tmp)
+    with pa.OSFile(tmp, "wb") as f, pa.ipc.new_stream(f, tab.schema) as w:
+        w.write_table(tab)
     os.replace(tmp, path)
 
 
@@ -220,38 +210,33 @@ def marker_ok(root: str, s: int, marker: str) -> bool:
 
 def _read_partials(files: list[str],
                    columns: list[str] | None = None) -> pa.Table | None:
-    """Concat partial runs (only ``columns`` when given); IPC files read
-    zero-copy via mmap (Arrow buffers reference the mapping, which stays
-    alive with them)."""
+    """Concat partial runs (only ``columns`` when given), read zero-copy
+    via mmap (Arrow buffers reference the mapping, which stays alive
+    with them)."""
     if not files:
         return None
     tabs = []
     for f in files:
-        if f.endswith(".arrow"):
-            t = pa.ipc.open_stream(pa.memory_map(f)).read_all()
-            tabs.append(t.select(columns) if columns else t)
-        else:
-            tabs.append(pq.read_table(f, columns=columns))
+        t = pa.ipc.open_stream(pa.memory_map(f)).read_all()
+        tabs.append(t.select(columns) if columns else t)
     return pa.concat_tables(tabs, promote_options="default") \
         if len(tabs) > 1 else tabs[0]
 
 
 class _PartialExchangeWriter:
-    """Map side of the exchange. ``emit_meta`` also writes per-group
-    docmeta partials (meta_*.parquet) so the reduce side can produce the
-    per-shard docmeta WITHOUT a Ray sort over the docs table;
-    ``passthrough`` returns the input batch unchanged so the writer can
-    sit inside the fused parse→emit→write-docs chain. A doc's shard is
-    ``first_shard`` + doc_id % num_shards; its group is
+    """Map side of the exchange: per-group postings partials
+    (part_*.arrow) and docmeta partials (meta_*.arrow), so the reduce
+    side produces the per-shard docmeta WITHOUT a Ray sort over the docs
+    table. ``passthrough`` returns the input batch unchanged so the
+    writer can sit inside the fused parse→emit→write-docs chain. A doc's
+    shard is ``first_shard`` + doc_id % num_shards; its group is
     (doc_id % num_shards) % num_groups."""
 
     def __init__(self, exchange_dir: str, num_shards: int, num_groups: int,
-                 emit_meta: bool = False, passthrough: bool = False,
-                 first_shard: int = 0):
+                 passthrough: bool = False, first_shard: int = 0):
         self.exchange_dir = exchange_dir
         self.num_shards = num_shards
         self.num_groups = num_groups
-        self.emit_meta = emit_meta
         self.passthrough = passthrough
         self.first_shard = first_shard
         os.makedirs(exchange_dir, exist_ok=True)
@@ -260,13 +245,12 @@ class _PartialExchangeWriter:
                       prefix: str, part_id: str) -> None:
         uniq, starts = np.unique(grp_sorted, return_index=True)
         bounds = np.append(starts, len(grp_sorted))
-        ext = _EXT.get(EXCHANGE_FORMAT, ".arrow")
         for gi in range(len(uniq)):
             lo, hi = int(bounds[gi]), int(bounds[gi + 1])
             d = os.path.join(self.exchange_dir, f"grp={int(uniq[gi])}")
             os.makedirs(d, exist_ok=True)
             _atomic_write(tab.slice(lo, hi - lo),
-                          os.path.join(d, f"{prefix}_{part_id}{ext}"))
+                          os.path.join(d, f"{prefix}_{part_id}.arrow"))
 
     def __call__(self, t: pa.Table) -> pa.Table:
         doc_ids = t.column("doc_id").to_numpy(
@@ -278,7 +262,7 @@ class _PartialExchangeWriter:
         # the posting bytes exact under Ray task retry
         part_id = hashlib.sha1(doc_ids.tobytes()).hexdigest()[:20]
 
-        if self.emit_meta and len(doc_ids):
+        if len(doc_ids):
             doc_grp = ((doc_ids % self.num_shards)
                        % self.num_groups).astype(np.int32)
             m_order = np.argsort(doc_grp, kind="stable")
@@ -339,9 +323,6 @@ class _GroupMergeWorker:
         self.first_shard = first_shard
         self._terms = None  # (term, term_id) of terms_dir, read once
 
-    def ready(self) -> bool:
-        return True
-
     def _files(self, g: int, prefix: str) -> list[str]:
         """Group ``g``'s partial files of one kind. An explicit extension
         filter: a crash between write and os.replace can leave a
@@ -351,8 +332,7 @@ class _GroupMergeWorker:
         if not os.path.isdir(gdir):
             return []
         return [os.path.join(gdir, f) for f in sorted(os.listdir(gdir))
-                if f.startswith(prefix) and f.endswith((".parquet",
-                                                        ".arrow"))]
+                if f.startswith(prefix) and f.endswith(".arrow")]
 
     def count_terms(self, groups: list[int]) -> pa.RecordBatch:
         """(term, df) over ``groups``' partial runs: each row of a
@@ -524,16 +504,14 @@ class _GroupMergeWorker:
             # with per-row byte offsets, so each posting list is a bytes
             # slice instead of a per-run encode call (the per-run python
             # loop was ~0.5 s/group at 350k rows)
-            from ..stages.emit import _varint_stream_with_offsets
-
             n_rows = len(tids)
             ds64 = docs_s.astype(np.uint64)
             deltas = np.empty(n_rows, np.uint64)
             deltas[0] = ds64[0]
             np.subtract(ds64[1:], ds64[:-1], out=deltas[1:])
             deltas[rstarts] = ds64[rstarts]  # absolute at run starts
-            doc_stream, doc_offs = _varint_stream_with_offsets(deltas)
-            tf_stream, tf_offs = _varint_stream_with_offsets(
+            doc_stream, doc_offs = varint.encode_u64_offsets(deltas)
+            tf_stream, tf_offs = varint.encode_u64_offsets(
                 tfs_s.astype(np.uint64))
 
             # shard boundaries over the runs

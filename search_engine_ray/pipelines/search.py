@@ -14,8 +14,16 @@ query, so actors never need the global df. A searcher reads only the
 terms table's strings and ids (``Vocabulary``), once, to find a term's
 segment rows, which are keyed by term id.
 
+One scoring core under the four strategies (block-max WAND, conjunctive
+skipping, dense, sparse), each piece written once: one plan walker
+(``plan_terms``, plus ``word_tree`` for a word-only tree's shape), one
+boolean evaluator over two set representations (``ShardIndex.eval``:
+sorted arrays or bool masks), one BM25 accumulator (``ShardIndex._bm25``)
+and one result formatter (``_result_rows``), run once per searcher on
+its merged top k.
+
 Boolean semantics (engine mode):
-- AND/OR/SynOr → sorted-array intersection/union (J6, I3-I5)
+- AND/OR/SynOr → set intersection/union (J6, I3-I5)
 - PHRASE → doc intersection + consecutive-position verification (I7) over
   within-doc positions (reference location semantics minus the global base)
 - NOT: the reference csolver cannot serve NOT (live assert on a null
@@ -40,6 +48,8 @@ import bisect
 import math
 import os
 import weakref
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pyarrow as pa
@@ -58,112 +68,98 @@ SYN_WEIGHT = 0.4  # Ranker.hpp:110
 
 
 # ---------------------------------------------------------------------------
-# plan flattening (collectTerms analogue, Indexer.hpp:621-628, isr.cpp)
+# the plan walker (collectTerms analogue, Indexer.hpp:621-628, isr.cpp)
 # ---------------------------------------------------------------------------
+
+def plan_terms(node, synonym: bool = False, negated: bool = False,
+               out: list | None = None) -> list[tuple[str, bool, bool]]:
+    """Every term occurrence of a plan, left to right, as (stem,
+    synonym, negated): the one walk every term list below filters. A
+    SynOr's tail is synonym and a Not's child negated; a Word keeps an
+    empty (stopword) stem, a Phrase drops its empty stems."""
+    if out is None:
+        out = []
+    if isinstance(node, qc.Word):
+        out.append((node.stem_, synonym, negated))
+    elif isinstance(node, qc.Phrase):
+        out.extend((s, synonym, negated) for s in node.stems if s)
+    elif isinstance(node, qc.SynOr):
+        plan_terms(node.left, synonym, negated, out)
+        plan_terms(node.rest, True, negated, out)
+    elif isinstance(node, (qc.And, qc.Or)):
+        plan_terms(node.left, synonym, negated, out)
+        plan_terms(node.right, synonym, negated, out)
+    elif isinstance(node, qc.Not):
+        plan_terms(node.child, synonym, True, out)
+    return out
+
+
+_DISJUNCTION = (qc.Or, qc.SynOr)
+_CONJUNCTION = (qc.And,)
+
+
+def word_tree(node, ops: tuple) -> bool:
+    """Whether the plan is a tree of ``ops`` nodes over Word leaves only.
+    A disjunction may hold an absent child (a SynOr chain's None tail);
+    a conjunction may not."""
+    if isinstance(node, qc.Word):
+        return True
+    if node is None:
+        return qc.And not in ops
+    if not isinstance(node, ops):
+        return False
+    rest = node.rest if isinstance(node, qc.SynOr) else node.right
+    return word_tree(node.left, ops) and word_tree(rest, ops)
+
+
+def _first_terms(occurrences, scoring: bool, out: list | None = None,
+                 seen: set | None = None) -> list[tuple[str, bool]]:
+    """(stem, synonym) per distinct stem, first occurrence wins
+    (ISR_Tree::getFlattenedTerms). ``scoring`` drops negated
+    occurrences (the negated side must not add relevance) and empty
+    stems."""
+    if out is None:
+        out, seen = [], set()
+    for s, syn, neg in occurrences:
+        if s not in seen and not (scoring and (neg or not s)):
+            seen.add(s)
+            out.append((s, syn))
+    return out
+
 
 def flatten_terms(node, synonym=False, out=None, seen=None):
     """(term, is_synonym) in left-to-right traversal order, deduped by term
-    string — first occurrence wins (ISR_Tree::getFlattenedTerms)."""
-    if out is None:
-        out, seen = [], set()
-    if node is None:
-        return out
-    if isinstance(node, qc.Word):
-        if node.stem_ not in seen:
-            seen.add(node.stem_)
-            out.append((node.stem_, synonym))
-    elif isinstance(node, qc.Phrase):
-        for s in node.stems:
-            if s and s not in seen:
-                seen.add(s)
-                out.append((s, synonym))
-    elif isinstance(node, qc.SynOr):
-        flatten_terms(node.left, synonym, out, seen)
-        flatten_terms(node.rest, True, out, seen)
-    elif isinstance(node, (qc.And, qc.Or)):
-        flatten_terms(node.left, synonym, out, seen)
-        flatten_terms(node.right, synonym, out, seen)
-    elif isinstance(node, qc.Not):
-        flatten_terms(node.child, synonym, out, seen)  # included side only
-    return out
+    string — first occurrence wins, NOT subtrees included."""
+    return _first_terms(plan_terms(node, synonym), False, out, seen)
 
 
 def scoring_terms(node):
     """Terms that contribute BM25 score: flattened terms excluding NOT
-    subtrees (the negated side must not add relevance)."""
-    out, seen = [], set()
-
-    def walk(n, synonym):
-        if n is None:
-            return
-        if isinstance(n, qc.Word):
-            if n.stem_ and n.stem_ not in seen:
-                seen.add(n.stem_)
-                out.append((n.stem_, synonym))
-        elif isinstance(n, qc.Phrase):
-            for s in n.stems:
-                if s and s not in seen:
-                    seen.add(s)
-                    out.append((s, synonym))
-        elif isinstance(n, qc.SynOr):
-            walk(n.left, synonym)
-            walk(n.rest, True)
-        elif isinstance(n, (qc.And, qc.Or)):
-            walk(n.left, synonym)
-            walk(n.right, synonym)
-        elif isinstance(n, qc.Not):
-            pass
-    walk(node, False)
-    return out
+    subtrees and stopwords."""
+    return _first_terms(plan_terms(node), True)
 
 
-def pure_disjunction_terms(node, idf: dict[str, float],
-                           synonym: bool = False):
+def pure_disjunction_terms(node, idf: dict[str, float]):
     """If the plan is a pure disjunction of words (Or/SynOr over Word
     leaves only), return [(term, idf*weight)] for the WAND path; else
     None. Duplicate terms keep their first weight (flatten semantics)."""
-    out: list[tuple[str, float]] = []
-    seen: set[str] = set()
-
-    def walk(n, syn) -> bool:
-        if n is None:
-            return True
-        if isinstance(n, qc.Word):
-            if n.stem_ and n.stem_ not in seen:
-                seen.add(n.stem_)
-                w = idf.get(n.stem_, 0.0) * (SYN_WEIGHT if syn else 1.0)
-                out.append((n.stem_, w))
-            return True
-        if isinstance(n, qc.Or):
-            return walk(n.left, syn) and walk(n.right, syn)
-        if isinstance(n, qc.SynOr):
-            return walk(n.left, syn) and walk(n.rest, True)
-        return False
-
-    return out if walk(node, synonym) else None
+    if not word_tree(node, _DISJUNCTION):
+        return None
+    return [(t, (SYN_WEIGHT if syn else 1.0) * idf.get(t, 0.0))
+            for t, syn in scoring_terms(node)]
 
 
 def conjunctive_word_terms(node):
     """If the plan is a pure conjunction of words (And tree over Word
-    leaves only), return the deduped stems in left-to-right order (the
-    same order scoring_terms yields, so float accumulation matches the
-    generic path bit-for-bit); else None."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(n) -> bool:
-        if isinstance(n, qc.And):
-            return walk(n.left) and walk(n.right)
-        if isinstance(n, qc.Word):
-            if not n.stem_:
-                return False
-            if n.stem_ not in seen:
-                seen.add(n.stem_)
-                out.append(n.stem_)
-            return True
-        return False
-
-    return out if (node is not None and walk(node)) else None
+    leaves with non-empty stems), return the deduped stems in
+    left-to-right order (scoring_terms order, so the float accumulation
+    matches the generic path bit-for-bit); else None."""
+    if not word_tree(node, _CONJUNCTION):
+        return None
+    occ = plan_terms(node)
+    if not all(s for s, _, _ in occ):
+        return None
+    return [s for s, _ in _first_terms(occ, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +198,63 @@ def _topk_tie_aware(docs: np.ndarray, scores: np.ndarray, k: int
     else:
         top = np.arange(n)
     return top[np.lexsort((docs[top], -scores[top]))][:k]
+
+
+def _seek_all(views: list) -> np.ndarray:
+    """Docs in every one of the postings ``views``: the rarest list
+    seeds the candidates, each other list, rarest first, is probed
+    block-lazily (LazyPostings.gather decodes only the 128-doc blocks
+    the candidates land in — the reference's skip-table seek,
+    SeekDocumentPost, Posts.hpp:448-473)."""
+    views = sorted(views, key=lambda lz: lz.df)
+    cand = views[0].doc_ids
+    for lz in views[1:]:
+        if not len(cand):
+            break
+        cand = cand[lz.gather(cand)[0]]
+    return cand
+
+
+def _ranked(cand: np.ndarray, scores: np.ndarray, k: int
+            ) -> list[tuple[float, int]]:
+    """The (-score, doc_id) top-k of scored candidates as (score,
+    ordinal) pairs, the form every scoring strategy returns."""
+    return [(float(scores[i]), int(cand[i]))
+            for i in _topk_tie_aware(cand, scores, k)]
+
+
+def _result_rows(hits) -> list[tuple[float, int, str, str]]:
+    """(score, doc_id, url, title) of each (score, shard, ordinal) hit:
+    the one place a result gets its doc id and docmeta."""
+    return [(s, int(sh.doc_ids[o])) + sh.doc_meta(o) for s, sh, o in hits]
+
+
+def _union_arrays(n: int, lists: list) -> np.ndarray:
+    if len(lists) > 1:
+        return np.unique(np.concatenate(lists))
+    return lists[0] if lists else _EMPTY
+
+
+def _union_masks(n: int, lists: list) -> np.ndarray:
+    m = np.zeros(n, dtype=bool)
+    for docs in lists:
+        m[docs] = True  # postings ARE dense positions
+    return m
+
+
+# The evaluator's two doc-set representations, with the same operations
+# (``of``: the union of sorted doc lists; ``docs``: to sorted ordinals).
+# Sorted-unique arrays suit selective plans and never write an operand
+# (a leaf may be a cached posting list); bool masks suit heavy plans
+# (bitwise algebra, no sort or merge) and run in place on fresh masks.
+_ARRAYS = SimpleNamespace(
+    of=_union_arrays, inter=_intersect_sorted,
+    minus=partial(np.setdiff1d, assume_unique=True), union=np.union1d,
+    docs=lambda s: s)
+_MASKS = SimpleNamespace(
+    of=_union_masks, inter=lambda a, b: np.logical_and(a, b, out=a),
+    minus=lambda a, b: np.logical_and(a, ~b, out=a),
+    union=lambda a, b: np.logical_or(a, b, out=a), docs=np.flatnonzero)
 
 
 class Vocabulary:
@@ -254,6 +307,10 @@ class ShardIndex:
     unchanged; dense scoring indexes the docmeta arrays directly, and
     results map back to real doc ids only at output time.
 
+    Scoring (``topk``): WAND, conjunctive skipping, or ``eval`` then
+    ``_bm25``; every path yields (score, ordinal) pairs, which
+    ``score_topk`` formats.
+
     Segment rows are keyed by ``term_id`` and sorted by it; the strings
     live once, in the index's terms table (``Vocabulary``), which a
     searcher reads once and hands to each of its shards as ``vocab``. A
@@ -288,24 +345,26 @@ class ShardIndex:
         # ~96% of a segment's size but only touched terms ever need
         # them, so init reads just the light columns (term_id, df, block
         # metadata — null on one-block rows; measured 90× cheaper) and
-        # heavy cells page in PER ROW GROUP on first touch (segments are
-        # written with 512-row groups, pipelines/exchange.py). At 100 TB
-        # an actor hosting GB-scale shards boots in metadata time and its
-        # resident set tracks the queried vocabulary, not the corpus.
+        # heavy cells page in PER ROW GROUP on first touch (segment row
+        # groups are byte-bounded, ~128 KB and at most 2,048 rows:
+        # exchange._write_byte_bounded). At 100 TB an actor hosting
+        # GB-scale shards boots in metadata time and its resident set
+        # tracks the queried vocabulary, not the corpus.
         self._rg_cache = LRU(256)
-        self._seg_pf, self._rg_starts = self._open_lazy(seg_path)
-        t = self._seg_pf.read(columns=list(self._LIGHT) + ["term_id"])
+        self._seg = self._open_lazy(seg_path)
+        t = self._seg[0].read(columns=list(self._LIGHT) + ["term_id"])
         # segment rows are written sorted by term id; bisect over a
         # memoryview costs a tenth of a scalar np.searchsorted call
         self._term_ids = memoryview(arrowbuf.view(t.column("term_id"),
                                                   np.int32))
         self._table = t
+        self._dfs = memoryview(arrowbuf.view(t.column("df"), np.int64))
         self._postings = LRU(1024)
         self._phrase_cache = LRU(512)  # the index is immutable
         # docmeta: scoring needs doc_id+dl for every doc; url/title only
         # for the ≤k result rows per query — paged in per row group too
-        self._doc_pf, self._doc_rg_starts = self._open_lazy(doc_path)
-        d = self._doc_pf.read(columns=["doc_id", "dl"])
+        self._docs = self._open_lazy(doc_path)
+        d = self._docs[0].read(columns=["doc_id", "dl"])
         doc_ids = arrowbuf.view(d.column("doc_id"), np.int64)
         order = np.argsort(doc_ids)
         self.doc_ids = doc_ids[order]
@@ -329,19 +388,21 @@ class ShardIndex:
                    for g in range(pf.metadata.num_row_groups)])[:-1]
         return pf, starts
 
-    def _seg_cell(self, i: int, col: str):
-        """One cell of a heavy segment column, paging in its row group
-        on first touch (bounded LRU)."""
-        g = int(np.searchsorted(self._rg_starts, i, side="right") - 1)
-        key = (g, col)
-        arr = self._rg_cache.get(key)
-        if arr is None:
+    def _cells(self, part: tuple, i: int, columns: tuple) -> tuple:
+        """Row ``i``'s cells of ``columns`` in ``part`` (_open_lazy's
+        file and row-group starts), paging its row group's columns in
+        with ONE read on first touch (bounded LRU)."""
+        pf, starts = part
+        g = int(np.searchsorted(starts, i, side="right") - 1)
+        key = (g, columns)
+        cols = self._rg_cache.get(key)
+        if cols is None:
             # use_threads=False: the default thread-pool dispatch costs
             # ~12 ms per small read vs ~0.9 ms single-threaded
-            arr = self._seg_pf.read_row_group(
-                g, columns=[col], use_threads=False).column(col)
-            self._rg_cache.put(key, arr)
-        return arr[i - int(self._rg_starts[g])].as_py()
+            cols = pf.read_row_group(g, columns=list(columns),
+                                     use_threads=False).columns
+            self._rg_cache.put(key, cols)
+        return tuple(c[i - int(starts[g])].as_py() for c in cols)
 
     def vocab(self) -> list[str]:
         """All terms in this shard, in row order (testing/diagnostics)."""
@@ -370,141 +431,62 @@ class ShardIndex:
             if i is not None:
                 row = {name: self._table.column(name)[i].as_py()
                        for name in self._LIGHT}
-                for name in ("doc_gaps", "tfs"):
-                    row[name] = self._seg_cell(i, name)
+                row["doc_gaps"], row["tfs"] = self._cells(
+                    self._seg, i, ("doc_gaps", "tfs"))
                 lz = seg.LazyPostings(
                     row, where=f"shard {self.shard} term {term!r}")
             self._postings.put(term, lz)
         if positions and lz is not None and not lz.has_positions:
-            lz.add_positions(self._seg_cell(self._find_row(term),
-                                            "pos_gaps"))
+            lz.add_positions(*self._cells(self._seg, self._find_row(term),
+                                          ("pos_gaps",)))
         return lz
 
     def doc_meta(self, ordinal: int) -> tuple[str, str]:
         """(url, title) of a doc by its shard ordinal — paged in per
         row group (only the ≤k result rows per query ever need them);
         both columns fetch in ONE group read."""
-        i = int(self._doc_order[ordinal])
-        g = int(np.searchsorted(self._doc_rg_starts, i,
-                                side="right") - 1)
-        key = (g, "url+title")
-        tab = self._rg_cache.get(key)
-        if tab is None:
-            tab = self._doc_pf.read_row_group(
-                g, columns=["url", "title"], use_threads=False)
-            self._rg_cache.put(key, tab)
-        loc = i - int(self._doc_rg_starts[g])
-        return (tab.column("url")[loc].as_py(),
-                tab.column("title")[loc].as_py())
+        return self._cells(self._docs, int(self._doc_order[ordinal]),
+                           ("url", "title"))
 
     def doc_dl(self, cand: np.ndarray) -> np.ndarray:
         """dl per doc ordinal — direct index into the docmeta order."""
         return self.dls[cand]
 
     # -- boolean algebra ----------------------------------------------------
-    def eval(self, node) -> np.ndarray:
-        if node is None:
-            return _EMPTY
-        if isinstance(node, qc.Word):
-            tp = self.lookup(node.stem_)
-            return tp.doc_ids if tp is not None else _EMPTY
-        if isinstance(node, qc.Phrase):
-            return self._eval_phrase([s for s in node.stems if s])
-        if isinstance(node, qc.And):
-            l, r = node.left, node.right
-            if isinstance(r, qc.Not):
-                return np.setdiff1d(self.eval(l), self.eval(r.child),
-                                    assume_unique=True)
-            if isinstance(l, qc.Not):
-                return np.setdiff1d(self.eval(r), self.eval(l.child),
-                                    assume_unique=True)
-            return np.intersect1d(self.eval(l), self.eval(r),
-                                  assume_unique=True)
-        if isinstance(node, (qc.Or, qc.SynOr)):
-            # word-only disjunction subtrees union in one shot (62-term
-            # synonym chains would otherwise do 62 pairwise union1d passes)
-            leaves: list[str] = []
-            if self._collect_or_words(node, leaves):
-                arrs = [tp.doc_ids for tp in
-                        (self.lookup(t) for t in leaves) if tp is not None]
-                if not arrs:
-                    return _EMPTY
-                return np.unique(np.concatenate(arrs))
-            if isinstance(node, qc.Or):
-                return np.union1d(self.eval(node.left),
-                                  self.eval(node.right))
-            return np.union1d(self.eval(node.left), self.eval(node.rest))
-        if isinstance(node, qc.Not):
-            return _EMPTY
-        raise TypeError(type(node))
+    def eval(self, node, dense: bool = False) -> np.ndarray:
+        """The plan's candidate set, as sorted doc ordinals: AND, word
+        unions, NOT on either side of an AND, a bare or OR-side NOT as
+        the empty set. ``dense`` evaluates over bool masks, else over
+        sorted arrays (_MASKS, _ARRAYS): the same set either way."""
+        sets = _MASKS if dense else _ARRAYS
+        return sets.docs(self._eval(node, sets))
 
-    def _eval_mask(self, node) -> np.ndarray:
-        """Dense-bitmap twin of eval(): same result set as a bool mask
-        over the shard's dense doc order. Set algebra becomes bitwise
-        AND/OR/ANDNOT over n_docs bools — no sorts, no merges — with
-        leaf membership filled from the cached dense posting positions.
-        Used by score_topk when the plan's leaf postings are a sizable
-        fraction of the shard (the sorted-array algebra wins for highly
-        selective plans on big shards)."""
+    def _eval(self, node, sets):
         n = len(self.doc_ids)
-        if node is None:
-            return np.zeros(n, dtype=bool)
-        if isinstance(node, qc.Word):
-            m = np.zeros(n, dtype=bool)
-            tp = self.lookup(node.stem_)
-            if tp is not None:
-                m[tp.doc_ids] = True  # postings ARE dense positions
-            return m
+        if node is not None and word_tree(node, _DISJUNCTION):
+            # word-only disjunction subtrees union in one shot (62-term
+            # synonym chains would otherwise do 62 pairwise unions)
+            views = (self.lookup(s) for s, _, _ in plan_terms(node))
+            return sets.of(n, [tp.doc_ids for tp in views if tp is not None])
         if isinstance(node, qc.Phrase):
-            docs = self._eval_phrase([s for s in node.stems if s])
-            m = np.zeros(n, dtype=bool)
-            if len(docs):
-                m[docs] = True
-            return m
+            return sets.of(n, [self._eval_phrase([s for s in node.stems
+                                                  if s])])
         if isinstance(node, qc.And):
             l, r = node.left, node.right
             if isinstance(r, qc.Not):
-                m = self._eval_mask(l)
-                m &= ~self._eval_mask(r.child)
-                return m
+                return sets.minus(self._eval(l, sets),
+                                  self._eval(r.child, sets))
             if isinstance(l, qc.Not):
-                m = self._eval_mask(r)
-                m &= ~self._eval_mask(l.child)
-                return m
-            m = self._eval_mask(l)
-            m &= self._eval_mask(r)
-            return m
-        if isinstance(node, (qc.Or, qc.SynOr)):
-            leaves: list[str] = []
-            if self._collect_or_words(node, leaves):
-                m = np.zeros(n, dtype=bool)
-                for t in leaves:
-                    tp = self.lookup(t)
-                    if tp is not None:
-                        m[tp.doc_ids] = True
-                return m
+                return sets.minus(self._eval(r, sets),
+                                  self._eval(l.child, sets))
+            return sets.inter(self._eval(l, sets), self._eval(r, sets))
+        if isinstance(node, _DISJUNCTION):
             rest = node.right if isinstance(node, qc.Or) else node.rest
-            m = self._eval_mask(node.left)
-            m |= self._eval_mask(rest)
-            return m
-        if isinstance(node, qc.Not):
-            return np.zeros(n, dtype=bool)
+            return sets.union(self._eval(node.left, sets),
+                              self._eval(rest, sets))
+        if node is None or isinstance(node, qc.Not):
+            return sets.of(n, [])
         raise TypeError(type(node))
-
-    @staticmethod
-    def _collect_or_words(node, out: list[str]) -> bool:
-        if node is None:
-            return True
-        if isinstance(node, qc.Word):
-            out.append(node.stem_)
-            return True
-        if isinstance(node, qc.Or):
-            return (ShardIndex._collect_or_words(node.left, out)
-                    and ShardIndex._collect_or_words(node.right, out))
-        if isinstance(node, qc.SynOr):
-            return (ShardIndex._collect_or_words(node.left, out)
-                    and ShardIndex._collect_or_words(node.rest, out))
-        return False
 
     def _eval_phrase(self, terms: list[str]) -> np.ndarray:
         if not terms:
@@ -517,27 +499,18 @@ class ShardIndex:
         return hit
 
     def _eval_phrase_uncached(self, terms: list[str]) -> np.ndarray:
-        """Docs holding ``terms`` at consecutive positions. The rarest
-        term seeds the candidate set; every other term intersects and
-        position-verifies through gather/gather_positions, so a frequent
-        companion decodes only the blocks the candidates land in, docs
-        AND positions (the reference's skip table serves phrase ISR
-        seeks the same way, Posts.hpp:448-473)."""
-        views = []
-        for t in terms:
-            lz = self.lookup(t, positions=True)
-            if lz is None:
-                return _EMPTY
-            views.append(lz)
-        order = sorted(range(len(views)), key=lambda j: views[j].df)
-        cand = views[order[0]].doc_ids
+        """Docs holding ``terms`` at consecutive positions: the docs
+        holding them all (_seek_all), position-verified through
+        gather_positions, so a frequent companion decodes only the
+        blocks the candidates land in, docs AND positions."""
+        views = [self.lookup(t, positions=True) for t in terms]
+        if any(lz is None for lz in views):
+            return _EMPTY
+        cand = _seek_all(views)
         if len(views) == 1:  # every posting holds >= 1 position
             return cand
-        for j in order[1:]:
-            hit, _ = views[j].gather(cand)
-            cand = cand[hit]
-            if not len(cand):
-                return _EMPTY
+        if not len(cand):
+            return _EMPTY
         # adjacency: intersect sorted (candidate ordinal, position - i)
         # keys in term order — no per-candidate Python loop; each term's
         # keys cover only the ordinals still alive after the previous
@@ -557,28 +530,58 @@ class ShardIndex:
             alive = ords[np.concatenate(([True], ords[1:] != ords[:-1]))]
         return cand[alive]
 
+    def _views(self, weighted_terms: list[tuple[str, float]]
+               ) -> list[tuple["seg.LazyPostings", float]]:
+        """(postings, weight) of the weighted terms that can add score."""
+        return [(tp, w) for tp, w in
+                ((self.lookup(t), w) for t, w in weighted_terms)
+                if tp is not None and w > 0 and tp.df]
+
+    def _bm25(self, cand: np.ndarray,
+              terms: list[tuple["seg.LazyPostings", float]], avgdl: float,
+              full: bool = False) -> np.ndarray:
+        """BM25 score of each sorted candidate ordinal: weight × impact
+        (weight = (SYN_WEIGHT or 1.0) × idf) adds from 0.0 over ``terms``
+        in order, the same float64 adds whichever way a term is read:
+        into one full-shard vector when ``full`` or n_docs ≤ 4·|cand|
+        (ordinals ARE its positions: no probes); by its postings probing
+        the candidates when df < |cand| (sorted-unique both sides, so
+        the += is exact); else by the candidates probing it through
+        LazyPostings.gather, which decodes only the blocks they land in
+        (a conjunction's frequent terms stay block-lazy)."""
+        n = len(self.doc_ids)
+        if full or n <= 4 * len(cand):
+            acc = np.zeros(n, dtype=np.float64)
+            for tp, w in terms:
+                di = tp.doc_ids
+                acc[di] += w * seg.bm25_impact(tp.tfs, self.dls[di], avgdl)
+            return acc[cand]
+        dls = self.dls[cand]
+        scores = np.zeros(len(cand), dtype=np.float64)
+        for tp, w in terms:
+            if tp.df < len(cand):
+                pos = np.searchsorted(cand, tp.doc_ids)
+                np.clip(pos, 0, len(cand) - 1, out=pos)
+                hit = cand[pos] == tp.doc_ids
+                ci = pos[hit]
+                scores[ci] += w * seg.bm25_impact(tp.tfs[hit], dls[ci],
+                                                  avgdl)
+            else:
+                hit, tfs = tp.gather(cand)
+                scores[hit] += w * seg.bm25_impact(tfs, dls[hit], avgdl)
+        return scores
+
     def exhaustive_topk(self, weighted_terms: list[tuple[str, float]],
                         k: int, avgdl: float) -> list[tuple[float, int]]:
         """Vectorized exhaustive union-scorer for a weighted term list —
         the no-skip baseline wand_topk is measured against (bench) and
         must match exactly (tests). Returns (score, doc ORDINAL), like
         wand_topk."""
-        tws = [(tp, w) for tp, w in
-               ((self.lookup(t), w) for t, w in weighted_terms)
-               if tp is not None and w > 0 and len(tp.doc_ids)]
-        if not tws:
+        terms = self._views(weighted_terms)
+        if not terms:
             return []
-        cand = np.unique(np.concatenate([tp.doc_ids for tp, _ in tws]))
-        dls = self.doc_dl(cand)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for tp, w in tws:
-            pos = np.searchsorted(tp.doc_ids, cand)
-            np.clip(pos, 0, len(tp.doc_ids) - 1, out=pos)
-            hit = tp.doc_ids[pos] == cand
-            scores[hit] += w * seg.bm25_impact(tp.tfs[pos[hit]],
-                                               dls[hit], avgdl)
-        order = _topk_tie_aware(cand, scores, k)
-        return [(float(scores[i]), int(cand[i])) for i in order]
+        cand = np.unique(np.concatenate([tp.doc_ids for tp, _ in terms]))
+        return _ranked(cand, self._bm25(cand, terms, avgdl), k)
 
     # -- vectorized block-max WAND (pure-disjunction top-k, scale path) -----
     _WAND_BATCH = 32  # intervals scored per vector pass
@@ -595,8 +598,8 @@ class ShardIndex:
            the sum of the covering blocks' max impacts (one sort +
            cumsum over ≤ 2·Σblocks boundary events).
         2. Visit intervals best-bound-first in batches; score each
-           batch's docs with the same vectorized BM25 kernel as the
-           exhaustive path (ragged searchsorted gather per term).
+           batch's docs through ``_bm25``, the exhaustive path's
+           accumulator.
         3. Stop when the next interval's bound is strictly below the
            current k-th score — remaining docs can neither beat nor tie
            it. Ties at the boundary therefore match the exhaustive
@@ -606,11 +609,7 @@ class ShardIndex:
         # the interval overlay needs only block metadata, and the score
         # loop decodes just the visited intervals' blocks — a frequent
         # term whose low-impact blocks are pruned is never decoded there
-        tws = []
-        for term, w in weighted_terms:
-            tp = self.lookup(term)
-            if tp is not None and w > 0 and tp.df:
-                tws.append((tp, w))
+        tws = self._views(weighted_terms)
         if not tws:
             return []
         # interval overlay: +ub at block start, -ub past block end;
@@ -661,37 +660,23 @@ class ShardIndex:
                     break
                 if cut < len(take):
                     take, done = take[:cut], True
-            docs_l, imp_l = [], []
-            for tp, w in tws:
+            docs_l = []
+            for tp, _ in tws:
                 # every interval lies inside ONE block of this term (its
                 # own block edges are interval boundaries): decode only
-                # the touched blocks; their ascending concatenation is
-                # sorted, so one global searchsorted gather applies
+                # the touched blocks and keep their docs in the batch
                 blk = np.searchsorted(tp.block_last_doc, lo[take])
                 need = np.unique(blk[blk < tp.nblocks])
-                if not len(need):
-                    continue
-                t_docs, t_tfs = tp.blocks_view(need)
-                a = np.searchsorted(t_docs, lo[take])
-                b = np.searchsorted(t_docs, hi[take])
-                cnt = b - a
-                if not cnt.any():
-                    continue
-                fi = seg.ragged_arange(a, cnt)
-                dsub = t_docs[fi]
-                imp = w * seg.bm25_impact(t_tfs[fi], self.doc_dl(dsub),
-                                          avgdl)
-                docs_l.append(dsub)
-                imp_l.append(imp)
-            if docs_l:
-                alldocs = np.concatenate(docs_l)
-                allimp = np.concatenate(imp_l)
-                o2 = np.argsort(alldocs, kind="stable")  # term order kept
-                sd, si = alldocs[o2], allimp[o2]
-                bnd = np.flatnonzero(
-                    np.concatenate(([True], sd[1:] != sd[:-1])))
-                docs = sd[bnd]
-                scores = np.add.reduceat(si, bnd)
+                if len(need):
+                    t_docs, _ = tp.blocks_view(need)
+                    a = np.searchsorted(t_docs, lo[take])
+                    cnt = np.searchsorted(t_docs, hi[take]) - a
+                    docs_l.append(t_docs[seg.ragged_arange(a, cnt)])
+            docs = np.unique(np.concatenate(docs_l)) if docs_l else _EMPTY
+            if len(docs):
+                # the exhaustive path's accumulator, hence its float adds;
+                # its candidate probes find the blocks decoded above
+                scores = self._bm25(docs, tws, avgdl)
                 if len(docs) > k:  # O(n) local reduce before the merge
                     keep = _topk_tie_aware(docs, scores, k)
                     docs, scores = docs[keep], scores[keep]
@@ -718,23 +703,16 @@ class ShardIndex:
 
     def _conjunctive_topk(self, terms: list[str], k: int,
                           idf: dict[str, float], avgdl: float
-                          ) -> "list[tuple[float, int, str, str]] | None":
+                          ) -> "list[tuple[float, int]] | None":
         """Top-k for a pure AND-of-words plan without ever fully
-        decoding the frequent terms: the rarest term's postings seed the
-        candidate set; every other term is probed block-lazily (only the
-        128-doc blocks the candidates land in decode — the Ray-side
-        SeekDocumentPost, Posts.hpp:448-473). Returns None when the dfs
+        decoding the frequent terms (_seek_all). Returns None when the dfs
         are balanced (no skipping to be had — the generic path's single
         full decode is then the cheaper constant). Results are
         bit-identical to the generic path (same candidate set, same
         float accumulation order; pinned by tests/test_conjunctive.py)."""
-        infos: list[tuple[str, int]] = []
-        for t in terms:
-            i = self._find_row(t)
-            if i is None:
-                return []  # AND with an absent term matches nothing
-            infos.append((t, int(self._table.column("df")[i].as_py())))
-        dfs = [d for _, d in infos]
+        dfs = [self._df(t) for t in terms]
+        if not all(dfs):
+            return []  # AND with an absent term matches nothing
         # engage only when (a) dfs are skewed (otherwise nothing to
         # skip), (b) the frequent list is big enough that avoiding its
         # full decode beats the per-block bookkeeping (same 4096 floor
@@ -748,39 +726,37 @@ class ShardIndex:
                 or max(dfs) < self.CONJ_MIN_DF \
                 or min(dfs) * self.CONJ_BLOCK_COST > max(dfs):
             return None
-        order = sorted(range(len(infos)), key=lambda j: dfs[j])
-        seed = infos[order[0]][0]
-        tp0 = self.lookup(seed)  # full decode of the RARE term only
-        cand = tp0.doc_ids
-        for j in order[1:]:
-            if not len(cand):
-                return []
-            hit, _ = self.lookup(infos[j][0]).gather(cand)
-            cand = cand[hit]
+        views = dict(zip(terms, map(self.lookup, terms)))
+        cand = _seek_all(list(views.values()))
         if not len(cand):
             return []
-        dls = self.doc_dl(cand)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for t, _df in infos:  # plan order == scoring_terms order
-            w = idf.get(t)
-            if w is None:
-                continue
-            if t == seed:
-                tfs = tp0.tfs[np.searchsorted(tp0.doc_ids, cand)]
-            else:  # blocks already cached by the intersection pass
-                _hit, tfs = self.lookup(t).gather(cand)
-            scores += w * seg.bm25_impact(tfs, dls, avgdl)
-        top = _topk_tie_aware(cand, scores, k)
-        out = []
-        for i in top:
-            url, title = self.doc_meta(int(cand[i]))
-            out.append((float(scores[i]),
-                        int(self.doc_ids[cand[i]]), url, title))
-        return out
+        # plan order == scoring_terms order; the frequent terms' blocks
+        # are already cached by the intersection pass
+        scored = [(views[t], idf[t]) for t in terms if t in idf]
+        return _ranked(cand, self._bm25(cand, scored, avgdl), k)
 
     # -- scoring ------------------------------------------------------------
+    def _df(self, term: str) -> int:
+        """The term's df in this shard, 0 when absent: from its cached
+        view, else from the light metadata (a gate probe decodes and
+        pages in no posting bytes)."""
+        lz = self._postings.get(term, ShardIndex._MISS)
+        if lz is not ShardIndex._MISS:
+            return 0 if lz is None else lz.df
+        i = self._find_row(term)
+        return 0 if i is None else self._dfs[i]
+
     def score_topk(self, plan, k: int, idf: dict[str, float],
                    avgdl: float) -> list[tuple[float, int, str, str]]:
+        """The plan's top-k on this shard as (score, doc_id, url, title)
+        rows, in (-score, doc_id) order."""
+        return _result_rows((s, self, o)
+                            for s, o in self.topk(plan, k, idf, avgdl))
+
+    def topk(self, plan, k: int, idf: dict[str, float],
+             avgdl: float) -> list[tuple[float, int]]:
+        """The plan's top-k on this shard as (score, doc ORDINAL) pairs,
+        unformatted, from the first strategy whose gate admits it."""
         # pure disjunctions take the vectorized block-max WAND path (no
         # full-candidate materialization; whole intervals that cannot
         # reach the top-k are never decoded). Very large synonym
@@ -791,25 +767,10 @@ class ShardIndex:
         # on a 64k-doc shard), so small lookups stay exhaustive.
         wand_terms = (pure_disjunction_terms(plan, idf)
                       if self.wand_ok else None)
-        if wand_terms is not None and len(wand_terms) > 32:
-            wand_terms = None
-        if wand_terms is not None:
-            # df from the light metadata table — probing the gate must
-            # not decode (or page in) any posting bytes
-            total_df = 0
-            for t, _ in wand_terms:
-                i = self._find_row(t)
-                if i is not None:
-                    total_df += int(self._table.column("df")[i].as_py())
-            if total_df < 4096 * max(1, len(wand_terms)):
-                wand_terms = None
-        if wand_terms is not None:
-            out = []
-            for score, ordinal in self.wand_topk(wand_terms, k, avgdl):
-                url, title = self.doc_meta(ordinal)
-                out.append((score, int(self.doc_ids[ordinal]), url,
-                            title))
-            return out
+        if wand_terms is not None and len(wand_terms) <= 32 \
+                and sum(self._df(t) for t, _ in wand_terms) \
+                >= 4096 * max(1, len(wand_terms)):
+            return self.wand_topk(wand_terms, k, avgdl)
         # pure AND-of-words plans with skewed dfs skip through the
         # frequent terms block-lazily instead of fully decoding them
         and_terms = conjunctive_word_terms(plan)
@@ -818,84 +779,21 @@ class ShardIndex:
             if res is not None:
                 return res
         # heavy plans (leaf postings a sizable fraction of the shard)
-        # evaluate as dense bitmaps; selective plans keep the
-        # sorted-array algebra (identical result sets either way)
-        total_df = 0
-        for t, _ in flatten_terms(plan):
-            tp = self.lookup(t)
-            if tp is not None:
-                total_df += tp.df
-        dense = False
-        if 4 * total_df >= len(self.doc_ids):
-            cand = np.flatnonzero(self._eval_mask(plan))
-            dense = True
-        else:
-            cand = self.eval(plan)
+        # evaluate as dense bitmaps and score into one full-shard
+        # vector; selective plans keep the sorted-array algebra. The
+        # evaluation looks every term up, so the gate does it first.
+        occ = plan_terms(plan)
+        views = [self.lookup(t) for t, _ in _first_terms(occ, False)]
+        dense = 4 * sum(tp.df for tp in views if tp is not None) \
+            >= len(self.doc_ids)
+        cand = self.eval(plan, dense)
         if not len(cand):
             return []
-        if dense or len(self.doc_ids) <= 4 * len(cand):
-            # dense path: when the candidate set is a sizable fraction
-            # of the shard, accumulate every term's impacts into ONE
-            # full-shard score vector — posting ordinals ARE the dense
-            # positions, zero probes per term — then gather the
-            # candidates' scores. Bounded alloc: n_docs float64
-            # ≤ 4 × |cand| × 8 B.
-            full = np.zeros(len(self.doc_ids), dtype=np.float64)
-            for term, is_syn in scoring_terms(plan):
-                tp = self.lookup(term)
-                w = idf.get(term)
-                if tp is None or w is None:
-                    continue
-                di = tp.doc_ids
-                imp = seg.bm25_impact(tp.tfs, self.dls[di], avgdl)
-                full[di] += (SYN_WEIGHT if is_syn else 1.0) * w * imp
-            scores = full[cand]
-            order = _topk_tie_aware(cand, scores, k)
-            out = []
-            for i in order:
-                url, title = self.doc_meta(int(cand[i]))
-                out.append((float(scores[i]),
-                            int(self.doc_ids[cand[i]]), url, title))
-            return out
-        dls = self.doc_dl(cand)
-        scores = np.zeros(len(cand), dtype=np.float64)
-        for term, is_syn in scoring_terms(plan):
-            tp = self.lookup(term)
-            w = idf.get(term)
-            if tp is None or w is None:
-                continue
-            if len(tp.doc_ids) < len(cand):
-                # rare term: probe the candidate array with the postings
-                # (O(df log C)) instead of the other way round — both
-                # sides are unique+sorted so the hit positions are
-                # unique and fancy-index += is exact
-                pos = np.searchsorted(cand, tp.doc_ids)
-                np.clip(pos, 0, len(cand) - 1, out=pos)
-                hit = cand[pos] == tp.doc_ids
-                if not hit.any():
-                    continue
-                ci = pos[hit]
-                imp = seg.bm25_impact(tp.tfs[hit], dls[ci], avgdl)
-                scores[ci] += (SYN_WEIGHT if is_syn else 1.0) * w * imp
-            else:
-                pos = np.searchsorted(tp.doc_ids, cand)
-                np.clip(pos, 0, len(tp.doc_ids) - 1, out=pos)
-                hit = tp.doc_ids[pos] == cand
-                if not hit.any():
-                    continue
-                tfs = tp.tfs[pos[hit]]
-                imp = seg.bm25_impact(tfs, dls[hit], avgdl)
-                scores[hit] += (SYN_WEIGHT if is_syn else 1.0) * w * imp
-        # tie-aware O(n) top-k (argpartition alone picks an arbitrary
-        # subset among ties at the k-th boundary; a full lexsort costs
-        # O(n log n) per query)
-        order = _topk_tie_aware(cand, scores, k)
-        out = []
-        for i in order:
-            url, title = self.doc_meta(int(cand[i]))
-            out.append((float(scores[i]),
-                        int(self.doc_ids[cand[i]]), url, title))
-        return out
+        scored = self._views([(t, (SYN_WEIGHT if syn else 1.0) * idf[t])
+                              for t, syn in _first_terms(occ, True)
+                              if t in idf])
+        return _ranked(cand, self._bm25(cand, scored, avgdl, full=dense),
+                       k)
 
 
 @ray.remote(concurrency_groups={"front": 1})
@@ -924,11 +822,12 @@ class SegmentSearcher:
 
     def search(self, plan, k: int, idf: dict[str, float],
                avgdl: float) -> list[tuple[float, int, str, str]]:
-        results: list[tuple[float, int, str, str]] = []
-        for sh in self.shards:
-            results.extend(sh.score_topk(plan, k, idf, avgdl))
-        results.sort(key=lambda r: (-r[0], r[1]))
-        return results[:k]
+        # merge the shards' unformatted top-k; only the k winners read
+        # their docmeta
+        hits = [(s, sh, o) for sh in self.shards
+                for s, o in sh.topk(plan, k, idf, avgdl)]
+        hits.sort(key=lambda h: (-h[0], int(h[1].doc_ids[h[2]])))
+        return _result_rows(hits[:k])
 
     def score_many(self, plans: list, k: int, idfs: list[dict],
                    avgdl: float) -> list[list[tuple]]:

@@ -17,51 +17,6 @@ import pyarrow.compute as pc
 from ..kernels import varint
 
 
-def _varint_stream_with_offsets(vals: np.ndarray
-                                ) -> tuple[bytes, np.ndarray]:
-    """Encode a uint64 array as one LEB128 stream; also return the byte
-    offset of each value (len n+1) for slicing."""
-    v = np.ascontiguousarray(vals, dtype=np.uint64)
-    n = len(v)
-    if n == 0:
-        return b"", np.zeros(1, dtype=np.int64)
-    vmax = int(v.max())
-    if vmax < (1 << 14):
-        # 1-2 byte fast path (covers within-doc position gaps)
-        two = v >= np.uint64(128)
-        nb = 1 + two.astype(np.int64)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(nb, out=offsets[1:])
-        out = np.zeros(int(offsets[-1]), dtype=np.uint8)
-        b0 = (v & np.uint64(0x7F)).astype(np.uint8)
-        b0[two] |= 0x80
-        out[offsets[:-1]] = b0
-        if two.any():
-            out[offsets[:-1][two] + 1] = (v[two] >> np.uint64(7)
-                                          ).astype(np.uint8)
-        return out.tobytes(), offsets
-    nb = np.ones(n, dtype=np.int64)
-    for t in (1 << 7, 1 << 14, 1 << 21, 1 << 28, 1 << 35, 1 << 42,
-              1 << 49, 1 << 56, 1 << 63):
-        nb += v >= t
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nb, out=offsets[1:])
-    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
-    cur = v.copy()
-    active = np.arange(n)
-    shift = 0
-    while len(active):
-        chunk = cur[active]
-        byte = (chunk & np.uint64(0x7F)).astype(np.uint8)
-        more = chunk >= np.uint64(0x80)
-        byte[more] |= 0x80
-        out[offsets[active] + shift] = byte
-        cur[active] = chunk >> np.uint64(7)
-        active = active[more]
-        shift += 1
-    return out.tobytes(), offsets
-
-
 def emit_postings_columnar(doc_ids: np.ndarray, dls: np.ndarray,
                            terms_col) -> dict:
     """Emit per-(term, doc) posting runs for a batch of docs.
@@ -119,7 +74,7 @@ def emit_postings_columnar(doc_ids: np.ndarray, dls: np.ndarray,
         np.subtract(pos[1:], pos[:-1], out=deltas[1:])
         deltas[starts] = pos[starts]  # run starts carry absolute positions
     gaps = deltas.astype(np.uint64)
-    pos_stream, tok_offsets = _varint_stream_with_offsets(gaps)
+    pos_stream, tok_offsets = varint.encode_u64_offsets(gaps)
     run_byte_offsets = np.append(tok_offsets[starts], tok_offsets[-1])
 
     return {

@@ -48,7 +48,7 @@ def _write_shard(root, terms: list[str], dls, avgdl: float):
     exchange = os.path.join(root, "exchange")
     for d in ("segments", "docmeta"):
         os.makedirs(os.path.join(root, d))
-    _PartialExchangeWriter(exchange, 1, 1, emit_meta=True)(batch)
+    _PartialExchangeWriter(exchange, 1, 1)(batch)
     terms_dir = os.path.join(root, "terms")
     worker = _GroupMergeWorker(exchange, os.path.join(root, "segments"), 1,
                                avgdl, "bid",

@@ -64,8 +64,7 @@ def test_duplicate_emit_is_idempotent(tmp_path):
         docmeta = str(tmp_path / f"meta_{tag}")
         os.makedirs(segments)
         os.makedirs(docmeta)
-        w = _PartialExchangeWriter(exchange, num_shards=4, num_groups=2,
-                                   emit_meta=True)
+        w = _PartialExchangeWriter(exchange, num_shards=4, num_groups=2)
         for _ in range(n_emits):  # a retry re-emits the same batch
             w(batch)
         terms = str(tmp_path / f"terms_{tag}")
@@ -87,41 +86,6 @@ def test_duplicate_emit_is_idempotent(tmp_path):
     twice = run(3, "retry")
     assert once == twice
     assert len(once[1]) == 64  # every doc exactly once in docmeta
-
-def test_parquet_exchange_format_equals_ipc(tmp_path, monkeypatch):
-    """SE_EXCHANGE_FORMAT=parquet (slow-storage fallback) produces the
-    exact same segments and docmeta as the default IPC partials."""
-    from search_engine_ray.pipelines import exchange as ex
-
-    batch = _fake_docs_batch()
-
-    def run(fmt: str):
-        monkeypatch.setattr(ex, "EXCHANGE_FORMAT", fmt)
-        exchange = str(tmp_path / f"ex_{fmt}")
-        segments = str(tmp_path / f"seg_{fmt}")
-        docmeta = str(tmp_path / f"meta_{fmt}")
-        os.makedirs(segments)
-        os.makedirs(docmeta)
-        w = ex._PartialExchangeWriter(exchange, num_shards=4,
-                                      num_groups=2, emit_meta=True)
-        w(batch)
-        ext = ".arrow" if fmt == "ipc" else ".parquet"
-        names = os.listdir(os.path.join(exchange, "grp=0"))
-        assert any(n.endswith(ext) for n in names), names
-        terms = str(tmp_path / f"terms_{fmt}")
-        m = ex._GroupMergeWorker(exchange, segments, 4, 5.0, "bid",
-                                 docmeta_dir=docmeta, terms_dir=terms)
-        _count_and_merge(m, [0, 1])
-        segs = _named_segments(segments, terms)
-        si = segs.schema.get_field_index("shard")
-        segs = segs.set_column(si, "shard",
-                               segs.column("shard").cast(pa.int32()))
-        meta = pq.read_table(docmeta)
-        return (segs.sort_by([("shard", "ascending"),
-                              ("term", "ascending")]).to_pydict(),
-                meta.sort_by([("doc_id", "ascending")]).to_pydict())
-
-    assert run("ipc") == run("parquet")
 
 
 def test_byte_bounded_row_groups():

@@ -113,3 +113,37 @@ def test_u64_stream_matches_scalar_layout():
     for v in vals:
         varint.encode_varint(int(v), expect)
     assert stream == bytes(expect)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_u64_offsets_match_scalar_encoder(seed):
+    """Random uint64 arrays of 1- to 10-byte values, and arrays under
+    2**14 (the 1-2 byte fast path): the stream is the concatenated
+    scalar encode_varint output and the offsets are the running byte
+    lengths."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(200, 400))
+    if seed % 2:
+        vals = rng.integers(0, 1 << 14, size=n, dtype=np.uint64)
+    else:  # full-width values shifted right by random bit counts
+        vals = rng.integers(0, np.iinfo(np.uint64).max, size=n,
+                            dtype=np.uint64, endpoint=True)
+        vals >>= rng.integers(0, 64, size=n).astype(np.uint64)
+        vals[:2] = [1 << 63, np.iinfo(np.uint64).max]  # 10 bytes each
+    stream, offs = varint.encode_u64_offsets(vals)
+    expect, lens = bytearray(), [0]
+    for v in vals:
+        varint.encode_varint(int(v), expect)
+        lens.append(len(expect))
+    assert stream == bytes(expect)
+    assert offs.tolist() == lens
+    assert varint.encode_u64_stream(vals) == stream
+    if seed % 2 == 0:
+        assert {b - a for a, b in zip(lens, lens[1:])} == set(range(1, 11))
+    else:
+        assert max(vals) < 1 << 14
+
+
+def test_u64_offsets_empty():
+    stream, offs = varint.encode_u64_offsets(np.empty(0, np.uint64))
+    assert stream == b"" and offs.tolist() == [0]

@@ -735,17 +735,26 @@ def media_pipeline(n: int | None = None, sf_dir: str | None = None,
         # capped so three stages don't oversubscribe it; start at one
         # actor, so a one-block input starts no idle second one
         concurrency = (1, _pool_concurrency(12, 3))
-    # materialize once: the three stages fork from the same blocks
-    # (object-store-resident, distributed) instead of re-synthesizing
-    # the corpus per consumer
-    media = synth_media_dataset(n).materialize()
-    images = media.map_batches(ImageDecodeResize, batch_format="pyarrow",
-                               batch_size=8, concurrency=concurrency)
-    audio = media.map_batches(AudioFrameSample, batch_format="pyarrow",
-                              batch_size=8, concurrency=concurrency)
-    video = media.map_batches(VideoFrameSample, batch_format="pyarrow",
-                              batch_size=8, concurrency=concurrency)
-    return images, audio, video
+    import ray.data as rd
+
+    def rows_of_kind(k: int):
+        # synth_media_batch gives media_id i the kind i % 3 (image,
+        # audio, video) and is deterministic per id, so each stage
+        # synthesizes its own ids k, k + 3, …: no corpus is materialized
+        # and no row is synthesized twice
+        return rd.range(len(range(k, n, 3))).map_batches(
+            lambda b: synth_media_batch(
+                3 * b.column("id").to_numpy(zero_copy_only=False) + k),
+            batch_format="pyarrow", batch_size=64)
+
+    # the pools hold no CPU: the synthesis tasks stream into them, and a
+    # decode actor holding a 1-CPU node's one CPU left those tasks
+    # unscheduled, so the pipeline never finished (media_audio_spectrogram
+    # likewise)
+    return tuple(rows_of_kind(k).map_batches(
+        stage, batch_format="pyarrow", batch_size=8,
+        concurrency=concurrency, num_cpus=0) for k, stage in enumerate(
+            (ImageDecodeResize, AudioFrameSample, VideoFrameSample)))
 
 
 class AudioSpectrogram(AudioFrameSample):

@@ -1,6 +1,7 @@
 """Relational demo operators over the TPC-H-ish tables: pre-aggregated
 grouped aggregate, equi-joins (inner / semi / anti, all through
-``join.gated_join``), tumbling-window event aggregate.
+``join.gated_join``), tumbling-window event aggregate, and the asof and
+range joins, each one kernel over the per-user band plan of bands.py.
 
 Money/values are emitted as integer cents/micros so the DuckDB oracle hash
 is exact (float summation order differs between engines).
@@ -17,6 +18,8 @@ import ray
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..pipelines.datasets import read_table
+from ..state.segments import ragged_arange
+from .bands import Carry, banded, col
 from .join import BROADCAST_GATE, gated_join
 
 
@@ -365,7 +368,40 @@ ORDER BY event_type, window_us
 
 
 # ---------------------------------------------------------------------------
+def _two_types(sf_dir: str, kinds: tuple[str, str], flag: str):
+    """The events of the two ``kinds``, their event_type replaced by
+    the bool column ``flag``: True for the second kind."""
+    ds = read_table(sf_dir, "events",
+                    columns=["event_id", "ts", "user_id", "event_type"])
+    ds = ds.filter(expr=f"event_type == '{kinds[0]}' or "
+                        f"event_type == '{kinds[1]}'")
+    return ds.map_batches(
+        lambda b: b.drop_columns(["event_type"]).append_column(
+            flag, pc.equal(b.column("event_type"), kinds[1])),
+        batch_format="pyarrow")
+
+
 _ASOF_BAND_US = 86_400_000_000  # 1 day
+
+
+def _asof(g: pa.Table) -> pa.Table:
+    ids, ts = col(g, "event_id"), col(g, "ts_us")
+    click = col(g, "is_click")
+    # visitors are carried clicks, so every purchase is the band's own
+    c, p = np.flatnonzero(click), np.flatnonzero(~click)
+    # the group's (ts, event_id) order breaks ties among equal click
+    # timestamps to the LARGEST event_id
+    pos = np.searchsorted(ts[c], ts[p], side="right") - 1
+    miss = pos < 0
+    m = c[np.maximum(pos, 0)] if len(c) else p  # masked where missed
+    return pa.table({
+        "purchase_id": pa.array(ids[p], pa.int64()),
+        "user_id": pa.array(col(g, "user_id")[p], pa.int64()),
+        "purchase_ts": pa.array(ts[p], pa.timestamp("us")),
+        "click_id": pa.array(ids[m], pa.int64(), mask=miss),
+        "click_ts": pa.array(ts[m], pa.timestamp("us"), mask=miss),
+        "lag_us": pa.array(ts[p] - ts[m], pa.int64(), mask=miss),
+    })
 
 
 def events_asof_join(sf_dir: str, left_type: str = "purchase",
@@ -377,204 +413,15 @@ def events_asof_join(sf_dir: str, left_type: str = "purchase",
     state-lookup shape). Ties among equal right-side timestamps break
     deterministically to the LARGEST event_id (mirrored in the oracle).
 
-    Distributed like the range join next door: events key on the
-    (user_id, time-band) PAIR so a hot single-user firehose never
-    creates an unbounded group. Cross-band matches are handled by a
-    CARRY-IN row: a small per-(user, band) summary pass computes each
-    band's latest click, a per-user prefix-max over those summaries
-    (group size = #bands per user, not #events) yields "latest click
-    strictly before this band", and that one row is unioned into every
-    band that has purchases. In-group probe: one vectorized
-    searchsorted of purchase timestamps into the (ts, event_id)-sorted
-    click stream. Shuffle volume: 2× the event rows + the tiny summary/
-    carry tables. DuckDB twin: native ASOF LEFT JOIN over per-(user,
+    One kernel over the banded per-user plan (bands.py): events group
+    by (user_id, time-band), so a hot single-user firehose never
+    creates an unbounded group, and each band's carry row is its
+    user's latest click of an earlier band, so a match crosses band
+    edges. In-group probe: one searchsorted of purchase timestamps into
+    the band's clicks. DuckDB twin: native ASOF LEFT JOIN over per-(user,
     ts) max-event_id-deduped clicks (hash-exact, incl. null rows)."""
-    ds = read_table(sf_dir, "events",
-                    columns=["event_id", "ts", "user_id", "event_type"])
-    ds = ds.filter(
-        expr=f"event_type == '{left_type}' or "
-             f"event_type == '{right_type}'")
-
-    def banded(b: pa.Table) -> pa.Table:
-        ts_us = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "user_id": b.column("user_id").cast(pa.int64()),
-            "band": pa.array(ts_us // band_us, pa.int64()),
-            "event_id": b.column("event_id").cast(pa.int64()),
-            "ts_us": pa.array(ts_us, pa.int64()),
-            "is_left": pc.equal(b.column("event_type"), left_type),
-        })
-
-    # materialize: the banded stream feeds BOTH the summary chain and
-    # the final union — without this the full events read + band map
-    # would re-execute for each consumer (object-store-resident blocks,
-    # spillable, never on the driver)
-    stream = ds.map_batches(banded, batch_format="pyarrow").materialize()
-
-    _SUM_SCHEMA = {
-        "user_id": pa.int64(), "band": pa.int64(),
-        "best_ts": pa.int64(), "best_id": pa.int64(),
-        "has_left": pa.bool_(),
-    }
-
-    def summarize(b: pa.Table) -> pa.Table:
-        """Per-batch partial: one row per (user, band) with the latest
-        (ts, event_id) click and a purchases-present flag."""
-        users = b.column("user_id").to_numpy(zero_copy_only=False)
-        bands = b.column("band").to_numpy(zero_copy_only=False)
-        ids = b.column("event_id").to_numpy(zero_copy_only=False)
-        ts = b.column("ts_us").to_numpy(zero_copy_only=False)
-        is_l = b.column("is_left").to_numpy(zero_copy_only=False)
-        if not len(users):
-            return pa.table({k: pa.array([], t)
-                             for k, t in _SUM_SCHEMA.items()})
-        # lexsort: within (user, band), clicks before purchases isn't
-        # needed — rank clicks by (ts, id) and take the segment's last
-        order = np.lexsort((ids, ts, bands, users))
-        u, bd = users[order], bands[order]
-        new = np.empty(len(u), dtype=bool)
-        new[0] = True
-        new[1:] = (u[1:] != u[:-1]) | (bd[1:] != bd[:-1])
-        seg = np.cumsum(new) - 1
-        n_seg = int(seg[-1]) + 1
-        has_left = np.zeros(n_seg, dtype=bool)
-        np.logical_or.at(has_left, seg, is_l[order])
-        # last click per segment: positions of clicks, keep the max
-        # (ts, id) — lexsort already ordered them, so the last click
-        # index within each segment wins
-        click_pos = np.flatnonzero(~is_l[order])
-        best = np.full(n_seg, -1, dtype=np.int64)
-        # max position per segment = the segment's max (ts, id) click
-        np.maximum.at(best, seg[click_pos], click_pos)
-        out_u = u[new]
-        out_b = bd[new]
-        hit = best >= 0
-        safe = np.clip(best, 0, None)
-        return pa.table({
-            "user_id": pa.array(out_u, pa.int64()),
-            "band": pa.array(out_b, pa.int64()),
-            "best_ts": pa.array(
-                np.where(hit, ts[order][safe], 0), pa.int64(),
-                mask=~hit),
-            "best_id": pa.array(
-                np.where(hit, ids[order][safe], 0), pa.int64(),
-                mask=~hit),
-            "has_left": pa.array(has_left),
-        })
-
-    def combine(g: pa.Table) -> pa.Table:
-        """Merge per-batch summaries of one (user, band)."""
-        mask = g.column("best_ts").is_valid().to_numpy(
-            zero_copy_only=False)
-        # fill_null keeps the arrays int64 (nulls → float64+NaN would
-        # corrupt >2^53 timestamps / event ids)
-        bt = pc.fill_null(g.column("best_ts"), 0).to_numpy(
-            zero_copy_only=False)
-        bi = pc.fill_null(g.column("best_id"), 0).to_numpy(
-            zero_copy_only=False)
-        has = bool(pc.any(g.column("has_left")).as_py())
-        if mask.any():
-            vi = np.flatnonzero(mask)
-            k = vi[np.lexsort((bi[vi], bt[vi]))[-1]]
-            row = {"best_ts": pa.array([int(bt[k])], pa.int64()),
-                   "best_id": pa.array([int(bi[k])], pa.int64())}
-        else:
-            row = {"best_ts": pa.array([None], pa.int64()),
-                   "best_id": pa.array([None], pa.int64())}
-        return pa.table({
-            "user_id": g.column("user_id")[:1],
-            "band": g.column("band")[:1],
-            **row,
-            "has_left": pa.array([has]),
-        })
-
-    summary = (stream.map_batches(summarize, batch_format="pyarrow")
-                     .groupby(["user_id", "band"])
-                     .map_groups(combine, batch_format="pyarrow"))
-
-    def carries(g: pa.Table) -> pa.Table:
-        """Per user: for each band with purchases, the latest click of
-        any STRICTLY EARLIER band (prefix max over band order)."""
-        bands = g.column("band").to_numpy(zero_copy_only=False)
-        order = np.argsort(bands, kind="stable")
-        bands_s = bands[order]
-        bt = pc.fill_null(g.column("best_ts"), 0).to_numpy(
-            zero_copy_only=False)[order]
-        bi = pc.fill_null(g.column("best_id"), 0).to_numpy(
-            zero_copy_only=False)[order]
-        mask = g.column("best_ts").is_valid().to_numpy(
-            zero_copy_only=False)[order]
-        has_l = g.column("has_left").to_numpy(
-            zero_copy_only=False)[order]
-        user = int(g.column("user_id")[0].as_py())
-        out_b, out_ts, out_id = [], [], []
-        cur_ts = cur_id = None
-        for j in range(len(bands_s)):
-            if has_l[j] and cur_ts is not None:
-                out_b.append(int(bands_s[j]))
-                out_ts.append(cur_ts)
-                out_id.append(cur_id)
-            if mask[j]:
-                # within-user bands are disjoint time ranges, so a
-                # later band's best always supersedes (ts strictly
-                # greater) — simple assignment, no (ts, id) compare
-                cur_ts, cur_id = int(bt[j]), int(bi[j])
-        return pa.table({
-            "user_id": pa.array([user] * len(out_b), pa.int64()),
-            "band": pa.array(out_b, pa.int64()),
-            "event_id": pa.array(out_id, pa.int64()),
-            "ts_us": pa.array(out_ts, pa.int64()),
-            "is_left": pa.array([False] * len(out_b), pa.bool_()),
-        })
-
-    carry = summary.groupby("user_id").map_groups(
-        carries, batch_format="pyarrow")
-
-    def per_group(g: pa.Table) -> pa.Table:
-        ts = g.column("ts_us").to_numpy(zero_copy_only=False)
-        ids = g.column("event_id").to_numpy(zero_copy_only=False)
-        users = g.column("user_id").to_numpy(zero_copy_only=False)
-        is_l = g.column("is_left").to_numpy(zero_copy_only=False)
-        l_idx = np.flatnonzero(is_l)
-        if not len(l_idx):
-            return pa.table({
-                "purchase_id": pa.array([], pa.int64()),
-                "user_id": pa.array([], pa.int64()),
-                "purchase_ts": pa.array([], pa.timestamp("us")),
-                "click_id": pa.array([], pa.int64()),
-                "click_ts": pa.array([], pa.timestamp("us")),
-                "lag_us": pa.array([], pa.int64()),
-            })
-        r_idx = np.flatnonzero(~is_l)
-        # deterministic tie-break: sort clicks by (ts, event_id) so the
-        # searchsorted pick among equal timestamps is the max event_id
-        r_idx = r_idx[np.lexsort((ids[r_idx], ts[r_idx]))]
-        l_ts = ts[l_idx]
-        if len(r_idx):
-            pos = np.searchsorted(ts[r_idx], l_ts, side="right") - 1
-            hit = pos >= 0
-            safe = np.clip(pos, 0, None)
-            m_ids = np.where(hit, ids[r_idx][safe], -1)
-            m_ts = np.where(hit, ts[r_idx][safe], 0)
-        else:
-            hit = np.zeros(len(l_idx), dtype=bool)
-            m_ids = np.full(len(l_idx), -1, dtype=np.int64)
-            m_ts = np.zeros(len(l_idx), dtype=np.int64)
-        return pa.table({
-            "purchase_id": pa.array(ids[l_idx], pa.int64()),
-            "user_id": pa.array(users[l_idx], pa.int64()),
-            "purchase_ts": pa.array(l_ts, pa.timestamp("us")),
-            "click_id": pa.array(
-                np.where(hit, m_ids, 0), pa.int64(), mask=~hit),
-            "click_ts": pa.array(m_ts, pa.timestamp("us"), mask=~hit),
-            "lag_us": pa.array(
-                np.where(hit, l_ts - m_ts, 0), pa.int64(), mask=~hit),
-        })
-
-    return (stream.union(carry)
-                  .groupby(["user_id", "band"])
-                  .map_groups(per_group, batch_format="pyarrow"))
+    ds = _two_types(sf_dir, (left_type, right_type), "is_click")
+    return banded(ds, _asof, band_us, carry=Carry(eligible="is_click"))
 
 
 SQL_EVENTS_ASOF = """
@@ -594,79 +441,40 @@ ORDER BY purchase_id
 _RANGE_W_US = 7_200_000_000  # ±2 h (the sf events are hours apart)
 
 
+def _range_pairs(g: pa.Table, window_us: int) -> pa.Table:
+    ids, ts = col(g, "event_id"), col(g, "ts_us")
+    err = col(g, "is_err")
+    # visitors are copied purchases, so every error is the band's own;
+    # the group's ts order keeps the purchases sorted for searchsorted
+    e, p = np.flatnonzero(err), np.flatnonzero(~err)
+    lo = np.searchsorted(ts[p], ts[e] - window_us, side="left")
+    n = np.searchsorted(ts[p], ts[e] + window_us, side="right") - lo
+    pi, ei = p[ragged_arange(lo, n)], np.repeat(e, n)
+    return pa.table({
+        "error_id": pa.array(ids[ei], pa.int64()),
+        "purchase_id": pa.array(ids[pi], pa.int64()),
+        "delta_us": pa.array(ts[pi] - ts[ei], pa.int64()),
+    })
+
+
 def events_range_join(sf_dir: str, window_us: int = _RANGE_W_US):
     """Range (interval) join — the other custom join the brief names:
     every error event paired with the SAME user's purchase events
-    within ±window. Distributed via BANDING: time is bucketed into
-    window-sized bands keyed (user, band); the purchase side replicates
-    into its band ±1 so every qualifying pair co-locates in exactly one
-    group (the error's band), then a vectorized in-group filter keeps
-    |Δts| ≤ window. Shuffle volume = 3× the purchase rows — never a
-    cross product, never a global sort. DuckDB twin: plain predicate
-    join (hash-exact)."""
-    ds = read_table(sf_dir, "events",
-                    columns=["event_id", "ts", "user_id", "event_type"])
-    ds = ds.filter(expr="event_type == 'error' or "
-                        "event_type == 'purchase'")
+    within ±window. One kernel over the banded per-user plan (bands.py)
+    with window-sized bands: each purchase also visits its band ±1, so
+    every qualifying pair co-locates in exactly one group (the error's
+    band), where two searchsorteds per error bound |Δts| ≤ window.
+    Shuffle volume = 3× the purchase rows — never a cross product,
+    never a global sort. DuckDB twin: plain predicate join
+    (hash-exact)."""
+    ds = _two_types(sf_dir, ("purchase", "error"), "is_err")
 
-    def band(b: pa.Table) -> pa.Table:
-        ts_us = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        ids = b.column("event_id").to_numpy(zero_copy_only=False)
-        users = b.column("user_id").to_numpy(zero_copy_only=False)
-        is_err = pc.equal(b.column("event_type"), "error").to_numpy(
-            zero_copy_only=False).astype(bool)
-        bands = ts_us // window_us
-        reps = []
-        # errors live in their own band; purchases replicate to band±1.
-        # The group key is the (user_id, band) PAIR — a packed
-        # user*C+band single key silently collides for band >= C (e.g.
-        # second-granularity windows over epoch-µs timestamps), pairing
-        # events of different users.
-        for shift in (-1, 0, 1):
-            sel = ~is_err if shift else np.ones(len(ids), dtype=bool)
-            reps.append(pa.table({
-                "user_id": pa.array(users[sel], pa.int64()),
-                "band": pa.array(bands[sel] + shift, pa.int64()),
-                "event_id": pa.array(ids[sel], pa.int64()),
-                "ts_us": pa.array(ts_us[sel], pa.int64()),
-                "is_err": pa.array(is_err[sel] & (shift == 0),
-                                   pa.bool_()),
-            }))
-        return pa.concat_tables(reps)
+    def purchases(t: pa.Table) -> list:
+        buy = ~col(t, "is_err")
+        return [(buy, -1), (buy, 1)]
 
-    def per_group(g: pa.Table) -> pa.Table:
-        is_err = g.column("is_err").to_numpy(zero_copy_only=False)
-        ids = g.column("event_id").to_numpy(zero_copy_only=False)
-        ts = g.column("ts_us").to_numpy(zero_copy_only=False)
-        e_ids, e_ts = ids[is_err], ts[is_err]
-        p_o = np.argsort(ts[~is_err], kind="stable")
-        p_ids, p_ts = ids[~is_err][p_o], ts[~is_err][p_o]
-        out_e, out_p, out_d = [], [], []
-        if len(e_ids) and len(p_ids):
-            lo = np.searchsorted(p_ts, e_ts - window_us, side="left")
-            hi = np.searchsorted(p_ts, e_ts + window_us, side="right")
-            cnt = hi - lo
-            tot = int(cnt.sum())
-            if tot:
-                ends = np.cumsum(cnt)
-                fi = (np.arange(tot, dtype=np.int64)
-                      - np.repeat(ends - cnt, cnt) + np.repeat(lo, cnt))
-                out_e = np.repeat(e_ids, cnt)
-                out_p = p_ids[fi]
-                out_d = p_ts[fi] - np.repeat(e_ts, cnt)
-        return pa.table({
-            "error_id": pa.array(np.asarray(out_e, dtype=np.int64),
-                                 pa.int64()),
-            "purchase_id": pa.array(np.asarray(out_p, dtype=np.int64),
-                                    pa.int64()),
-            "delta_us": pa.array(np.asarray(out_d, dtype=np.int64),
-                                 pa.int64()),
-        })
-
-    return (ds.map_batches(band, batch_format="pyarrow")
-              .groupby(["user_id", "band"])
-              .map_groups(per_group, batch_format="pyarrow"))
+    return banded(ds, lambda g: _range_pairs(g, window_us), window_us,
+                  halo=purchases)
 
 
 SQL_EVENTS_RANGE_JOIN = f"""

@@ -6,9 +6,12 @@ A session is a maximal run of one user's events where consecutive gaps
 are ≤ ``gap_us``. Partitioning assumption: one groupby(user_id) shuffle;
 session detection cannot pre-aggregate (gaps cross batch boundaries), so
 the per-user event history must co-locate — skew is bounded by the
-per-user event count, and a pathological hot user would be handled by
-splitting on (user_id, coarse time range) with a boundary-merge pass
-(documented, not needed at this corpus's per-user cardinality).
+per-user event count. A pathological hot user would be split on
+(user_id, time band) by the per-user plan of bands.py, which the window
+functions and the asof and range joins share: a carry row holding the
+user's last event of an earlier band would start each band's gap chain,
+and a session crossing a band edge would need a merge (not built here,
+as this corpus's per-user cardinality does not need it).
 
 Within a group everything is vectorized: one sort by timestamp, one diff
 for gaps, cumsum for session ids, reduceat for per-session aggregates.

@@ -328,7 +328,6 @@ class ShardIndex:
     append alike); any other layout raises, naming the dir.
     """
 
-    _MISS = object()
     # segment columns read at open (heavy ones page in per row group)
     _LIGHT = ("df", "block_last_doc", "block_max_impact", "block_offs")
 
@@ -423,9 +422,10 @@ class ShardIndex:
         blocks decode on first probe through the block_offs seek table,
         and the pos byte stream — the largest column — pages in only
         when ``positions`` is requested (phrase plans). Views and misses
-        share the bounded postings LRU."""
-        lz = self._postings.get(term, ShardIndex._MISS)
-        if lz is ShardIndex._MISS:
+        share the bounded postings LRU, each cached with its segment
+        row so positions page in without another vocabulary search."""
+        hit = self._postings.get(term)
+        if hit is None:
             i = self._find_row(term)
             lz = None
             if i is not None:
@@ -435,10 +435,11 @@ class ShardIndex:
                     self._seg, i, ("doc_gaps", "tfs"))
                 lz = seg.LazyPostings(
                     row, where=f"shard {self.shard} term {term!r}")
-            self._postings.put(term, lz)
+            hit = (i, lz)
+            self._postings.put(term, hit)
+        i, lz = hit
         if positions and lz is not None and not lz.has_positions:
-            lz.add_positions(*self._cells(self._seg, self._find_row(term),
-                                          ("pos_gaps",)))
+            lz.add_positions(*self._cells(self._seg, i, ("pos_gaps",)))
         return lz
 
     def doc_meta(self, ordinal: int) -> tuple[str, str]:
@@ -737,13 +738,12 @@ class ShardIndex:
 
     # -- scoring ------------------------------------------------------------
     def _df(self, term: str) -> int:
-        """The term's df in this shard, 0 when absent: from its cached
-        view, else from the light metadata (a gate probe decodes and
-        pages in no posting bytes)."""
-        lz = self._postings.get(term, ShardIndex._MISS)
-        if lz is not ShardIndex._MISS:
-            return 0 if lz is None else lz.df
-        i = self._find_row(term)
+        """The term's df in this shard, 0 when absent: from the light
+        metadata at the row cached with the term's view, else at a
+        vocabulary search (a gate probe decodes and pages in no posting
+        bytes)."""
+        hit = self._postings.get(term)
+        i = self._find_row(term) if hit is None else hit[0]
         return 0 if i is None else self._dfs[i]
 
     def score_topk(self, plan, k: int, idf: dict[str, float],

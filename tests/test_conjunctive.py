@@ -386,3 +386,25 @@ def test_postings_cache_is_bounded(shard_setup):
     assert len(sh._postings) == bound
     assert sh.lookup(vocab[0]) is hot
     assert vocab[1] not in sh._postings
+
+
+def test_positions_page_in_without_a_second_search(shard_setup, ref_rows):
+    """lookup(t) then lookup(t, positions=True) searches the vocabulary
+    once: the cached view keeps its segment row, so the positions page
+    in from that row, and they are the term's."""
+    from search_engine_ray.pipelines.search import ShardIndex
+
+    out, _ = shard_setup
+    sh = ShardIndex(out, 0)
+    find, calls = sh._find_row, []
+    sh._find_row = lambda t: calls.append(t) or find(t)
+    term = max(ref_rows, key=lambda t: len(ref_rows[t][0]))
+    lz = sh.lookup(term)
+    assert not lz.has_positions
+    assert sh.lookup(term, positions=True) is lz
+    assert calls == [term]
+    docs, _, positions = ref_rows[term]
+    hit, flat, counts = lz.gather_positions(docs)
+    assert hit.all()
+    assert flat.tolist() == [p for ps in positions for p in ps]
+    assert counts.tolist() == [len(ps) for ps in positions]

@@ -216,15 +216,17 @@ def test_audio_spectrogram_peak_band(ray_session):
         assert got == want_band, (got, want_band)
 
 
-# media_audio_spectrogram(n=24) in a fresh process with its own 1-CPU
-# Ray; prints the sorted-row hash
-_SPECTROGRAM_1CPU = r"""
+# ``multimodal.{call}`` in a fresh process with its own 1-CPU Ray;
+# prints the sorted-row hash of each dataset it returns
+_ONE_CPU = r"""
 import ray
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
-from search_engine_ray.functions.multimodal import media_audio_spectrogram
+from search_engine_ray.functions import multimodal
 from tests.test_distinct import _sorted_row_hash
-print(_sorted_row_hash(media_audio_spectrogram(n=24)))
+out = multimodal.{call}
+print(*(_sorted_row_hash(ds)
+        for ds in (out if isinstance(out, tuple) else (out,))))
 ray.shutdown()
 """
 
@@ -237,23 +239,37 @@ def _sorted_row_hash(ds) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def test_audio_spectrogram_finishes_on_one_cpu(ray_session):
-    """The spectrogram pool holds no CPU, so on a 1-CPU node its actor
-    leaves the one CPU to the synthesis tasks feeding it: the dataset
-    finishes, with the rows the tier-1 session computes."""
+def _hashes_on_one_cpu(call: str) -> list[str]:
     import os
     import subprocess
     import sys
 
-    from search_engine_ray.functions.multimodal import media_audio_spectrogram
-
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    want = _sorted_row_hash(media_audio_spectrogram(n=24))
-    p = subprocess.run([sys.executable, "-c", _SPECTROGRAM_1CPU],
+    p = subprocess.run([sys.executable, "-c", _ONE_CPU.format(call=call)],
                        capture_output=True, text=True, cwd=repo,
                        env=dict(os.environ, PYTHONPATH=repo), timeout=240)
     assert p.returncode == 0, p.stderr[-2000:]
-    assert p.stdout.strip().splitlines()[-1] == want
+    return p.stdout.strip().splitlines()[-1].split()
+
+
+def test_audio_spectrogram_finishes_on_one_cpu(ray_session):
+    """The spectrogram pool holds no CPU, so on a 1-CPU node its actor
+    leaves the one CPU to the synthesis tasks feeding it: the dataset
+    finishes, with the rows the tier-1 session computes."""
+    from search_engine_ray.functions.multimodal import media_audio_spectrogram
+
+    want = _sorted_row_hash(media_audio_spectrogram(n=24))
+    assert _hashes_on_one_cpu("media_audio_spectrogram(n=24)") == [want]
+
+
+def test_media_pipeline_finishes_on_one_cpu(ray_session):
+    """media_pipeline streams each stage's synthesis into its decode
+    pool, which holds no CPU: on a 1-CPU node all three outputs finish,
+    with the rows the tier-1 session computes."""
+    from search_engine_ray.functions.multimodal import media_pipeline
+
+    want = [_sorted_row_hash(ds) for ds in media_pipeline(n=24)]
+    assert _hashes_on_one_cpu("media_pipeline(n=24)") == want
 
 
 def test_audio_spectrogram_short_and_fallback_clips(ray_session):
@@ -308,33 +324,38 @@ def test_bigram_stats_no_pairs(ray_session, tmp_path):
     assert list(out.columns) == ["w1", "w2", "pair_cnt", "cnt1", "cnt2"]
 
 
-@pytest.mark.parametrize("gate", [4_000_000, 0])
-def test_running_total_banded_pinned(ray_session, sf_dir, skew_dir, gate):
-    """The skew-proof banded plan (in-band cumsum + per-user band-offset
-    prefix) is row-identical to the plain single-group plan on both the
-    sf fixture and the 83%-hot-user corpus, on BOTH the broadcast and
-    native-join offset paths."""
+# band_us 0 runs the operator's default 6-hour band; 4-second bands
+# split every user of both fixtures into many bands, most of them
+# empty, so a carry row crosses runs of empty bands
+@pytest.mark.parametrize("band_us", [4_000_000, 0])
+def test_running_total_banded_pinned(ray_session, sf_dir, skew_dir,
+                                     band_us):
+    """The skew-proof banded plan (in-band cumsum after a carry row
+    holding the earlier bands' sum) is row-identical to the plain
+    single-group plan on both the sf fixture and the 83%-hot-user
+    corpus, at the default and at 4-second bands."""
     from search_engine_ray.functions.windows import (
         events_running_total, events_running_total_banded)
+    kw = {"band_us": band_us} if band_us else {}
     for d in (sf_dir, skew_dir):
         plain = _canon(events_running_total(d).to_pandas())
-        banded = _canon(events_running_total_banded(
-            d, broadcast_gate=gate).to_pandas())
+        banded = _canon(events_running_total_banded(d, **kw).to_pandas())
         pd.testing.assert_frame_equal(plain, banded, check_dtype=False,
                                       check_exact=True)
 
 
-@pytest.mark.parametrize("gate", [4_000_000, 0])
-def test_user_lag_banded_pinned(ray_session, sf_dir, skew_dir, gate):
-    """The banded LAG (prev-nonempty-band carry) is row-identical to
-    the plain plan — NULL first-event rows included — on the sf fixture
-    and the hot-user corpus, on both offset paths."""
+@pytest.mark.parametrize("band_us", [4_000_000, 0])
+def test_user_lag_banded_pinned(ray_session, sf_dir, skew_dir, band_us):
+    """The banded LAG (a carry row holding the user's latest event of
+    an earlier band) is row-identical to the plain plan — NULL
+    first-event rows included — on the sf fixture and the hot-user
+    corpus, at the default and at 4-second bands."""
     from search_engine_ray.functions.windows import (events_user_lag,
                                                      events_user_lag_banded)
+    kw = {"band_us": band_us} if band_us else {}
     for d in (sf_dir, skew_dir):
         plain = _canon(events_user_lag(d).to_pandas())
-        banded = _canon(events_user_lag_banded(
-            d, broadcast_gate=gate).to_pandas())
+        banded = _canon(events_user_lag_banded(d, **kw).to_pandas())
         pd.testing.assert_frame_equal(plain, banded, check_dtype=False,
                                       check_exact=True)
 
@@ -356,43 +377,70 @@ def test_rolling_count_banded_pinned(ray_session, sf_dir, skew_dir):
 
 def test_windows_property_random_corpora(ray_session, tmp_path_factory):
     """Property check: on randomized event tables (duplicate timestamps
-    allowed, multiple users, values of mixed sign) all three window
-    kernels stay hash-exact vs DuckDB — the tie-break and RANGE-frame
-    semantics hold beyond the fixture distribution."""
+    allowed, multiple users, values of mixed sign) the window kernels,
+    plain and banded, and the asof and range joins stay hash-exact vs
+    DuckDB — the tie-break and RANGE-frame semantics hold beyond the
+    fixture distribution. 3-minute bands (10-minute for the rolling
+    count, the smallest its window allows) split every user of the
+    50-minute grid, so duplicate timestamps open and close bands and
+    most carry and halo rows cross a band edge."""
     import duckdb
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from search_engine_ray.functions import windows
+    from search_engine_ray.functions import relational, windows
+    band = 3 * 60_000_000
+    range_sql = relational.SQL_EVENTS_RANGE_JOIN.replace(
+        str(relational._RANGE_W_US), str(band))
+    cases = [
+        (windows.events_user_lag, {}, windows.SQL_EVENTS_USER_LAG),
+        (windows.events_user_lag_banded, {"band_us": band},
+         windows.SQL_EVENTS_USER_LAG),
+        (windows.events_rolling_count, {}, windows.SQL_EVENTS_ROLLING),
+        (windows.events_rolling_count_banded,
+         {"band_us": windows.ROLL_WINDOW_US}, windows.SQL_EVENTS_ROLLING),
+        (windows.events_running_total, {},
+         windows.SQL_EVENTS_RUNNING_TOTAL),
+        (windows.events_running_total_banded, {"band_us": band},
+         windows.SQL_EVENTS_RUNNING_TOTAL),
+        (relational.events_asof_join, {"band_us": band},
+         relational.SQL_EVENTS_ASOF),
+        (relational.events_range_join, {},
+         relational.SQL_EVENTS_RANGE_JOIN),
+        (relational.events_range_join, {"window_us": band}, range_sql),
+    ]
     for seed in (3, 11, 42):
         rng = np.random.default_rng(seed)
         n = 400
         d = tmp_path_factory.mktemp(f"wprop{seed}")
         # coarse ts grid forces plenty of exact duplicates per user
         ts = rng.integers(0, 50, n) * 60_000_000 + 1_700_000_000_000_000
+        event_id = rng.permutation(n).astype(np.int64)
+        user_id = rng.integers(0, 7, n).astype(np.int64)
+        value = rng.normal(0, 5, n)
         pq.write_table(pa.table({
-            "event_id": pa.array(rng.permutation(n).astype(np.int64)),
+            "event_id": pa.array(event_id),
             "ts": pa.array(ts.astype("datetime64[us]")),
-            "user_id": pa.array(rng.integers(0, 7, n).astype(np.int64)),
-            "event_type": pa.array(["e"] * n),
-            "value": pa.array(rng.normal(0, 5, n)),
+            "user_id": pa.array(user_id),
+            "event_type": pa.array(
+                rng.choice(["click", "purchase", "error"], n)),
+            "value": pa.array(value),
             "props": pa.array(["{}"] * n),
         }), str(d / "events.parquet"))
         con = duckdb.connect()
         con.execute(f"CREATE VIEW events AS SELECT * FROM "
                     f"read_parquet('{d}/events.parquet')")
-        for op, sql in [("events_user_lag", windows.SQL_EVENTS_USER_LAG),
-                        ("events_rolling_count", windows.SQL_EVENTS_ROLLING),
-                        ("events_running_total",
-                         windows.SQL_EVENTS_RUNNING_TOTAL)]:
-            mine = _canon(getattr(windows, op)(str(d)).to_pandas())
+        for op, kw, sql in cases:
+            mine = _canon(op(str(d), **kw).to_pandas())
             ref = _canon(con.execute(sql).fetchdf())
+            assert len(ref), (op.__name__, kw)
             pd.testing.assert_frame_equal(
                 mine, ref, check_dtype=False, check_exact=True,
-                obj=f"{op} seed={seed}")
+                obj=f"{op.__name__} {kw} seed={seed}")
 
 
-def _write_events(d, event_ids, ts_us, user_ids, values) -> str:
+def _write_events(d, event_ids, ts_us, user_ids, values,
+                  kinds=None) -> str:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -401,7 +449,7 @@ def _write_events(d, event_ids, ts_us, user_ids, values) -> str:
         "event_id": pa.array(event_ids, pa.int64()),
         "ts": pa.array(ts_us, pa.timestamp("us")),
         "user_id": pa.array(user_ids, pa.int64()),
-        "event_type": pa.array(["e"] * n),
+        "event_type": pa.array(kinds or ["e"] * n),
         "value": pa.array(values, pa.float64()),
         "props": pa.array(["{}"] * n),
     }), str(d / "events.parquet"))
@@ -421,12 +469,16 @@ def test_running_total_rejects_null_value(ray_session, tmp_path):
 
 
 def test_user_lag_banded_carry_exact_past_2_53(ray_session, tmp_path):
-    """The banded LAG's broadcast carry is integer-exact: with
-    prev_last = 2^53 + 1 µs (not a float64), the carried gap is exact,
-    the first event's gap stays NULL and rows match the plain plan."""
+    """The banded carries are integer-exact: with a carried ts of
+    2^53 + 1 µs (not a float64), the banded LAG's gap is exact, the
+    first event's gap stays NULL and rows match the plain plan; a click
+    at 2^53 + 1 µs carries into the next day's band of the asof join
+    with its exact ts and id."""
     import pyarrow as pa
     import ray
 
+    from search_engine_ray.functions.relational import (_ASOF_BAND_US,
+                                                        events_asof_join)
     from search_engine_ray.functions.windows import (BAND_US,
                                                      events_user_lag,
                                                      events_user_lag_banded)
@@ -435,41 +487,21 @@ def test_user_lag_banded_carry_exact_past_2_53(ray_session, tmp_path):
     d = _write_events(tmp_path, [1, 2, 3, 4], ts, [7, 7, 7, 8],
                       [1.0] * 4)
 
-    def rows(ds):
+    def rows(ds, cols=("event_id", "user_id", "ts_us", "gap_us")):
         tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
-        got = pa.concat_tables(tabs).to_pydict()
-        return sorted(zip(got["event_id"], got["user_id"], got["ts_us"],
-                          got["gap_us"]))
+        got = pa.concat_tables(tabs)
+        return sorted(zip(*(got.column(c).cast(pa.int64()).to_pylist()
+                            for c in cols)))
 
     banded = rows(events_user_lag_banded(d))
     assert banded == [(1, 7, t0, None), (2, 7, ts[1], BAND_US + 3),
                       (3, 7, ts[2], 7), (4, 8, ts[3], None)]
     assert banded == rows(events_user_lag(d))
 
-
-def test_user_lag_banded_native_join_sparse_partitions(ray_session,
-                                                       tmp_path):
-    """The banded LAG's native join (gate 0) at the default 8 partitions
-    on 4 events of 2 users: most hash partitions get no row, and Ray's
-    shuffle used to build them column-less when an input's first block
-    was empty (``ArrowInvalid`` on ``user_id``). Rows equal the plain
-    plan."""
-    import pyarrow as pa
-    import ray
-
-    from search_engine_ray.functions.windows import (BAND_US,
-                                                     events_user_lag,
-                                                     events_user_lag_banded)
-    t0 = 2**53 + 1
-    ts = [t0, t0 + BAND_US + 3, t0 + BAND_US + 10, t0 + 5]
-    d = _write_events(tmp_path, [1, 2, 3, 4], ts, [7, 7, 7, 8],
-                      [1.0] * 4)
-
-    def rows(ds):
-        tabs = [t for t in ray.get(ds.to_arrow_refs()) if t.num_columns]
-        got = pa.concat_tables(tabs).to_pydict()
-        return sorted(zip(got["event_id"], got["user_id"], got["ts_us"],
-                          got["gap_us"]))
-
-    assert rows(events_user_lag_banded(d, broadcast_gate=0)) == \
-        rows(events_user_lag(d))
+    # click 5 is in t0's day band, purchase 6 in the next one
+    (tmp_path / "asof").mkdir()
+    d2 = _write_events(tmp_path / "asof", [5, 6], [t0, t0 + _ASOF_BAND_US],
+                       [7, 7], [1.0] * 2, kinds=["click", "purchase"])
+    assert rows(events_asof_join(d2), ("purchase_id", "click_id",
+                                       "click_ts", "lag_us")) == \
+        [(6, 5, t0, _ASOF_BAND_US)]

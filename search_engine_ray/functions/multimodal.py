@@ -472,18 +472,17 @@ def synth_media_table(n: int = 64, seed: int = 42) -> pa.Table:
     return synth_media_batch(np.arange(n), seed)
 
 
-def synth_media_dataset(n: int, seed: int = 42):
-    """Distributed media synthesis: rd.range drives per-id generation
-    inside map_batches, so corpus creation scales with the cluster
-    instead of looping on the driver."""
+def rows_of_kind(n: int, k: int):
+    """The media rows of kind ``k`` (0 image, 1 audio, 2 video) among ids
+    0..n-1: synth_media_batch gives id i the kind i % 3 and is
+    deterministic per id, so map_batches synthesizes ids k, k + 3, …
+    alone, and no corpus is materialized."""
     import ray.data as rd
 
-    def gen(b: pa.Table) -> pa.Table:
-        return synth_media_batch(
-            b.column("id").to_numpy(zero_copy_only=False), seed)
-
-    return rd.range(n).map_batches(gen, batch_format="pyarrow",
-                                   batch_size=64)
+    return rd.range(len(range(k, n, 3))).map_batches(
+        lambda b: synth_media_batch(
+            3 * b.column("id").to_numpy(zero_copy_only=False) + k),
+        batch_format="pyarrow", batch_size=64)
 
 
 class ImageDecodeResize:
@@ -735,23 +734,11 @@ def media_pipeline(n: int | None = None, sf_dir: str | None = None,
         # capped so three stages don't oversubscribe it; start at one
         # actor, so a one-block input starts no idle second one
         concurrency = (1, _pool_concurrency(12, 3))
-    import ray.data as rd
-
-    def rows_of_kind(k: int):
-        # synth_media_batch gives media_id i the kind i % 3 (image,
-        # audio, video) and is deterministic per id, so each stage
-        # synthesizes its own ids k, k + 3, …: no corpus is materialized
-        # and no row is synthesized twice
-        return rd.range(len(range(k, n, 3))).map_batches(
-            lambda b: synth_media_batch(
-                3 * b.column("id").to_numpy(zero_copy_only=False) + k),
-            batch_format="pyarrow", batch_size=64)
-
     # the pools hold no CPU: the synthesis tasks stream into them, and a
     # decode actor holding a 1-CPU node's one CPU left those tasks
     # unscheduled, so the pipeline never finished (media_audio_spectrogram
     # likewise)
-    return tuple(rows_of_kind(k).map_batches(
+    return tuple(rows_of_kind(n, k).map_batches(
         stage, batch_format="pyarrow", batch_size=8,
         concurrency=concurrency, num_cpus=0) for k, stage in enumerate(
             (ImageDecodeResize, AudioFrameSample, VideoFrameSample)))
@@ -862,11 +849,10 @@ def media_audio_spectrogram(sf_dir: str | None = None,
     features for every audio row of the sf-scaled media corpus."""
     if n is None:
         n = media_rows_for_sf(sf_dir) if sf_dir else 64
-    media = synth_media_dataset(n)
     concurrency = (1, _pool_concurrency(8, 2))
     # the pool holds no CPU: on a 1-CPU node an actor holding the one CPU
     # left the synthesis tasks feeding it unscheduled, and the dataset
     # never finished (the join's probe pool, functions/join.py, likewise)
-    return media.map_batches(AudioSpectrogram, batch_format="pyarrow",
-                             batch_size=8, concurrency=concurrency,
-                             num_cpus=0)
+    return rows_of_kind(n, 1).map_batches(
+        AudioSpectrogram, batch_format="pyarrow", batch_size=8,
+        concurrency=concurrency, num_cpus=0)

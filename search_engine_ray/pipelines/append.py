@@ -22,11 +22,12 @@ from the manifest:
   largest one, in term order. The folded table is staged beside
   ``terms/`` for the new shards' merge and replaces it only once they
   are written. A generation that adds no docs changes nothing
-- because avgdl shifts, OLD shards' stored block-max bounds become stale:
-  the manifest lists them in ``wand_stale_shards``, and searchers score
-  them exhaustively until ``refresh_block_max`` recomputes their bounds.
-  One-block rows store no bound (WAND computes theirs at query time), so
-  refresh rewrites only the rows of several blocks.
+- avgdl shifts; the manifest's ``bound_avgdl`` records per generation
+  the avgdl its shards' block-max bounds hold at, and WAND scales them
+  to the current one (seg.LazyPostings.block_bounds), so old shards
+  keep WAND. ``refresh_block_max`` is an optional tightening pass that
+  recomputes the bounds at the current avgdl; one-block rows store no
+  bound, so it rewrites only the rows of several blocks.
 """
 
 from __future__ import annotations
@@ -110,13 +111,10 @@ def append_to_index(pages_factory, index_dir: str, *,
         for d in (exchange_dir, staged_terms):
             shutil.rmtree(d, ignore_errors=True)
 
-    # all pre-existing shards now carry stale block-max bounds (avgdl
-    # moved); WAND stays off for them until refresh_block_max
-    stale = sorted(set(stats.get("wand_stale_shards", []))
-                   | set(range(first_shard)))
     stats.update({
         "num_shards": first_shard + num_shards, "n_docs": n_docs,
-        "avgdl": avgdl, "generations": gen + 1, "wand_stale_shards": stale,
+        "avgdl": avgdl, "generations": gen + 1,
+        "bound_avgdl": stats["bound_avgdl"] + [[first_shard, avgdl]],
         f"append_gen{gen}_wall_s": round(time.time() - t0, 3),
     })
     man["stats"] = stats
@@ -125,17 +123,19 @@ def append_to_index(pages_factory, index_dir: str, *,
 
 
 def refresh_block_max(index_dir: str) -> int:
-    """Maintenance op: recompute block-max impacts for shards whose build
-    avgdl is stale, re-enabling WAND after appends. Only rows that store
-    bounds (several blocks) are recomputed; one-block rows are copied
-    unchanged. Returns the number of shards refreshed."""
+    """Optional tightening pass: recompute at the current avgdl the stored
+    block-max bounds of every shard recorded at another one (WAND serves
+    it exactly through scaled bounds; recomputed ones prune more). One-
+    block rows store none and are copied unchanged. Returns the number
+    of shards rewritten."""
     # same guard as SearchEngine/append_to_index: pre-v18 postings hold
     # raw doc fingerprints — indexing d_dls with them would die with an
     # opaque IndexError (or silently mis-score)
     man = seg.read_index_manifest(index_dir)
     stats = man["stats"]
     avgdl = stats["avgdl"]
-    stale = sorted(stats.get("wand_stale_shards", []))
+    loose = [s for s in range(stats["num_shards"])
+             if seg.shard_bound_avgdl(stats, s) != avgdl]
     segments_dir = os.path.join(index_dir, "segments")
 
     @ray.remote
@@ -177,8 +177,8 @@ def refresh_block_max(index_dir: str) -> int:
                         f"refresh-{avgdl}", extra_files=extra)
         return shard
 
-    ray.get([refresh.remote(s) for s in stale])
-    stats["wand_stale_shards"] = []
+    ray.get([refresh.remote(s) for s in loose])
+    stats["bound_avgdl"] = [[0, avgdl]]
     man["stats"] = stats
     seg.write_manifest(index_dir, man)
-    return len(stale)
+    return len(loose)

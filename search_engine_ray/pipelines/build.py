@@ -383,7 +383,7 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
     except Exception:
         pass
 
-    cfg = {"docs_per_shard": docs_per_shard, "version": 20}
+    cfg = {"docs_per_shard": docs_per_shard, "version": 21}
     cfg_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
     os.makedirs(index_dir, exist_ok=True)
@@ -494,9 +494,10 @@ def _build_index(pages_factory, index_dir: str, docs_per_shard: int,
         _mark_stage(index_dir, "docmeta", cfg_hash)
         _mark_stage(index_dir, "segments", cfg_hash, n_docs=n_docs,
                     avgdl=avgdl, num_groups=num_groups,
-                    wand_stale_shards=[],
+                    bound_avgdl=[[0, avgdl]],
                     # posting doc values are per-shard dense ordinals
-                    # (v18) and segment rows are keyed by term id (v20);
+                    # (v18), segment rows are keyed by term id (v20) and
+                    # the block-max bounds' avgdl is recorded (v21);
                     # readers and appenders refuse older indexes
                     # (seg.read_index_manifest) instead of misreading them
                     posting_format="ordinal", segment_key="term_id",

@@ -162,8 +162,8 @@ def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
                     row_group_size: int = 0) -> None:
     """Replace ``root/shard=s`` atomically with ONE parquet file, the
     ``extra_files`` and a ``_SUCCESS`` marker holding ``marker`` — the
-    only writer of an index's shard dirs (merge, empty-shard backfill,
-    refresh_block_max).
+    only writer of an index's shard dirs (merge, empty-shard backfill
+    and the optional refresh_block_max tightening pass).
 
     Small row groups: the serving actor reads only metadata columns at
     init and pages heavy columns (posting/position bytes, urls/titles)

@@ -332,11 +332,13 @@ class ShardIndex:
     _LIGHT = ("df", "block_last_doc", "block_max_impact", "block_offs")
 
     def __init__(self, index_dir: str, shard: int, wand_ok: bool = True,
-                 vocab: Vocabulary | None = None):
-        # wand_ok=False when this shard's block-max bounds were computed
-        # with a stale avgdl (after append_to_index, before
-        # refresh_block_max) — exact exhaustive scoring is used instead
+                 vocab: Vocabulary | None = None,
+                 bound_avgdl: float | None = None):
+        # bound_avgdl: the avgdl of the stored block-max bounds, which
+        # WAND scales to the query's (seg.shard_bound_avgdl); None trusts
+        # them as stored. wand_ok=False pins the exhaustive paths.
         self.wand_ok = wand_ok
+        self.bound_avgdl = bound_avgdl
         self.shard = shard
         seg_path = os.path.join(index_dir, "segments", f"shard={shard}")
         doc_path = os.path.join(index_dir, "docmeta", f"shard={shard}")
@@ -618,7 +620,8 @@ class ShardIndex:
         # running sum (a bound a hair too low could skip a genuine tie)
         xs, deltas = [], []
         for tp, w in tws:
-            ub = np.nextafter(tp.block_bounds(self.dls, avgdl), np.inf) * w
+            ub = np.nextafter(tp.block_bounds(self.dls, avgdl,
+                                              self.bound_avgdl), np.inf) * w
             lasts = tp.block_last_doc
             starts = np.empty_like(lasts)
             starts[0] = tp.block_docs(0)[0]
@@ -808,13 +811,11 @@ class SegmentSearcher:
     its own: a bare Ray actor is ~120 MB before it imports anything."""
 
     def __init__(self, index_dir: str, shards: list[int],
-                 wand_ok_shards: set[int] | None = None):
-        ok = wand_ok_shards
+                 bound_avgdls: list[float]):
         vocab = Vocabulary(index_dir)  # one copy for every shard here
-        self.shards = [ShardIndex(index_dir, s,
-                                  wand_ok=(ok is None or s in ok),
-                                  vocab=vocab)
-                       for s in shards]
+        self.shards = [ShardIndex(index_dir, s, vocab=vocab,
+                                  bound_avgdl=a)
+                       for s, a in zip(shards, bound_avgdls)]
         self._front: SearchEngine | None = None
 
     def ready(self) -> bool:
@@ -900,12 +901,11 @@ class SearchEngine:
     engine in a frontend never imports pandas or pyarrow.dataset."""
 
     def __init__(self, index_dir: str, num_searchers: int | None = None,
-                 use_synonyms: bool = True, cache_size: int = 0,
+                 use_synonyms: bool = True,
                  actors: list | None = None,
                  profile: str = "latency",
                  actor_shards: list[list[int]] | None = None):
-        # an older layout (raw doc fingerprints in the postings before
-        # v18, term-string segment keys before v20) would mis-score or
+        # an older layout (seg.read_index_manifest) would mis-score or
         # miss terms at query time — fail loud
         man = seg.read_index_manifest(index_dir)
         self.n_docs = man["stats"]["n_docs"]
@@ -916,22 +916,15 @@ class SearchEngine:
         self._df = dict(zip(t.column("term").to_pylist(),
                             t.column("df").to_pylist()))
         self.synsets = qc.get_default_synsets() if use_synonyms else None
-        # optional per-engine result LRU (the reference ships an unused
-        # LRU cache template, lib/cache.h — T5); off by default so latency
-        # benchmarks stay honest
-        self._cache = LRU(cache_size)
         self._owns_actors = actors is None
         if self._owns_actors:
-            # shards whose block-max bounds predate an append score
-            # exhaustively until refresh_block_max (ShardIndex.wand_ok)
-            stale = set(man["stats"].get("wand_stale_shards", []))
-            wand_ok = {s for s in range(num_shards) if s not in stale}
             n = num_searchers or self._pool_size(num_shards, profile)
             actor_shards = [list(range(i, num_shards, n))
                             for i in range(min(n, num_shards))]
-            actors = [SegmentSearcher.remote(index_dir, sh,
-                                             wand_ok & set(sh))
-                      for sh in actor_shards]
+            # each shard gets the avgdl its block-max bounds hold at
+            actors = [SegmentSearcher.remote(index_dir, sh, [
+                          seg.shard_bound_avgdl(man["stats"], s)
+                          for s in sh]) for sh in actor_shards]
         # else a shared pool (frontend tier): only compile, fan out and
         # merge; actor_shards (parallel to actors) enables pruning
         self.actors = list(actors)
@@ -999,17 +992,12 @@ class SearchEngine:
         return qc.compile_query(query, self.synsets, title_stem_fix=True)
 
     def search(self, query: str, k: int = 10) -> pa.Table:
-        hit = self._cache.get((query, k))
-        if hit is None:
-            hit = self.search_batch([query], k)[0]
-            self._cache.put((query, k), hit)
-        return hit
+        return self.search_batch([query], k)[0]
 
     def search_batch(self, queries: list[str], k: int = 10
                      ) -> list[pa.Table]:
         """The one fan-out: one score_many RPC per actor for the whole
-        query list (``search`` is this on one query, behind the result
-        cache)."""
+        query list (``search`` is this on one query)."""
         plans = [self.compile(q) for q in queries]
         live = [(qi, p) for qi, p in enumerate(plans) if p is not None]
         out: list[pa.Table] = [pa.Table.from_batches([result_batch([])])

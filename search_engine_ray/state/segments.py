@@ -28,9 +28,10 @@ shard's rows are sorted by term_id:
                           Indexer.hpp:407-440, minus the global base)
     block_last_doc:binary varint gaps of the last doc_id per 128-doc block
     block_max_impact:binary float32-LE array: per-block max of the BM25
-                          tf-side impact tf/(tf + k1*(1-b+b*dl/avgdl)),
-                          rounded up to the next float32 so it bounds
-                          every impact of its block — the block-max
+                          tf-side impact tf/(tf + k1*(1-b+b*dl/avgdl))
+                          at the shard's ``shard_bound_avgdl``, rounded
+                          up to the next float32 so it bounds every
+                          impact of its block — the block-max
                           metadata for WAND (the Ray-native
                           generalization of the reference skip table,
                           Posts.hpp:353-369)
@@ -58,10 +59,11 @@ list is the order-preserving concatenation of its per-shard lists because
 shards partition the doc-id space.
 
 An index whose manifest lacks ``segment_key: "term_id"`` keys its
-segment rows by term string (before v20), and one without
+segment rows by term string (before v20), one without
 ``posting_format: "ordinal"`` stores raw doc fingerprints in its
-postings (before v18); ``read_index_manifest`` refuses both, loudly,
-rather than misread them.
+postings (before v18), and one without ``bound_avgdl`` hides the avgdl
+of its block-max bounds (before v21); ``read_index_manifest`` refuses
+all three, loudly, rather than misread them.
 """
 
 from __future__ import annotations
@@ -177,14 +179,21 @@ class LazyPostings:
             self._last = self.doc_ids[-1:]
         return self._last
 
-    def block_bounds(self, dls: np.ndarray, avgdl: float) -> np.ndarray:
-        """float64 upper bound of each block's BM25 tf-side impact: the
-        stored bounds (rounded up at write time), or, for a one-block row
-        stored without them, the exact max over its decoded postings
-        under ``avgdl`` — never stale. ``dls`` holds the shard's dl per
-        doc ordinal."""
+    def block_bounds(self, dls: np.ndarray, avgdl: float,
+                     bound_avgdl: float | None = None) -> np.ndarray:
+        """float64 upper bound of each block's BM25 tf-side impact under
+        ``avgdl`` (``dls``: the shard's dl per doc ordinal). Stored
+        bounds, computed at ``bound_avgdl`` (None: at ``avgdl``), are
+        scaled by max(1, avgdl / bound_avgdl): an impact falls with
+        avgdl, and for A' ≥ A, with c = tf + k1(1 - b) and x = k1·b·dl,
+        impact(A')/impact(A) = (c + x/A)/(c + x/A') ≤ A'/A. 2**-40 of
+        slack covers the float rounding (≤ 4 ulps). A one-block row
+        stored without bounds gets the exact max over its postings."""
         if self.block_max_impact is not None:
-            return self.block_max_impact.astype(np.float64)
+            b = self.block_max_impact.astype(np.float64)
+            if bound_avgdl is None or avgdl <= bound_avgdl:
+                return b
+            return b * (avgdl / bound_avgdl * (1 + 2 ** -40))
         return bm25_impact(self.tfs, dls[self.doc_ids], avgdl).max(
             keepdims=True)
 
@@ -344,22 +353,36 @@ class LazyPostings:
 
 def read_index_manifest(index_dir: str) -> dict:
     """The manifest of a complete index in the current layout: postings
-    hold per-shard ordinals (v18) and segment rows are keyed by term id
-    (v20). FileNotFoundError when the build has not finished; ValueError
+    hold per-shard ordinals (v18), segment rows are keyed by term id
+    (v20) and the avgdl of every shard's block-max bounds is recorded
+    (v21). FileNotFoundError when the build has not finished; ValueError
     for an older layout, whose reading would mis-score or miss terms
     without an error."""
     man = read_manifest(index_dir)
     if man is None or not {"terms", "segments"} <= set(
             man.get("stages_done", [])):
         raise FileNotFoundError(f"no complete index at {index_dir}")
-    for key, value, layout in (
-            ("posting_format", "ordinal", "ordinal posting layout (v18)"),
-            ("segment_key", "term_id", "term-id segment layout (v20)")):
-        if man["stats"].get(key) != value:
+    stats = man["stats"]
+    for current, layout in (
+            (stats.get("posting_format") == "ordinal",
+             "ordinal posting layout (v18)"),
+            (stats.get("segment_key") == "term_id",
+             "term-id segment layout (v20)"),
+            ("bound_avgdl" in stats, "recorded block-max avgdl (v21)")):
+        if not current:
             raise ValueError(
                 f"index at {index_dir} predates the {layout}; rebuild it "
                 "with build_index(force=True)")
     return man
+
+
+def shard_bound_avgdl(stats: dict, shard: int) -> float:
+    """The avgdl ``shard``'s stored block-max bounds were computed at.
+    ``stats["bound_avgdl"]`` lists ``[first_shard, avgdl]`` per
+    generation, in shard order: build writes one entry, each append one
+    for its new shards, and refresh_block_max collapses the list to the
+    current avgdl."""
+    return [a for first, a in stats["bound_avgdl"] if first <= shard][-1]
 
 
 def write_manifest(index_dir: str, payload: dict) -> None:

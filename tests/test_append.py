@@ -1,13 +1,15 @@
 """Incremental append: add a second generation of pages to a built index
-without touching existing shards; search correctness over the union corpus
-(brute-force cross-check); WAND re-enabled after refresh_block_max; the
-merge pool gone when append returns; new shards sized by the generation's
-new urls, empty ones included, and all-known generations; one parquet
-file per shard dir; every index file written through the one parquet
-writer policy, while an index in pyarrow's default layout still serves
-and appends; segment rows keyed by stable term ids after a build, an
-append and a refresh; no stale vocabulary within one process; and an
-index in the term-string layout refused by every entry point."""
+without touching existing shards; search correctness over the union
+corpus (brute-force cross-check); serving after an append unchanged by
+the optional refresh_block_max tightening; the merge pool gone when
+append returns; new shards sized by the generation's new urls, empty
+ones included, and all-known generations; one parquet file per shard
+dir; every index file written through the one parquet writer policy,
+while an index in pyarrow's default layout still serves and appends;
+segment rows keyed by stable term ids after a build, an append and a
+refresh; no stale vocabulary within one process; and an index in the
+term-string layout, or without a recorded bound avgdl, refused by every
+entry point."""
 
 from __future__ import annotations
 
@@ -145,29 +147,38 @@ def brute_force_urls(docs, query: str, k: int) -> list[str]:
     return [u for u, _ in expect[:k]]
 
 
-def test_refresh_block_max_reenables_wand(appended, ray_session):
+def test_refresh_block_max_is_optional_tightening(appended, ray_session):
+    """The append records one bound avgdl per generation. Serving right
+    after it equals serving after refresh_block_max, which rewrites the
+    old shards, collapses the record to the current avgdl, and then has
+    nothing left to rewrite."""
     from search_engine_ray.pipelines.append import refresh_block_max
     from search_engine_ray.pipelines.search import SearchEngine
 
     out, man0, man, mtimes, base_pages, new_pages = appended
-    stale = man["stats"]["wand_stale_shards"]
-    assert stale, "append must leave old shards' bounds stale"
+    n_old = man0["stats"]["num_shards"]
+    assert man["stats"]["bound_avgdl"] == [
+        [0, man0["stats"]["avgdl"]], [n_old, man["stats"]["avgdl"]]]
+    queries = ["running | children", "running", "word1 | word2 | data"]
 
-    eng = SearchEngine(out, num_searchers=2, use_synonyms=False)
-    before = eng.search("running | children", k=10)
-    eng.close()
+    def serve():
+        eng = SearchEngine(out, num_searchers=2, use_synonyms=False)
+        try:
+            return eng.search_batch(queries, k=10)
+        finally:
+            eng.close()
 
-    n = refresh_block_max(out)
-    assert n == len(stale)
+    before = serve()
+    assert refresh_block_max(out) == n_old
     man2 = seg.read_manifest(out)
-    assert man2["stats"]["wand_stale_shards"] == []
-
-    eng = SearchEngine(out, num_searchers=2, use_synonyms=False)
-    after = eng.search("running | children", k=10)
-    eng.close()
-    assert before.column("url").to_pylist() == after.column("url").to_pylist()
-    assert before.column("score").to_pylist() == \
-        after.column("score").to_pylist()
+    assert man2["stats"]["bound_avgdl"] == [[0, man["stats"]["avgdl"]]]
+    after = serve()
+    assert refresh_block_max(out) == 0
+    for q, b, a in zip(queries, before, after):
+        assert b.num_rows > 0, q
+        assert b.column("url").to_pylist() == a.column("url").to_pylist()
+        assert b.column("score").to_pylist() == \
+            a.column("score").to_pylist()
 
 
 def test_every_shard_dir_is_one_file(appended):
@@ -426,12 +437,14 @@ def test_every_index_file_uses_the_writer_policy(small_base, pair_append,
     idx, man, _ = pair_append
     refreshed = str(tmp_path / "refreshed")
     shutil.copytree(idx, refreshed)
-    stale = man["stats"]["wand_stale_shards"]
+    stats = man["stats"]
+    loose = [s for s in range(stats["num_shards"])
+             if seg.shard_bound_avgdl(stats, s) != stats["avgdl"]]
     # refresh must rewrite what it touches, whatever layout it found
     rewrite_with_pyarrow_defaults(
-        [f for s in stale for f in glob.glob(os.path.join(
+        [f for s in loose for f in glob.glob(os.path.join(
             refreshed, "segments", f"shard={s}", "*.parquet"))])
-    assert refresh_block_max(refreshed) == len(stale) > 0
+    assert refresh_block_max(refreshed) == len(loose) > 0
     assert any(pq.ParquetFile(f).metadata.num_rows == 0
                for f in index_files(idx))  # an empty new shard is checked
     for path in (base, idx, refreshed):
@@ -638,22 +651,18 @@ def _to_term_string_layout(idx: str) -> None:
     seg.write_manifest(idx, man)
 
 
-def test_term_string_layout_is_refused(small_base, tmp_path):
-    """An index whose segments are keyed by term strings raises the
-    rebuild ValueError from the engine, append and refresh_block_max,
-    and the refused append writes nothing."""
+def _assert_refused(root, idx: str, layout: str) -> None:
+    """The engine, append and refresh_block_max each raise the rebuild
+    ValueError naming ``layout``, and the refused append writes
+    nothing."""
     import ray.data as rd
 
     from search_engine_ray.pipelines.append import (append_to_index,
                                                     refresh_block_max)
     from search_engine_ray.pipelines.search import SearchEngine
 
-    root, base, _, _ = small_base
-    idx = str(tmp_path / "index")
-    shutil.copytree(base, idx)
-    _to_term_string_layout(idx)
-    msg = re.escape(f"index at {idx} predates the term-id segment layout "
-                    "(v20); rebuild it with build_index(force=True)")
+    msg = re.escape(f"index at {idx} predates the {layout}; rebuild it "
+                    "with build_index(force=True)")
     with pytest.raises(ValueError, match=msg):
         SearchEngine(idx, num_searchers=1)
     with pytest.raises(ValueError, match=msg):
@@ -662,3 +671,28 @@ def test_term_string_layout_is_refused(small_base, tmp_path):
     with pytest.raises(ValueError, match=msg):
         refresh_block_max(idx)
     assert sorted(os.listdir(os.path.join(idx, "docs"))) == ["gen=0"]
+
+
+def test_term_string_layout_is_refused(small_base, tmp_path):
+    """An index whose segments are keyed by term strings raises the
+    rebuild ValueError from the engine, append and refresh_block_max,
+    and the refused append writes nothing."""
+    root, base, _, _ = small_base
+    idx = str(tmp_path / "index")
+    shutil.copytree(base, idx)
+    _to_term_string_layout(idx)
+    _assert_refused(root, idx, "term-id segment layout (v20)")
+
+
+def test_unrecorded_bound_avgdl_is_refused(small_base, tmp_path):
+    """An index from before the bound avgdl record, which still lists
+    the shards whose bounds predate an append in ``wand_stale_shards``,
+    is refused the same way."""
+    root, base, _, _ = small_base
+    idx = str(tmp_path / "index")
+    shutil.copytree(base, idx)
+    man = seg.read_manifest(idx)
+    del man["stats"]["bound_avgdl"]
+    man["stats"]["wand_stale_shards"] = [0]
+    seg.write_manifest(idx, man)
+    _assert_refused(root, idx, "recorded block-max avgdl (v21)")

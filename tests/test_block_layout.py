@@ -1,6 +1,8 @@
 """Segment block layout: one-block rows store null block metadata, no
-index file stores cf, and every stored block-max bound is rounded up —
-so WAND stays bit-identical to exhaustive scoring, ties included."""
+index file stores cf, and every stored block-max bound is rounded up and
+scaled to the serving avgdl — so WAND stays bit-identical to exhaustive
+scoring, ties included, whatever the avgdl moved to since the bounds
+were stored."""
 
 from __future__ import annotations
 
@@ -116,6 +118,36 @@ def test_block_max_bounds_round_up_random_rows():
             assert np.nextafter(bound[b], np.float32(-np.inf)) < m
 
 
+def test_scaled_bounds_hold_after_any_avgdl_shift():
+    """Property: bounds stored at avgdl A (block_max_bounds) and served
+    at A' by the production block_bounds are ≥ every float64 impact at
+    A', for A ≤ A' and A' < A alike. Tiny shifts and long documents
+    bring the ratio A'/A close to tight."""
+    def check(tfs, dls, a, a2):
+        row = _encode_row(list(range(len(tfs))),
+                          [list(range(t)) for t in tfs])
+        row["block_max_impact"] = seg.block_max_bounds(
+            seg.bm25_impact(tfs, dls, a))
+        bound = seg.LazyPostings(row).block_bounds(dls, a2, a)
+        imps = seg.bm25_impact(tfs, dls, a2)
+        for b in range(len(bound)):
+            assert (imps[b * BS:(b + 1) * BS] <= bound[b]).all(), (a, a2)
+
+    rng = np.random.default_rng(17)
+    for i in range(400):
+        n = int(rng.integers(1, 4 * BS))
+        shift = 10 ** rng.uniform(-15, 1) if i % 2 else rng.uniform(-.9, 0)
+        a = float(10 ** rng.uniform(0, 4))
+        check(rng.integers(1, 60, size=n),
+              (10 ** rng.uniform(0, 9, size=n)).astype(np.int64),
+              a, a * (1 + shift))
+    # impacts a float32 holds exactly get no round-up slack: with A' one
+    # or two ulps above A = 1, A'/A times each of these falls below its
+    # float64 impact at A'
+    for tf, dl, ulps in ((2, 33, 1), (8, 133, 1), (1, 27, 2)):
+        check(np.array([tf]), np.array([dl]), 1.0, 1.0 + ulps * 2.0 ** -52)
+
+
 # -- null block metadata ------------------------------------------------------
 
 @pytest.mark.parametrize("df", [1, 2, 37, BS])
@@ -214,6 +246,43 @@ def test_wand_mixed_single_and_multi_block(random_shard, terms):
     for k in (1, 5, 10, 40, 60):
         assert shard.wand_topk(terms, k, avgdl) == \
             shard.exhaustive_topk(terms, k, avgdl)
+
+
+@pytest.mark.parametrize("factor", [1.37, 0.7])
+def test_wand_serves_exactly_after_avgdl_moves(random_shard, tmp_path,
+                                               factor):
+    """The manifest's avgdl moves ×1.37 or ×0.7 with no refresh: a shard
+    opened with its recorded bound avgdl serves 120 random disjunctions
+    of the head terms through WAND (counted), bit-identical to the
+    exhaustive path."""
+    from search_engine_ray.pipelines.search import (ShardIndex,
+                                                    pure_disjunction_terms)
+    from search_engine_ray.query.compile import Or, Word
+
+    _, root, _, avgdl = random_shard
+    idx = str(tmp_path / "index")
+    shutil.copytree(root, idx)
+    stats = {"avgdl": avgdl * factor, "bound_avgdl": [[0, avgdl]]}
+    seg.write_manifest(idx, {"stats": stats})
+    stats = seg.read_manifest(idx)["stats"]
+    shard = ShardIndex(idx, 0, bound_avgdl=seg.shard_bound_avgdl(stats, 0))
+    calls = []
+    wand = shard.wand_topk
+    shard.wand_topk = lambda *a: calls.append(1) or wand(*a)
+    # every set past score_topk's 4096-per-term gate (m | r is not)
+    sets = [["f"], ["m"], ["f", "m"], ["f", "r"], ["f", "m", "r"]]
+    rng = np.random.default_rng(23)
+    for i in range(120):
+        terms = [str(t) for t in rng.permutation(sets[i % len(sets)])]
+        plan = Word(terms[0], terms[0])
+        for t in terms[1:]:
+            plan = Or(plan, Word(t, t))
+        idf = {t: float(rng.uniform(0.1, 4)) for t in terms}
+        k = int(rng.choice([1, 3, 10, 40, 60]))
+        assert shard.topk(plan, k, idf, stats["avgdl"]) == \
+            shard.exhaustive_topk(pure_disjunction_terms(plan, idf), k,
+                                  stats["avgdl"]), (terms, idf, k)
+    assert len(calls) == 120
 
 
 def test_corrupt_null_long_row_names_shard_and_term(random_shard,
@@ -333,7 +402,8 @@ def test_refresh_rewrites_only_stored_bounds(built_index, tmp_path):
     shutil.copytree(built_index, idx)
     man = seg.read_manifest(idx)
     avgdl = man["stats"]["avgdl"] * 1.37
-    man["stats"].update(avgdl=avgdl, wand_stale_shards=[0])
+    man["stats"].update(avgdl=avgdl,
+                        bound_avgdl=[[0, man["stats"]["avgdl"]]])
     with open(os.path.join(idx, "manifest.json"), "w") as f:
         json.dump(man, f)
     before = _rows(os.path.join(idx, "segments", "shard=0"))

@@ -617,10 +617,8 @@ def test_lru_evicts_least_recently_used():
 
 
 def test_lru_zero_holds_nothing_and_one_holds_the_newest():
-    """``SearchEngine``'s default ``cache_size=0`` is an LRU(0): its put
-    evicts the key just inserted, so a repeated ``search`` is answered
-    by the searchers again, never from the cache. LRU(1) keeps only the
-    key put last."""
+    """An LRU(0) caches nothing: its put evicts the key just inserted,
+    so a repeated get misses. LRU(1) keeps only the key put last."""
     from search_engine_ray.state.lru import LRU
 
     zero = LRU(0)

@@ -92,16 +92,3 @@ def test_search_works_after_resume(built, ray_session):
         assert res.num_rows > 0
     finally:
         eng.close()
-
-
-def test_result_cache(built, ray_session):
-    from search_engine_ray.pipelines.search import SearchEngine
-
-    out, man, factory = built
-    eng = SearchEngine(out, num_searchers=2, cache_size=4)
-    try:
-        a = eng.search("running", k=5)
-        b = eng.search("running", k=5)
-        assert a is b  # cache hit returns the identical table
-    finally:
-        eng.close()

@@ -175,16 +175,12 @@ def run_bench() -> dict:
     results["query_throughput_qps_runs"] = [round(x, 1) for x in qps_runs]
     results["n_searchers_throughput"] = len(eng_t.actors)
 
-    # bloom fan-out pruning: actors RPC'd for a rare-term query vs the
+    # exact fan-out routing: actors RPC'd for a rare-term query vs the
     # full pool (the corpus carries rtag{doc_id%4093} terms, df ≈ n/4093
-    # → present in a fraction of shards), and for a provably-absent term
-    rare_q = "rtag7"
-    m = eng_t._actor_mask(eng_t.compile(rare_q))
-    results["prune_actors_rare"] = (len(m) if m is not None
-                                    else len(eng_t.actors))
-    m0 = eng_t._actor_mask(eng_t.compile("qqzzneverindexed"))
-    results["prune_actors_absent"] = (len(m0) if m0 is not None
-                                      else len(eng_t.actors))
+    # → present in a fraction of shards), and for an absent term (none)
+    for key, q in (("prune_actors_rare", "rtag7"),
+                   ("prune_actors_absent", "qqzzneverindexed")):
+        results[key] = len(eng_t._route(eng_t.compile(q))[0])
     results["n_actors_total"] = len(eng_t.actors)
 
     eng = eng_t  # batch mode below uses the throughput pool too

@@ -9,16 +9,14 @@ Covers the index's three serving directories (segments/, docmeta/,
 terms/). Every parquet file contributes one row per column (the column
 chunks' compressed size, page headers and dictionary pages included) and
 one "parquet overhead" row (footer and magic bytes: the file size less its
-column chunks). Every other file (``_vocab.bloom``, ``_SUCCESS``) counts
-under its own name. The rows sum to the directories' on-disk size, so the
-total is perfbench's ``index_bytes_per_doc`` for the same index.
+column chunks). Every other file (the ``_SUCCESS`` markers, and the
+Bloom filter files an older index may hold) counts under its own name.
+The rows sum to the directories' on-disk size, so the total is
+perfbench's ``index_bytes_per_doc`` for the same index.
 
-Two lines before the total size the vocabulary: the ``vocabulary:``
-line gives the terms table's rows (the one copy of the term strings),
-the segments' rows and the bits per segment row of their ``term_id``
-key; the ``vocab filters:`` line gives the filters' file count, keys
-(the segments' row counts), bits per key and k values, from their
-headers.
+The ``vocabulary:`` line before the total size gives the terms table's
+rows (the one copy of the term strings), the segments' rows and the bits
+per segment row of their ``term_id`` key.
 """
 
 from __future__ import annotations
@@ -58,27 +56,6 @@ def breakdown(index_dir: str) -> Counter:
     return out
 
 
-def filter_sizes(index_dir: str) -> tuple[int, int, int, Counter]:
-    """(files, keys, bits, files per k) of the ``_vocab.bloom`` files:
-    keys are the row counts of the segment beside each filter, bits and
-    k come from the filter's header."""
-    from search_engine_ray.state import bloom
-
-    files = keys = bits = 0
-    ks: Counter = Counter()
-    for path in glob.glob(os.path.join(index_dir, "segments", "shard=*",
-                                       "_vocab.bloom")):
-        with open(path, "rb") as f:
-            k, m_bits = bloom.header(f.read())
-        files += 1
-        bits += m_bits
-        ks[k] += 1
-        for seg_file in glob.glob(os.path.join(os.path.dirname(path),
-                                               "*.parquet")):
-            keys += pq.read_metadata(seg_file).num_rows
-    return files, keys, bits, ks
-
-
 def parquet_rows(index_dir: str, d: str) -> int:
     """Rows of every parquet file under ``index_dir/d``."""
     return sum(pq.read_metadata(f).num_rows for f in glob.glob(
@@ -104,10 +81,6 @@ def main(argv: list[str]) -> None:
           f"{seg_rows} segment rows, "
           f"{8 * rows['segments', 'term_id'] / max(seg_rows, 1):.2f} "
           "term_id bits/segment row")
-    files, keys, bits, ks = filter_sizes(index_dir)
-    k_list = ", ".join(f"k={k} x{n}" for k, n in sorted(ks.items()))
-    print(f"vocab filters: {files} files, {keys} keys, "
-          f"{bits / max(keys, 1):.2f} bits/key, {k_list}")
     total = sum(rows.values())
     print(f"{'total':<30}{total:>12}{total / n_docs:>12.4f}")
 

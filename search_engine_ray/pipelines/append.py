@@ -27,7 +27,10 @@ from the manifest:
   to the current one (seg.LazyPostings.block_bounds), so old shards
   keep WAND. ``refresh_block_max`` is an optional tightening pass that
   recomputes the bounds at the current avgdl; one-block rows store no
-  bound, so it rewrites only the rows of several blocks.
+  bound, so it rewrites only the rows of several blocks. A shard dir it
+  rewrites holds the segment and its marker alone: a vocabulary Bloom
+  filter an earlier merge wrote there is not carried over (no reader
+  needs it).
 """
 
 from __future__ import annotations
@@ -165,16 +168,10 @@ def refresh_block_max(index_dir: str) -> int:
         t = t.set_column(idx, "block_max_impact",
                          pa.array(new_bmax, pa.binary()))
         # the merge writer's layout (byte-bounded row groups, which the
-        # metadata-only cold start depends on) with term_id and the vocab
-        # bloom carried over unchanged: refresh only rewrites
-        # block_max_impact
-        extra = {}
-        bloom_path = os.path.join(path, "_vocab.bloom")
-        if os.path.exists(bloom_path):
-            with open(bloom_path, "rb") as f:
-                extra["_vocab.bloom"] = f.read()
+        # metadata-only cold start depends on) with term_id carried over
+        # unchanged: refresh only rewrites block_max_impact
         write_shard_dir(segments_dir, shard, t, "segment.parquet",
-                        f"refresh-{avgdl}", extra_files=extra)
+                        f"refresh-{avgdl}")
         return shard
 
     ray.get([refresh.remote(s) for s in loose])

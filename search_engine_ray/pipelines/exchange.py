@@ -22,7 +22,10 @@ files/mtimes are untouched).
 A build writes shards 0..num_shards-1; an append writes its generation's
 shards at ``first_shard`` + (doc_id % num_shards), so every shard dir of
 an index, whichever generation wrote it, comes from write_shard_dir: one
-parquet file plus a ``_SUCCESS`` marker.
+parquet file plus a ``_SUCCESS`` marker. Query routing needs no file of
+its own: the engine reads each segment's ``term_id`` column
+(pipelines/search.py), and ignores the vocabulary Bloom filters that
+earlier format-21 merges wrote beside it.
 
 A (term, doc) run is never split across partials because each doc lives in
 exactly one batch, so the merge is pure concatenation + sort, no
@@ -72,7 +75,6 @@ import pyarrow.parquet as pq
 
 from ..kernels import varint
 from ..stages.emit import emit_postings_columnar
-from ..state import bloom
 from ..state import segments as seg
 
 
@@ -157,13 +159,11 @@ def _write_byte_bounded(tab: pa.Table, path: str,
 
 
 def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
-                    marker: str,
-                    extra_files: dict[str, bytes] | None = None,
-                    row_group_size: int = 0) -> None:
-    """Replace ``root/shard=s`` atomically with ONE parquet file, the
-    ``extra_files`` and a ``_SUCCESS`` marker holding ``marker`` — the
-    only writer of an index's shard dirs (merge, empty-shard backfill
-    and the optional refresh_block_max tightening pass).
+                    marker: str, row_group_size: int = 0) -> None:
+    """Replace ``root/shard=s`` atomically with ONE parquet file and a
+    ``_SUCCESS`` marker holding ``marker`` — the only writer of an
+    index's shard dirs (merge, empty-shard backfill and the optional
+    refresh_block_max tightening pass).
 
     Small row groups: the serving actor reads only metadata columns at
     init and pages heavy columns (posting/position bytes, urls/titles)
@@ -190,9 +190,6 @@ def write_shard_dir(root: str, s: int, tab: pa.Table, filename: str,
                        **parquet_options(tab.schema))
     else:
         _write_byte_bounded(tab, path)
-    for name, payload in (extra_files or {}).items():
-        with open(os.path.join(tmp, name), "wb") as f:
-            f.write(payload)
     with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
         f.write(marker)
     shutil.rmtree(dst, ignore_errors=True)
@@ -438,10 +435,9 @@ class _GroupMergeWorker:
                 continue
             codes_a = part.column("term").combine_chunks() \
                 .dictionary_encode()
-            vocab = codes_a.dictionary
-            codes = codes_a.indices.to_numpy(zero_copy_only=False)
-            # each run's term id; the strings stay only for the bloom
-            tids = self._term_ids(vocab)[codes]
+            # each run's term id, through its distinct strings
+            tids = self._term_ids(codes_a.dictionary)[
+                codes_a.indices.to_numpy(zero_copy_only=False)]
             docs = part.column("doc_id").to_numpy(zero_copy_only=False)
             tfs = part.column("tf").to_numpy(zero_copy_only=False).astype(
                 np.int64)
@@ -465,7 +461,6 @@ class _GroupMergeWorker:
             pos_data = (np.frombuffer(_pd_buf, dtype=np.uint8)
                         if _pd_buf is not None
                         else np.empty(0, dtype=np.uint8))
-            codes = codes[order]
             tids = tids[order]
             docs_s = docs[order]
             tfs_s = tfs[order]
@@ -525,10 +520,8 @@ class _GroupMergeWorker:
                 r = per_shard.setdefault(sh, {
                     "term_id": [], "df": [], "doc_gaps": [],
                     "tfs": [], "pos_gaps": [], "block_last_doc": [],
-                    "block_max_impact": [], "block_offs": [],
-                    "code": []})
+                    "block_max_impact": [], "block_offs": []})
                 r["term_id"].append(tids[lo])
-                r["code"].append(codes[lo])
                 r["df"].append(n)
                 r["doc_gaps"].append(doc_stream[doc_offs[lo]:doc_offs[hi]])
                 r["tfs"].append(tf_stream[tf_offs[lo]:tf_offs[hi]])
@@ -572,14 +565,8 @@ class _GroupMergeWorker:
                                                  pa.binary()),
                     "block_offs": pa.array(r["block_offs"], pa.binary()),
                 })
-                # vocab bloom over the shard's term strings, alongside
-                # the segment (atomic with it): the engine prunes query
-                # fan-out with it — an actor whose shards can't contain
-                # any plan term is never RPC'd (state/bloom.py)
-                write_shard_dir(
-                    self.segments_dir, sh, tab, "segment.parquet",
-                    self.build_id, extra_files={"_vocab.bloom": bloom.build(
-                        vocab.take(pa.array(r["code"], pa.int64())))})
+                write_shard_dir(self.segments_dir, sh, tab,
+                                "segment.parquet", self.build_id)
                 out_shard.append(sh)
                 out_terms.append(tab.num_rows)
         return pa.table({

@@ -8,11 +8,15 @@ top-k; the driver merges descending (R6 semantics: csolver.cpp:94-121).
 
 Scoring is BM25 (k1=1.2, b=0.75 — documented choice; the reference defines
 no BM25 constants, SURVEY.md preamble) with Lucene-style idf
-ln(1 + (N - df + 0.5)/(df + 0.5)). Global df/N/avgdl come from the build
-manifest + terms table; idf is computed on the driver and shipped with the
-query, so actors never need the global df. A searcher reads only the
-terms table's strings and ids (``Vocabulary``), once, to find a term's
-segment rows, which are keyed by term id.
+ln(1 + (N - df + 0.5)/(df + 0.5)). N and avgdl come from the build
+manifest, each term's id and global df from the terms table, read once
+per process role as one ``Vocabulary``. A searcher uses it to find a
+term's segment rows, which are keyed by term id. The engine (the
+driver's, or a frontend's) resolves each plan term once: its df gives
+the idf shipped with the query, and its id routes the query exactly,
+only to the searchers whose shards hold a plan term, from each shard's
+light ``term_id`` column read when the engine opens (the reference front
+end fans out only to the csolvers that own the chunks, query.cpp:775-822).
 
 One scoring core under the four strategies (block-max WAND, conjunctive
 skipping, dense, sparse), each piece written once: one plan walker
@@ -59,7 +63,6 @@ import ray
 
 from ..kernels import arrowbuf
 from ..query import compile as qc
-from ..state import bloom as sb
 from ..state import segments as seg
 from ..state.lru import LRU
 from ..state.sorted_strings import SortedStrings
@@ -215,6 +218,14 @@ def _seek_all(views: list) -> np.ndarray:
     return cand
 
 
+def _index_of(ids: memoryview, tid: int) -> int | None:
+    """Position of ``tid`` in the sorted ``ids``, or None when absent
+    (bisect over a memoryview costs a tenth of a scalar np.searchsorted
+    call)."""
+    i = bisect.bisect_left(ids, tid)
+    return i if i < len(ids) and ids[i] == tid else None
+
+
 def _ranked(cand: np.ndarray, scores: np.ndarray, k: int
             ) -> list[tuple[float, int]]:
     """The (-score, doc_id) top-k of scored candidates as (score,
@@ -260,26 +271,28 @@ _MASKS = SimpleNamespace(
 class Vocabulary:
     """The index's terms table in a form a lookup can search: the byte-
     sorted ``term`` strings under one SortedStrings, and each row's
-    ``term_id``, the key of the term's segment rows. Read once per
-    searcher and shared by its shards; the table is immutable until an
-    append or a rebuild replaces it, after which a new Vocabulary reads
-    the new one."""
+    ``term_id``, the key of the term's segment rows, and ``df``, its
+    document count over every shard. Read once per process role (a
+    searcher's shards share one; an engine resolves its plan terms in
+    another); the table is immutable until an append or a rebuild
+    replaces it, after which a new Vocabulary reads the new one."""
 
-    __slots__ = ("_terms", "_index", "_ids", "_rows")
+    __slots__ = ("_terms", "_index", "_ids", "_dfs", "_rows")
 
     def __init__(self, index_dir: str):
         t = seg.read_parquet_dir(os.path.join(index_dir, "terms"),
-                                 columns=["term", "term_id"])
+                                 columns=["term", "term_id", "df"])
         self._terms = t.column("term").combine_chunks()
         self._index = SortedStrings(self._terms)
         # memoryview: indexing it yields an int ~4× faster than numpy
         self._ids = memoryview(arrowbuf.view(t.column("term_id"), np.int32))
+        self._dfs = memoryview(arrowbuf.view(t.column("df"), np.int64))
         self._rows = None  # term_id → row, built on first strings()
 
-    def term_id(self, term: str) -> int | None:
-        """The term's id, or None when no shard holds it."""
+    def find(self, term: str) -> tuple[int, int] | None:
+        """The term's (term_id, df), or None when no shard holds it."""
         i = self._index.find(term.encode())
-        return None if i is None else self._ids[i]
+        return None if i is None else (self._ids[i], self._dfs[i])
 
     def strings(self, ids: np.ndarray) -> list[str]:
         """The term of each id (testing and diagnostics)."""
@@ -354,8 +367,7 @@ class ShardIndex:
         self._rg_cache = LRU(256)
         self._seg = self._open_lazy(seg_path)
         t = self._seg[0].read(columns=list(self._LIGHT) + ["term_id"])
-        # segment rows are written sorted by term id; bisect over a
-        # memoryview costs a tenth of a scalar np.searchsorted call
+        # segment rows are written sorted by term id (_index_of)
         self._term_ids = memoryview(arrowbuf.view(t.column("term_id"),
                                                   np.int32))
         self._table = t
@@ -410,12 +422,19 @@ class ShardIndex:
         return self._vocab.strings(np.asarray(self._term_ids))
 
     def _find_row(self, term: str) -> int | None:
-        tid = self._vocab.term_id(term)
-        if tid is None:
-            return None
-        i = bisect.bisect_left(self._term_ids, tid)
-        return i if i < len(self._term_ids) and self._term_ids[i] == tid \
-            else None
+        hit = self._vocab.find(term)
+        return None if hit is None else _index_of(self._term_ids, hit[0])
+
+    def _entry(self, term: str) -> tuple:
+        """The term's (segment row, postings view) cache entry: the row
+        is None when the shard lacks the term, the view None until a
+        lookup builds it. One vocabulary search per cached term, whether
+        a gate's ``_df`` or a ``lookup`` asks first."""
+        hit = self._postings.get(term)
+        if hit is None:
+            hit = (self._find_row(term), None)
+            self._postings.put(term, hit)
+        return hit
 
     def lookup(self, term: str, positions: bool = False
                ) -> "seg.LazyPostings | None":
@@ -426,20 +445,15 @@ class ShardIndex:
         when ``positions`` is requested (phrase plans). Views and misses
         share the bounded postings LRU, each cached with its segment
         row so positions page in without another vocabulary search."""
-        hit = self._postings.get(term)
-        if hit is None:
-            i = self._find_row(term)
-            lz = None
-            if i is not None:
-                row = {name: self._table.column(name)[i].as_py()
-                       for name in self._LIGHT}
-                row["doc_gaps"], row["tfs"] = self._cells(
-                    self._seg, i, ("doc_gaps", "tfs"))
-                lz = seg.LazyPostings(
-                    row, where=f"shard {self.shard} term {term!r}")
-            hit = (i, lz)
-            self._postings.put(term, hit)
-        i, lz = hit
+        i, lz = self._entry(term)
+        if i is not None and lz is None:
+            row = {name: self._table.column(name)[i].as_py()
+                   for name in self._LIGHT}
+            row["doc_gaps"], row["tfs"] = self._cells(
+                self._seg, i, ("doc_gaps", "tfs"))
+            lz = seg.LazyPostings(
+                row, where=f"shard {self.shard} term {term!r}")
+            self._postings.put(term, (i, lz))
         if positions and lz is not None and not lz.has_positions:
             lz.add_positions(*self._cells(self._seg, i, ("pos_gaps",)))
         return lz
@@ -742,11 +756,9 @@ class ShardIndex:
     # -- scoring ------------------------------------------------------------
     def _df(self, term: str) -> int:
         """The term's df in this shard, 0 when absent: from the light
-        metadata at the row cached with the term's view, else at a
-        vocabulary search (a gate probe decodes and pages in no posting
-        bytes)."""
-        hit = self._postings.get(term)
-        i = self._find_row(term) if hit is None else hit[0]
+        metadata at its cached row (a gate probe decodes and pages in no
+        posting bytes)."""
+        i = self._entry(term)[0]
         return 0 if i is None else self._dfs[i]
 
     def score_topk(self, plan, k: int, idf: dict[str, float],
@@ -892,12 +904,24 @@ def result_batch(merged: list[tuple[float, int, str, str]]
          arrowbuf.strings(urls), arrowbuf.strings(titles)],
         schema=RESULT_SCHEMA)
 
+
+def _held_term_ids(index_dir: str, shards: list[int]) -> memoryview:
+    """The sorted distinct term ids of ``shards``' segment rows, read
+    from their light ``term_id`` columns."""
+    ids = [arrowbuf.view(ShardIndex._open_lazy(os.path.join(
+               index_dir, "segments", f"shard={s}"))[0].read(
+               columns=["term_id"]).column("term_id"), np.int32)
+           for s in shards]
+    return memoryview(np.unique(np.concatenate(
+        ids + [np.empty(0, np.int32)])))
+
+
 class SearchEngine:
     """Compile queries, fan out to the searcher pool, merge top-k.
 
     With ``actors`` it adopts a shared searcher pool (the frontend
     tier) and owns none. Results are ``pa.Table``s built from buffers
-    (result_batch); the global df table is read file by file, so an
+    (result_batch); the terms table is read file by file, so an
     engine in a frontend never imports pandas or pyarrow.dataset."""
 
     def __init__(self, index_dir: str, num_searchers: int | None = None,
@@ -911,10 +935,7 @@ class SearchEngine:
         self.n_docs = man["stats"]["n_docs"]
         self.avgdl = man["stats"]["avgdl"]
         num_shards = man["stats"]["num_shards"]
-        t = seg.read_parquet_dir(os.path.join(index_dir, "terms"),
-                                 columns=["term", "df"])
-        self._df = dict(zip(t.column("term").to_pylist(),
-                            t.column("df").to_pylist()))
+        self._vocab = Vocabulary(index_dir)
         self.synsets = qc.get_default_synsets() if use_synonyms else None
         self._owns_actors = actors is None
         if self._owns_actors:
@@ -926,11 +947,13 @@ class SearchEngine:
                           seg.shard_bound_avgdl(man["stats"], s)
                           for s in sh]) for sh in actor_shards]
         # else a shared pool (frontend tier): only compile, fan out and
-        # merge; actor_shards (parallel to actors) enables pruning
+        # merge; actor_shards (parallel to actors) enables routing
         self.actors = list(actors)
         self._actor_shards = ([list(sh) for sh in actor_shards]
                               if actor_shards is not None else None)
-        self._load_blooms(index_dir)
+        # per searcher, the sorted term ids its shards hold
+        self._held = None if actor_shards is None else [
+            _held_term_ids(index_dir, sh) for sh in self._actor_shards]
         if self._owns_actors:
             ray.get([a.ready.remote() for a in self.actors])
 
@@ -949,42 +972,31 @@ class SearchEngine:
         return min(num_shards, cpus,
                    max(cpus // 2, -(-num_shards // 8), 1))
 
-    def _load_blooms(self, index_dir: str) -> None:
-        """Per-shard vocab blooms (KBs each, written at merge time):
-        fan-out pruning skips actors whose shards can't contain any
-        plan term — see state/bloom.py for where this stops scaling."""
-        self._blooms: dict[int, bytes] = {}
-        for s in (s for sh in self._actor_shards or () for s in sh):
-            p = os.path.join(index_dir, "segments", f"shard={s}",
-                             "_vocab.bloom")
-            try:
-                with open(p, "rb") as f:
-                    self._blooms[s] = f.read()
-            except OSError:
-                pass  # pre-bloom index: no pruning for this shard
+    def _route(self, plan) -> tuple[list[int] | None, dict[str, float]]:
+        """The searchers (indexes into ``actors``) a plan reaches, and
+        the idf of each plan term, from one vocabulary probe per term:
+        its id picks the searchers whose shards hold it, its df gives
+        the idf. A searcher holding none of the plan's terms (negated
+        ones included) has nothing to match, so an absent term reaches
+        none; without ``actor_shards`` (None) the plan reaches every
+        searcher."""
+        idf, ids = {}, []
+        for t, _ in flatten_terms(plan):
+            hit = self._vocab.find(t)
+            idf[t] = self._idf(0 if hit is None else hit[1])
+            if hit is not None:
+                ids.append(hit[0])
+        if self._held is None:
+            return None, idf
+        return [ai for ai, held in enumerate(self._held)
+                if any(_index_of(held, i) is not None for i in ids)], idf
 
-    def _actor_mask(self, plan) -> "list | None":
-        """Actors whose shards may contain at least one plan term, by
-        the per-shard Bloom test (false-positive-only). None = no
-        pruning possible."""
-        if self._actor_shards is None or not self._blooms:
-            return None
-        terms = [t for t, _ in flatten_terms(plan)]
-        if not terms:
-            return None
-        hashes = sb.hash_terms(terms)  # hash once, test per blob
-        live = []
-        for a, shards in zip(self.actors, self._actor_shards):
-            for s in shards:
-                blob = self._blooms.get(s)
-                if blob is None or sb.contains_any_hashed(blob, hashes):
-                    live.append(a)
-                    break
-        return live
+    def _idf(self, df: int) -> float:
+        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
     def idf(self, term: str) -> float:
-        df = self._df.get(term, 0)
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        hit = self._vocab.find(term)
+        return self._idf(0 if hit is None else hit[1])
 
     def compile(self, query: str):
         # engine mode fixes the title decoration so '@' terms match the
@@ -1004,21 +1016,19 @@ class SearchEngine:
                                for _ in queries]
         if not live:
             return out
-        # bloom fan-out pruning per query: each actor evaluates only the
-        # sublist of queries its shards can match (results identical —
-        # a pruned actor would have returned [] for those queries)
-        masks = [self._actor_mask(p) for _, p in live]
+        # exact routing per query: each actor scores only the sublist
+        # of queries its shards hold a term of (results identical — a
+        # skipped actor would have returned [] for those queries)
+        routes = [self._route(p) for _, p in live]
         actor_qs: list[list[int]] = [[] for _ in self.actors]
-        actor_pos = {id(a): ai for ai, a in enumerate(self.actors)}
-        for j, m in enumerate(masks):
-            for a in (self.actors if m is None else m):
-                actor_qs[actor_pos[id(a)]].append(j)
-        idfs = [{t: self.idf(t) for t, _ in flatten_terms(p)}
-                for _, p in live]
+        for j, (reach, _) in enumerate(routes):
+            for ai in range(len(self.actors)) if reach is None else reach:
+                actor_qs[ai].append(j)
+        idfs = [idf for _, idf in routes]
         sub_plans = [p for _, p in live]
         futs, fut_qs = [], []
         put_cache: dict[tuple, tuple] = {}  # identical sublists (the
-        # no-pruning common case) serialize once, not once per actor
+        # unrouted common case) serialize once, not once per actor
         for ai, qjs in enumerate(actor_qs):
             if not qjs:
                 continue

@@ -1,34 +1,20 @@
-"""Per-shard vocabulary Bloom filters — query fan-out pruning.
+"""Per-shard vocabulary Bloom filters: the serving fan-out's former
+router, kept only because the benchmark's traced routing span
+(perfbench/layers.py) still imports ``hash_terms`` and
+``contains_any_hashed``. No package module imports it: the engine routes
+exactly from each shard's ``term_id`` column (pipelines/search.py), new
+builds and appends write no filter, and the filters that format-21
+indexes hold are ignored (tests/test_bloom_pruning.py and
+tests/test_routing.py check both). ROADMAP direction J deletes this
+module with its unit tests.
 
-At serving time every query fans out to every searcher actor; at 100 TB
-(10^4-10^5 shards) that is the scale sin for selective queries — a term
-that exists in a handful of shards still costs an RPC per actor. Each
-shard's merge emits a small Bloom filter over its term vocabulary; the
-engine loads all blooms at init (KBs per shard) and skips every actor
-none of whose shards can contain any of the plan's terms. False
-positives only over-include (an extra RPC that returns empty), never
-change results.
-
-Sizing: every filter is built for one false-positive target,
-``FP_RATE`` = 1%. For n terms that takes m = ⌈n·ln(1/p)/ln²2⌉ bits
-(~9.6 bits/term, rounded up to a whole byte, at least 64) and
-k = round(m/n·ln 2) = 7 probes. The k probe positions come from the two
-hashes ``hash_terms`` returns, g_i = h1 + i·(h2 − h1) (mod 2^64, then
-mod m): Kirsch & Mitzenmacher (*Less Hashing, Same Performance*, ESA
-2006) show such double hashing keeps the false-positive rate of k
-independent hashes. For i = 0 and 1 these are h1 and h2 themselves, so a
-filter written before this sizing (k = 2, a power of two of at least 16
-bits/term) reads through the same ``contains_hashed``: k and m come from
-each file's header, and an index mixed by append routes with both.
-
-Scale note: one engine holding every shard's bloom works to ~10^4
-shards (tens of GB of blooms at web-scale per-shard vocabularies).
-The planned replacement is a memory-mapped terms table that stores,
-per term, its df and the shards holding it (ROADMAP direction H): one
-probe then gives idf and exact routing, with no Bloom files.
-
-No reference analogue: the reference csolver scans every chunk for
-every query (csolver.cpp:135-149).
+Format: a 16-byte header (magic, k, m bits), then the m-bit map. A
+filter is sized for ``FP_RATE`` = 1%: m = ⌈n·ln(1/p)/ln²2⌉ bits (~9.6
+bits/term, rounded up to a whole byte, at least 64) and k = round(m/n·ln
+2) = 7 probes at g_i = h1 + i·(h2 − h1) (mod 2^64, then mod m) from the
+two hashes ``hash_terms`` returns (Kirsch & Mitzenmacher, ESA 2006). For
+i = 0 and 1 these are h1 and h2 themselves, so an older k = 2 filter
+reads through the same ``contains_hashed``.
 """
 
 from __future__ import annotations
@@ -52,11 +38,9 @@ _BIT = (1 << np.arange(8)).astype(np.uint8)  # bit p & 7 of a byte
 def hash_terms(terms) -> np.ndarray:
     """(n, 2) raw 64-bit hashes per term — compute ONCE per query, test
     against any number of blooms with contains_hashed (the per-blob bit
-    positions are derived from them). Arrow string columns hash
-    through the vectorized byte-position kernel (bit-identical to the
-    scalar FNV) — bloom.build runs per shard on the merge critical
-    path, where a per-byte Python loop over a web-scale vocabulary
-    would be minutes of interpreter time."""
+    positions are derived from them). Arrow string columns and long
+    lists hash through the vectorized byte-position kernel
+    (bit-identical to the scalar FNV)."""
     import pyarrow as pa
     if isinstance(terms, (pa.Array, pa.ChunkedArray)):
         h1 = fnv1a_64_arrow(terms)

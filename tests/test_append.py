@@ -183,13 +183,15 @@ def test_refresh_block_max_is_optional_tightening(appended, ray_session):
 
 def test_every_shard_dir_is_one_file(appended):
     """Build and append write every shard dir through one writer: one
-    parquet file plus a _SUCCESS marker."""
+    parquet file plus a _SUCCESS marker, and nothing else (routing reads
+    the segments' term ids, so no filter file)."""
     out, man0, man, mtimes, base_pages, new_pages = appended
     for root in ("segments", "docmeta"):
         for s in range(man["stats"]["num_shards"]):
             d = os.path.join(out, root, f"shard={s}")
             assert len(glob.glob(os.path.join(d, "*.parquet"))) == 1, d
             assert os.path.exists(os.path.join(d, "_SUCCESS")), d
+            assert len(os.listdir(d)) == 2, d
 
 
 @pytest.mark.parametrize("root", ["segments", "docmeta"])

@@ -10,7 +10,7 @@ from parquet like production.
 
 Env:
   GRAFT_SF_DIR      input sf dir           (default /root/testdata/sf0.1)
-  RAY_GRAFT_CPUS    ray.init num_cpus      (default 32)
+  RAY_GRAFT_CPUS    ray.init num_cpus      (default: this box's usable CPUs)
   GRAFT_BENCH_REPL  corpus replication     (default 40 → 200k pages at sf0.1)
 
 --scaling: run the headline twice in fresh processes (num_cpus=8 then 32)
@@ -27,7 +27,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+BOX_CPUS = len(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", BOX_CPUS))
 REPL = int(os.environ.get("GRAFT_BENCH_REPL", "40"))
 BODY = int(os.environ.get("GRAFT_BENCH_BODY", "1"))
 BENCH_ROOT = "/tmp/search_engine_ray_bench"
@@ -210,6 +211,7 @@ def run_bench() -> dict:
             "queries": results,
             "sf": SF_DIR,
             "num_cpus": NUM_CPUS,
+            "box_cpus": BOX_CPUS,
             "bench_pages": n_docs,
         }
 
@@ -246,58 +248,20 @@ def run_bench() -> dict:
         results["freq_term_exhaustive_ms"]
         / max(results["freq_term_wand_ms"], 1e-9), 2)
 
-    # conjunctive skipping: rare∧frequent AND on the big shard — the
-    # skip path decodes only the candidate blocks of the frequent term
-    # (cold per-term cost, where the reference's skip table also bites)
-    from search_engine_ray.query import compile as qcmp
+    # phrase skipping: the frequent term with a rare term from SHARD
+    # 0's own vocabulary (global terms can miss a given shard): the
+    # least-frequent term with at least a few postings
     freq_t = freq_terms[0][0]
-    # rare term from SHARD 0's own vocabulary (global terms can miss a
-    # given shard): the least-frequent term with at least a few postings
     sdf = sorted(zip(sh.vocab(),
                      sh._table.column("df").to_pylist()),
                  key=lambda x: x[1])
     rare_t = next(t for t, d in sdf if d >= 4)
-    # vocabulary terms are already stems — pass stem_ explicitly
-    plan_and = qcmp.And(qcmp.Word(freq_t, freq_t),
-                        qcmp.Word(rare_t, rare_t))
-    idf_and = {freq_t: 1.1, rare_t: 2.3}
-
     # warm the OS page cache once: serving actors run against a hot
-    # mmap'd index, and both the skip and the generic path page the
-    # same bytes — the timed delta below is DECODE work, which is what
-    # skipping controls (cold-I/O cost is the actor-boot metric, not a
-    # per-plan property)
+    # mmap'd index, so the timed work below is decode, not first read
     _pq.read_table(os.path.join(idx_big, "segments", "shard=0"))
-    _pq.read_table(os.path.join(idx_big, "docmeta", "shard=0"))
 
-    def _warm_docmeta(s) -> None:
-        # page in every docmeta url/title group once: result formatting
-        # is an amortized per-actor cost in production (bounded LRU),
-        # not a per-plan decode property
-        for o in range(0, len(s.doc_ids), 4096):
-            s.doc_meta(o)
-
-    def _time_and(lazy: bool) -> float:
-        times = []
-        for _ in range(5):
-            s = ShardIndex(idx_big, 0)
-            if not lazy:
-                s.CONJ_MIN_DF = 1 << 62  # gate closed: generic path
-            _warm_docmeta(s)
-            t0 = time.time()
-            s.score_topk(plan_and, 10, idf_and, avgdl_big)
-            times.append(time.time() - t0)
-        return min(times)
-
-    results["and_skip_cold_ms"] = round(_time_and(True) * 1000, 3)
-    results["and_generic_cold_ms"] = round(_time_and(False) * 1000, 3)
-    results["conjunctive_speedup"] = round(
-        results["and_generic_cold_ms"]
-        / max(results["and_skip_cold_ms"], 1e-9), 2)
-
-    # phrase skipping: rare-word phrase on the big shard — position
-    # blocks of the frequent term decode only where the rare term's
-    # candidates land
+    # position blocks of the frequent term decode only where the rare
+    # term's candidates land
     def _time_phrase() -> float:
         times = []
         for _ in range(5):
@@ -357,6 +321,7 @@ def run_bench() -> dict:
         "queries": results,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
+        "box_cpus": BOX_CPUS,
         "bench_pages": n_docs,
     }
 

@@ -252,7 +252,7 @@ def _spawn_merge_pool(index_dir: str, exchange_dir: str, num_shards: int,
     actor_cls = ray.remote(num_cpus=0)(_GroupMergeWorker)
     return [actor_cls.remote(exchange_dir,
                              os.path.join(index_dir, "segments"),
-                             num_shards, None, build_id,
+                             num_shards, build_id,
                              os.path.join(index_dir, "docmeta"),
                              terms_dir, first_shard)
             for _ in range(n_workers)]

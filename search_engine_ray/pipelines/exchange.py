@@ -308,12 +308,11 @@ class _GroupMergeWorker:
     Shard ids are global: ``first_shard`` + doc_id % num_shards."""
 
     def __init__(self, exchange_dir: str, segments_dir: str,
-                 num_shards: int, avgdl: float | None, build_id: str,
+                 num_shards: int, build_id: str,
                  docmeta_dir: str, terms_dir: str, first_shard: int = 0):
         self.exchange_dir = exchange_dir
         self.segments_dir = segments_dir
         self.num_shards = num_shards
-        self.avgdl = avgdl  # may arrive later via merge_groups()
         self.build_id = build_id
         self.docmeta_dir = docmeta_dir
         self.terms_dir = terms_dir
@@ -364,16 +363,6 @@ class _GroupMergeWorker:
                 f"{self.terms_dir}")
         return self._terms[1][pos.to_numpy()].astype(np.int64)
 
-    def merge_groups(self, groups: list[int], avgdl: float | None = None
-                     ) -> int:
-        """Explicit actor-pool entry point: lets build_index spawn the
-        merge actors EARLY (their process spin-up + imports overlap the
-        map pass) and deliver avgdl at call time, once known."""
-        if avgdl is not None:
-            self.avgdl = avgdl
-        out = self(pa.table({"grp": pa.array(groups, pa.int32())}))
-        return out.num_rows
-
     def _shard_done(self, s: int) -> bool:
         return marker_ok(self.segments_dir, s, self.build_id) \
             and marker_ok(self.docmeta_dir, s, self.build_id)
@@ -401,9 +390,12 @@ class _GroupMergeWorker:
                 meta.slice(lo, hi - lo).drop_columns(["shard"]),
                 "docmeta.parquet", self.build_id, row_group_size=4096)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_shard, out_terms = [], []
-        for g in batch.column("grp").to_pylist():
+    def merge_groups(self, groups: list[int], avgdl: float) -> None:
+        """Merge ``groups``' partial runs into their shards' segments and
+        docmeta, with block-max bounds at ``avgdl``: delivered at call
+        time, once known, so build_index can spawn the merge actors
+        EARLY (their process spin-up + imports overlap the map pass)."""
+        for g in groups:
             g = int(g)
             files = self._files(g, "part_")
             meta = _read_partials(self._files(g, "meta_"))
@@ -548,7 +540,7 @@ class _GroupMergeWorker:
                     docs_s[lo:hi][ends - 1].astype(np.uint64)))
                 r["block_max_impact"].append(seg.block_max_bounds(
                     seg.bm25_impact(tfs_s[lo:hi], dls_s[lo:hi],
-                                    self.avgdl)))
+                                    avgdl)))
 
             for sh, r in per_shard.items():
                 # rows arrive sorted by term id: the segment's key, which
@@ -567,9 +559,3 @@ class _GroupMergeWorker:
                 })
                 write_shard_dir(self.segments_dir, sh, tab,
                                 "segment.parquet", self.build_id)
-                out_shard.append(sh)
-                out_terms.append(tab.num_rows)
-        return pa.table({
-            "shard": pa.array(out_shard, pa.int32()),
-            "n_terms": pa.array(out_terms, pa.int64()),
-        })

@@ -18,10 +18,10 @@ only to the searchers whose shards hold a plan term, from each shard's
 light ``term_id`` column read when the engine opens (the reference front
 end fans out only to the csolvers that own the chunks, query.cpp:775-822).
 
-One scoring core under the four strategies (block-max WAND, conjunctive
-skipping, dense, sparse), each piece written once: one plan walker
-(``plan_terms``, plus ``word_tree`` for a word-only tree's shape), one
-boolean evaluator over two set representations (``ShardIndex.eval``:
+One scoring core under the three strategies (block-max WAND over a
+word-only disjunction, dense, sparse), each piece written once: one plan
+walker (``plan_terms``, plus ``word_tree`` for a word-only disjunction),
+one boolean evaluator over two set representations (``ShardIndex.eval``:
 sorted arrays or bool masks), one BM25 accumulator (``ShardIndex._bm25``)
 and one result formatter (``_result_rows``), run once per searcher on
 its merged top k.
@@ -98,31 +98,25 @@ def plan_terms(node, synonym: bool = False, negated: bool = False,
 
 
 _DISJUNCTION = (qc.Or, qc.SynOr)
-_CONJUNCTION = (qc.And,)
 
 
-def word_tree(node, ops: tuple) -> bool:
-    """Whether the plan is a tree of ``ops`` nodes over Word leaves only.
-    A disjunction may hold an absent child (a SynOr chain's None tail);
-    a conjunction may not."""
-    if isinstance(node, qc.Word):
+def word_tree(node) -> bool:
+    """Whether the plan is a tree of Or/SynOr nodes over Word leaves
+    only; a child may be absent (a SynOr chain's None tail)."""
+    if node is None or isinstance(node, qc.Word):
         return True
-    if node is None:
-        return qc.And not in ops
-    if not isinstance(node, ops):
+    if not isinstance(node, _DISJUNCTION):
         return False
     rest = node.rest if isinstance(node, qc.SynOr) else node.right
-    return word_tree(node.left, ops) and word_tree(rest, ops)
+    return word_tree(node.left) and word_tree(rest)
 
 
-def _first_terms(occurrences, scoring: bool, out: list | None = None,
-                 seen: set | None = None) -> list[tuple[str, bool]]:
+def _first_terms(occurrences, scoring: bool) -> list[tuple[str, bool]]:
     """(stem, synonym) per distinct stem, first occurrence wins
     (ISR_Tree::getFlattenedTerms). ``scoring`` drops negated
     occurrences (the negated side must not add relevance) and empty
     stems."""
-    if out is None:
-        out, seen = [], set()
+    out, seen = [], set()
     for s, syn, neg in occurrences:
         if s not in seen and not (scoring and (neg or not s)):
             seen.add(s)
@@ -130,10 +124,10 @@ def _first_terms(occurrences, scoring: bool, out: list | None = None,
     return out
 
 
-def flatten_terms(node, synonym=False, out=None, seen=None):
+def flatten_terms(node):
     """(term, is_synonym) in left-to-right traversal order, deduped by term
     string — first occurrence wins, NOT subtrees included."""
-    return _first_terms(plan_terms(node, synonym), False, out, seen)
+    return _first_terms(plan_terms(node), False)
 
 
 def scoring_terms(node):
@@ -146,23 +140,10 @@ def pure_disjunction_terms(node, idf: dict[str, float]):
     """If the plan is a pure disjunction of words (Or/SynOr over Word
     leaves only), return [(term, idf*weight)] for the WAND path; else
     None. Duplicate terms keep their first weight (flatten semantics)."""
-    if not word_tree(node, _DISJUNCTION):
+    if not word_tree(node):
         return None
     return [(t, (SYN_WEIGHT if syn else 1.0) * idf.get(t, 0.0))
             for t, syn in scoring_terms(node)]
-
-
-def conjunctive_word_terms(node):
-    """If the plan is a pure conjunction of words (And tree over Word
-    leaves with non-empty stems), return the deduped stems in
-    left-to-right order (scoring_terms order, so the float accumulation
-    matches the generic path bit-for-bit); else None."""
-    if not word_tree(node, _CONJUNCTION):
-        return None
-    occ = plan_terms(node)
-    if not all(s for s, _, _ in occ):
-        return None
-    return [s for s, _ in _first_terms(occ, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +301,9 @@ class ShardIndex:
     unchanged; dense scoring indexes the docmeta arrays directly, and
     results map back to real doc ids only at output time.
 
-    Scoring (``topk``): WAND, conjunctive skipping, or ``eval`` then
-    ``_bm25``; every path yields (score, ordinal) pairs, which
-    ``score_topk`` formats.
+    Scoring (``topk``): WAND for a word-only disjunction, else ``eval``
+    then ``_bm25`` over dense masks or sorted arrays; every path yields
+    (score, ordinal) pairs, which ``score_topk`` formats.
 
     Segment rows are keyed by ``term_id`` and sorted by it; the strings
     live once, in the index's terms table (``Vocabulary``), which a
@@ -480,7 +461,7 @@ class ShardIndex:
 
     def _eval(self, node, sets):
         n = len(self.doc_ids)
-        if node is not None and word_tree(node, _DISJUNCTION):
+        if node is not None and word_tree(node):
             # word-only disjunction subtrees union in one shot (62-term
             # synonym chains would otherwise do 62 pairwise unions)
             views = (self.lookup(s) for s, _, _ in plan_terms(node))
@@ -565,7 +546,7 @@ class ShardIndex:
         the candidates when df < |cand| (sorted-unique both sides, so
         the += is exact); else by the candidates probing it through
         LazyPostings.gather, which decodes only the blocks they land in
-        (a conjunction's frequent terms stay block-lazy)."""
+        (a phrase's frequent terms stay block-lazy)."""
         n = len(self.doc_ids)
         if full or n <= 4 * len(cand):
             acc = np.zeros(n, dtype=np.float64)
@@ -707,52 +688,6 @@ class ShardIndex:
         return [(float(s), int(dd))
                 for s, dd in zip(best_scores, best_docs)]
 
-    # -- conjunctive skipping (block-lazy AND, scale path) -------------------
-    CONJ_SKEW = 4      # engage when max_df ≥ CONJ_SKEW × min_df
-    CONJ_MIN_DF = 4096  # ... and the frequent list is worth skipping
-    # ... and candidates are sparse enough in the frequent list's blocks
-    # (each candidate can force one block decode). With the batched
-    # block decode (LazyPostings.ensure_blocks: ONE varint call for all
-    # touched blocks) the skip path beats the generic full decode even
-    # when candidates touch half the blocks — measured 6.3 ms vs 10.7 ms
-    # at min_df=10k/max_df=157k — so only the degenerate min_df≈max_df
-    # case (already skew-gated) is excluded.
-    CONJ_BLOCK_COST = 1
-
-    def _conjunctive_topk(self, terms: list[str], k: int,
-                          idf: dict[str, float], avgdl: float
-                          ) -> "list[tuple[float, int]] | None":
-        """Top-k for a pure AND-of-words plan without ever fully
-        decoding the frequent terms (_seek_all). Returns None when the dfs
-        are balanced (no skipping to be had — the generic path's single
-        full decode is then the cheaper constant). Results are
-        bit-identical to the generic path (same candidate set, same
-        float accumulation order; pinned by tests/test_conjunctive.py)."""
-        dfs = [self._df(t) for t in terms]
-        if not all(dfs):
-            return []  # AND with an absent term matches nothing
-        # engage only when (a) dfs are skewed (otherwise nothing to
-        # skip), (b) the frequent list is big enough that avoiding its
-        # full decode beats the per-block bookkeeping (same 4096 floor
-        # as the WAND gate, measured on small shards), and (c) the
-        # candidate set is small relative to the frequent term's block
-        # count — min_df candidates touch ≤ min_df blocks, each decoding
-        # BLOCK_SIZE postings, so past min_df ≈ max_df/BLOCK_SIZE the
-        # skip path re-decodes most of the list anyway and the generic
-        # single-pass decode has the better constant
-        if max(dfs) < self.CONJ_SKEW * max(min(dfs), 1) \
-                or max(dfs) < self.CONJ_MIN_DF \
-                or min(dfs) * self.CONJ_BLOCK_COST > max(dfs):
-            return None
-        views = dict(zip(terms, map(self.lookup, terms)))
-        cand = _seek_all(list(views.values()))
-        if not len(cand):
-            return []
-        # plan order == scoring_terms order; the frequent terms' blocks
-        # are already cached by the intersection pass
-        scored = [(views[t], idf[t]) for t in terms if t in idf]
-        return _ranked(cand, self._bm25(cand, scored, avgdl), k)
-
     # -- scoring ------------------------------------------------------------
     def _df(self, term: str) -> int:
         """The term's df in this shard, 0 when absent: from the light
@@ -786,13 +721,6 @@ class ShardIndex:
                 and sum(self._df(t) for t, _ in wand_terms) \
                 >= 4096 * max(1, len(wand_terms)):
             return self.wand_topk(wand_terms, k, avgdl)
-        # pure AND-of-words plans with skewed dfs skip through the
-        # frequent terms block-lazily instead of fully decoding them
-        and_terms = conjunctive_word_terms(plan)
-        if and_terms is not None and len(and_terms) >= 2:
-            res = self._conjunctive_topk(and_terms, k, idf, avgdl)
-            if res is not None:
-                return res
         # heavy plans (leaf postings a sizable fraction of the shard)
         # evaluate as dense bitmaps and score into one full-shard
         # vector; selective plans keep the sorted-array algebra. The

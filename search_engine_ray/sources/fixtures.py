@@ -201,8 +201,8 @@ def pages_from_documents_batch(batch: pa.Table, seed: int = 42,
 
     ``rare_tag_mod`` > 0 appends one ``rtag{doc_id % mod}`` token per
     page: a low-df term family (df ≈ corpus/mod) in an otherwise
-    ~50-term replicated vocabulary, so rare∧frequent conjunctions exist
-    to measure skip-seeking against. Off by default — the correctness
+    ~50-term replicated vocabulary, so rare-term routing and rare∧frequent
+    phrase skip-seeking have something to measure. Off by default — the correctness
     oracles restate the default synthesis in SQL.
     """
     doc_ids = batch.column("doc_id").to_pylist()

@@ -38,9 +38,9 @@ shard's rows are sorted by term_id:
     block_offs:binary     int64-LE (nblocks, 3) array: byte offset of each
                           block's start within (doc_gaps, tfs, pos_gaps) —
                           the seek table that lets a reader decode block k
-                          WITHOUT decoding blocks 0..k-1 (conjunctive
-                          skipping; reference analogue SeekDocumentPost's
-                          skip table, Posts.hpp:448-473)
+                          WITHOUT decoding blocks 0..k-1 (phrase and
+                          sparse-scoring probes; reference analogue
+                          SeekDocumentPost's skip table, Posts.hpp:448-473)
 
 The three block metadata cells are null on a row of one block (df ≤
 BLOCK_SIZE): its decode of ≤128 values already gives its last doc, its
@@ -129,10 +129,11 @@ class LazyPostings:
     128-doc block on first touch, through the block_offs seek table, into
     flat df-long arrays that the per-block accessors slice; ``doc_ids``
     and ``tfs`` decode every missing block at once, one varint call per
-    stream. A conjunction of a rare and a frequent term probes the
-    frequent list through gather(), decoding only the blocks the rare
-    term's doc range lands in (the reference's SeekDocumentPost
-    skip-seek, Posts.hpp:448-473). Positions are decoded per call, only
+    stream. A phrase's rarest term seeds candidates that probe each
+    more frequent list through gather(), decoding only the blocks the
+    candidates land in (the reference's SeekDocumentPost skip-seek,
+    Posts.hpp:448-473), and sparse BM25 scoring probes a term the same
+    way. Positions are decoded per call, only
     for the blocks a phrase's candidates touch (gather_positions), and
     the pos_gaps bytes — the largest column — may be attached later
     (add_positions): the scoring paths never read them.

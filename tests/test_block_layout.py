@@ -53,11 +53,11 @@ def _write_shard(root, terms: list[str], dls, avgdl: float):
     _PartialExchangeWriter(exchange, 1, 1)(batch)
     terms_dir = os.path.join(root, "terms")
     worker = _GroupMergeWorker(exchange, os.path.join(root, "segments"), 1,
-                               avgdl, "bid",
+                               "bid",
                                docmeta_dir=os.path.join(root, "docmeta"),
                                terms_dir=terms_dir)
     _write_terms(terms_dir, [worker.count_terms([0])])
-    worker(pa.table({"grp": pa.array([0], pa.int32())}))
+    worker.merge_groups([0], avgdl)
     return ShardIndex(root, 0)
 
 

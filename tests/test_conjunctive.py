@@ -1,13 +1,20 @@
-"""Block-lazy conjunctive skipping: AND-of-words top-k identical to the
-generic (full-decode) path, and the frequent term's posting list is never
-fully decoded (only the candidate blocks are). Block decode and phrase
-matching are checked against a test-local reference: a pure-Python
-varint decode of each segment row and a brute-force adjacent-position
-phrase match."""
+"""Block-lazy posting reads on a 600-page fixture shard, each checked
+against a test-local reference: a pure-Python varint decode of each
+segment row (``ref_rows``).
+
+- AND plans, both bare AND-of-words and the engine's ``Or('@w', w)``
+  shape, score like a brute-force BM25 over the decoded rows, bit for
+  bit.
+- Block decode, ``gather`` and ``gather_positions`` reassemble the full
+  decode, and touch only the blocks their candidates land in.
+- Phrases match a brute-force adjacent-position match, and a rare-seeded
+  phrase decodes a bounded number of the frequent term's blocks; so does
+  WAND."""
 
 from __future__ import annotations
 
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -90,12 +97,17 @@ def _brute_phrase(ref, terms) -> np.ndarray:
                for p in occ[0][d])), dtype=np.int64)
 
 
-def _and_plan(terms):
-    # vocab terms are already stems — pass stem_ explicitly so the plan
-    # probes the exact index vocabulary
-    plan = qc.Word(terms[0], terms[0])
+def _and_plan(terms, engine: bool = False):
+    """AND of the terms' words: bare, or in the engine's decorated
+    ``Or(Word('@' + stem), Word(stem))`` form (query/compile.py). Vocab
+    terms are already stems, so each Word's stem_ is passed explicitly
+    and probes the exact index vocabulary."""
+    def leaf(t):
+        w = qc.Word(t, t)
+        return qc.Or(qc.Word("@" + t, "@" + t), w) if engine else w
+    plan = leaf(terms[0])
     for t in terms[1:]:
-        plan = qc.And(plan, qc.Word(t, t))
+        plan = qc.And(plan, leaf(t))
     return plan
 
 
@@ -105,64 +117,77 @@ def _df_sorted_vocab(sh):
     return sorted(zip(terms, dfs), key=lambda x: -x[1])
 
 
-def test_conjunctive_matches_generic(shard_setup):
+def _brute_and_topk(ref, doc_ids, dls, plan, idf, avgdl, k=10):
+    """(doc_id, score) top-k of an AND of words or of word Ors, by
+    definition over the decoded rows: the docs in some word of every
+    conjunct, each scored with w * bm25_impact added from 0.0 in
+    ``scoring_terms`` order, ranked by (-score, doc)."""
+    from search_engine_ray.pipelines.search import scoring_terms
+
+    def docs_of(node):
+        if isinstance(node, qc.Word):
+            return set(ref[node.stem_][0].tolist()) if node.stem_ in ref \
+                else set()
+        if isinstance(node, qc.Or):
+            return docs_of(node.left) | docs_of(node.right)
+        assert isinstance(node, qc.And)
+        return docs_of(node.left) & docs_of(node.right)
+
+    scored = []
+    for o in sorted(docs_of(plan)):
+        score = 0.0
+        for t, syn in scoring_terms(plan):
+            assert not syn
+            if t not in ref:
+                continue
+            docs, tfs, _ = ref[t]
+            j = int(np.searchsorted(docs, o))
+            if j < len(docs) and docs[j] == o:
+                score += idf[t] * seg.bm25_impact(
+                    tfs[j:j + 1], dls[o:o + 1], avgdl)[0]
+        scored.append((-score, o))
+    return [(int(doc_ids[o]), -neg) for neg, o in sorted(scored)[:k]]
+
+
+def test_and_plans_match_brute_force(shard_setup, ref_rows):
+    """25 seeded rare∧frequent picks (one head term, 1-3 tail terms),
+    each as a bare AND-of-words plan and in the engine's decorated
+    shape: ``score_topk`` equals the brute force bit for bit."""
+    import os
+
+    import pyarrow.parquet as pq
+
     from search_engine_ray.pipelines.search import (ShardIndex,
                                                     flatten_terms)
 
     out, man = shard_setup
     avgdl = man["stats"]["avgdl"]
-    sh_skip = ShardIndex(out, 0)
-    sh_skip.CONJ_MIN_DF = 1  # fixture corpus is small — exercise skipping
-    sh_skip.CONJ_BLOCK_COST = 0
-    sh_gen = ShardIndex(out, 0)
-    sh_gen.CONJ_MIN_DF = 1 << 62  # no list is long enough: generic path
-    vocab = _df_sorted_vocab(sh_skip)
+    meta = pq.read_table(os.path.join(out, "docmeta", "shard=0"),
+                         columns=["doc_id", "dl"])
+    order = np.argsort(meta.column("doc_id").to_numpy())
+    doc_ids = meta.column("doc_id").to_numpy()[order]  # ordinal → doc id
+    dls = meta.column("dl").to_numpy()[order]
+    sh = ShardIndex(out, 0)
+    vocab = _df_sorted_vocab(sh)
     rng = np.random.default_rng(11)
-    idf_stub = {t: 1.0 + (hash(t) % 97) / 50.0 for t, _ in vocab}
-    checked = 0
+    nonempty = 0
     for trial in range(25):
         n = int(rng.integers(2, 5))
         # mix: one frequent head term + rare tail terms (the skew case)
         picks = [vocab[int(rng.integers(0, 5))][0]] + [
             vocab[int(rng.integers(len(vocab) // 2, len(vocab)))][0]
             for _ in range(n - 1)]
-        plan = _and_plan(picks)
-        idf = {t: idf_stub[t] for t, _ in flatten_terms(plan)}
-        got = sh_skip.score_topk(plan, 10, idf, avgdl)
-        want = sh_gen.score_topk(plan, 10, idf, avgdl)
-        assert [(d, round(s, 12)) for s, d, _, _ in got] == \
-               [(d, round(s, 12)) for s, d, _, _ in want], picks
-        checked += 1
-    assert checked == 25
-
-
-def test_conjunctive_skips_decoding(shard_setup):
-    from search_engine_ray.pipelines.search import ShardIndex
-
-    out, man = shard_setup
-    avgdl = man["stats"]["avgdl"]
-    sh = ShardIndex(out, 0)
-    sh.CONJ_MIN_DF = 1
-    sh.CONJ_BLOCK_COST = 0
-    vocab = _df_sorted_vocab(sh)
-    freq_term, freq_df = vocab[0]
-    # a rare term co-occurring with the frequent one (same corpus)
-    rare_term = next(t for t, d in reversed(vocab) if d >= 1)
-    assert freq_df >= 4 * 1
-    plan = _and_plan([freq_term, rare_term])
-    idf = {freq_term: 1.1, rare_term: 2.3}
-    res = sh.score_topk(plan, 10, idf, avgdl)
-    # the frequent term must have gone through the skip path: only a
-    # bounded number of its blocks touched
-    lz = sh.lookup(freq_term)
-    rare_df = dict(vocab)[rare_term]
-    assert lz.blocks_decoded <= min(lz.nblocks, rare_df)
-    # sanity: result still matches the generic path
-    sh2 = ShardIndex(out, 0)
-    sh2.CONJ_MIN_DF = 1 << 62
-    want = sh2.score_topk(plan, 10, idf, avgdl)
-    assert [(d, s) for s, d, _, _ in res] == [(d, s)
-                                              for s, d, _, _ in want]
+        for engine in (False, True):
+            plan = _and_plan(picks, engine)
+            idf = {t: 1.0 + (zlib.crc32(t.encode()) % 97) / 50.0
+                   for t, _ in flatten_terms(plan)}
+            want = _brute_and_topk(ref_rows, doc_ids, dls, plan, idf,
+                                   avgdl)
+            got = [(d, s) for s, d, _, _ in
+                   sh.score_topk(plan, 10, idf, avgdl)]
+            assert got == want, (picks, engine)
+            nonempty += bool(want)
+    assert nonempty >= 10  # 12 of the 50 plans match some doc
 
 
 def test_lazy_postings_block_decode_equals_eager(shard_setup, ref_rows):

@@ -37,7 +37,7 @@ def _count_and_merge(worker, groups: list[int]) -> None:
     from search_engine_ray.pipelines.build import _write_terms
 
     _write_terms(worker.terms_dir, [worker.count_terms(groups)])
-    worker(pa.table({"grp": pa.array(groups, pa.int32())}))
+    worker.merge_groups(groups, 5.0)
 
 
 def _named_segments(segments: str, terms: str, columns=None) -> pa.Table:
@@ -68,7 +68,7 @@ def test_duplicate_emit_is_idempotent(tmp_path):
         for _ in range(n_emits):  # a retry re-emits the same batch
             w(batch)
         terms = str(tmp_path / f"terms_{tag}")
-        m = _GroupMergeWorker(exchange, segments, 4, 5.0, "bid",
+        m = _GroupMergeWorker(exchange, segments, 4, "bid",
                               docmeta_dir=docmeta, terms_dir=terms)
         _count_and_merge(m, [0, 1])
         # exact tfs bytes: a duplicated posting would change them (and

@@ -1,8 +1,7 @@
 """The shard scoring core, pinned without Ray.
 
-- The plan walker: what ``flatten_terms``, ``scoring_terms``,
-  ``pure_disjunction_terms`` and ``conjunctive_word_terms`` yield for
-  the 30 reference queries and for crafted plans (NOT on either side of
+- The plan walker: what ``flatten_terms``, ``scoring_terms`` and
+  ``pure_disjunction_terms`` yield for the 30 reference queries and for crafted plans (NOT on either side of
   an AND, nested Or/SynOr with duplicate and empty stems, phrases,
   stopword-only queries) equals ``tests/golden/scoring_core.json``.
 - The boolean evaluator: sorted arrays and dense masks give the same
@@ -11,8 +10,7 @@
 - The BM25 accumulator: its three modes (full vector, postings probe,
   candidate probe) give bit-identical scores for the same terms, and
   WAND, which scores through it, returns exhaustive scoring's bits.
-- ``score_topk`` rows, with the conjunctive gate shut and open, equal
-  the golden's bit for bit.
+- ``score_topk`` rows equal the golden's bit for bit.
 
 The golden was written by the code before the scoring core was merged,
 so these tests pin that code's results. ``PYTHONPATH=. python
@@ -106,11 +104,9 @@ def _walks(plan) -> dict:
     flat = S.flatten_terms(plan)
     idf = {t: _idf(t) for t, _ in flat}
     disj = S.pure_disjunction_terms(plan, idf)
-    conj = S.conjunctive_word_terms(plan)
     return {"flatten": [list(x) for x in flat],
             "scoring": [list(x) for x in S.scoring_terms(plan)],
-            "disjunction": None if disj is None else [list(x) for x in disj],
-            "conjunction": conj}
+            "disjunction": None if disj is None else [list(x) for x in disj]}
 
 
 # -- fixture shard -----------------------------------------------------------
@@ -194,13 +190,6 @@ def _brute(node, docs) -> set[int]:
 def _topk(sh, plan, avgdl) -> list:
     idf = {t: _idf(t) for t, _ in _flat(plan)}
     return [list(r) for r in sh.score_topk(plan, 10, idf, avgdl)]
-
-
-def _conj_open(sh):
-    sh.CONJ_MIN_DF = 1
-    sh.CONJ_BLOCK_COST = 0
-    sh.CONJ_SKEW = 1
-    return sh
 
 
 # -- tests -------------------------------------------------------------------
@@ -287,14 +276,10 @@ def test_wand_adds_like_exhaustive(shard):
 
 
 def test_score_topk_matches_golden(shard):
-    from search_engine_ray.pipelines.search import ShardIndex
-
-    sh, avgdl, _, root = shard
+    sh, avgdl, _, _ = shard
     want = _golden()["topk"]
-    conj = _conj_open(ShardIndex(root, 0))
     for name, plan in _plans().items():
         assert _topk(sh, plan, avgdl) == want[name]["generic"], name
-        assert _topk(conj, plan, avgdl) == want[name]["conj"], name
 
 
 if __name__ == "__main__":
@@ -302,19 +287,15 @@ if __name__ == "__main__":
 
     from test_block_layout import _write_shard
 
-    from search_engine_ray.pipelines.search import ShardIndex
-
     docs = _docs()
     dls = [len(d) for d in docs]
     avgdl = float(np.mean(dls))
     with tempfile.TemporaryDirectory() as root:
         sh = _write_shard(root, [" ".join(d) for d in docs], dls, avgdl)
-        conj = _conj_open(ShardIndex(root, 0))
         plans = _plans()
         golden = {
             "walks": {n: _walks(p) for n, p in plans.items()},
-            "topk": {n: {"generic": _topk(sh, p, avgdl),
-                         "conj": _topk(conj, p, avgdl)}
+            "topk": {n: {"generic": _topk(sh, p, avgdl)}
                      for n, p in plans.items()},
         }
     with open(GOLDEN, "w") as f:  # one line per plan

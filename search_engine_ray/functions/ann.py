@@ -7,12 +7,17 @@
 - ``ann_topk_lsh``: the scale path — random-hyperplane LSH bucketing; only
   candidate buckets are scanned. Recall checked against brute force in
   tests/test_ann.py.
+- ``ann_topk_ivf`` / ``ann_topk_ivfpq``: k-means partitions; a query
+  scans only its nprobe nearest ones.
+
+All four rank through one merge (``_merge_topk``: sim desc, vec_id asc,
+each vec_id once); the exact, LSH and IVF scans are one per-batch
+top-k scan (``_cosine_topk``) over different inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 import shutil
@@ -43,32 +48,56 @@ def _batch_sims(b: pa.Table, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, sims
 
 
-def ann_topk(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0):
-    """Exact cosine top-k; returns (rank, vec_id), rank 1-based, ties broken
-    by vec_id ascending (same tiebreak as the SQL oracle)."""
-    q = _query_vector(sf_dir, query_vec_id)
+def _merge_topk(rows: list[dict], k: int) -> pa.Table:
+    """(rank, vec_id) of the k best (vec_id, sim) partial rows by (sim
+    desc, vec_id asc), each vec_id once; rank is 1-based."""
+    ids = np.array([r["vec_id"] for r in rows], dtype=np.int64)
+    sims = np.array([r["sim"] for r in rows], dtype=np.float64)
+    order = np.lexsort((ids, -sims))
+    _, first = np.unique(ids[order], return_index=True)
+    top = ids[order[np.sort(first)]][:k]
+    return pa.table({"rank": pa.array(np.arange(1, len(top) + 1),
+                                      pa.int64()),
+                     "vec_id": pa.array(top, pa.int64())})
+
+
+def _cosine_topk(ds, q: np.ndarray, k: int) -> pa.Table:
+    """Cosine top-k of ``q`` over ``ds`` (vec_id, embedding): per-batch
+    top-k partials (k rows per batch cross the wire, not the corpus)
+    and one merge on the driver."""
     q_ref = ray.put(q)
 
-    def partial_topk(b: pa.Table) -> pa.Table:
+    def partial(b: pa.Table) -> pa.Table:
         ids, sims = _batch_sims(b, ray.get(q_ref))
+        # an LSH vector stored under several tables' buckets can appear
+        # more than once in a batch — dedup BEFORE the per-batch top-k,
+        # or the duplicates crowd real candidates out of the k slots and
+        # the merged result comes up short of k
+        ids, first = np.unique(ids, return_index=True)
+        sims = sims[first]
         order = np.lexsort((ids, -sims))[:k]
         return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
                          "sim": pa.array(sims[order], pa.float64())})
 
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    partials = ds.map_batches(partial_topk, batch_format="pyarrow",
-                              batch_size=4096).take_all()
-    heap = [(-row["sim"], row["vec_id"]) for row in partials]
-    heapq.heapify(heap)
-    out_rank, out_id = [], []
-    for rank in range(1, k + 1):
-        if not heap:
-            break
-        s, vid = heapq.heappop(heap)
-        out_rank.append(rank)
-        out_id.append(vid)
-    return pa.table({"rank": pa.array(out_rank, pa.int64()),
-                     "vec_id": pa.array(out_id, pa.int64())})
+    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow",
+                                      batch_size=4096).take_all(), k)
+
+
+def _part_paths(index_dir: str, key: str, value: int) -> list[str]:
+    """The parquet files of the ``key=value`` partition, if any."""
+    d = os.path.join(index_dir, f"{key}={value}")
+    if not os.path.isdir(d):
+        return []
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
+
+
+def ann_topk(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0):
+    """Exact cosine top-k; returns (rank, vec_id), rank 1-based, ties broken
+    by vec_id ascending (same tiebreak as the SQL oracle)."""
+    return _cosine_topk(
+        read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]),
+        _query_vector(sf_dir, query_vec_id), k)
 
 
 SQL_ANN_TOPK = """
@@ -189,42 +218,13 @@ def ann_topk_lsh(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     q = _query_vector(sf_dir, query_vec_id)
     planes = _lsh_planes(n_tables, n_planes, len(q), seed)
     q_keys = sorted(set(_lsh_keys(q[None, :], planes)[0].tolist()))
-    paths = []
-    for key in q_keys:
-        d = os.path.join(index_dir, f"key={key}")
-        if os.path.isdir(d):
-            paths.extend(os.path.join(d, f) for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet"))
+    paths = [p for key in q_keys
+             for p in _part_paths(index_dir, "key", key)]
     if not paths:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
-    q_ref = ray.put(q)
-
-    def partial_topk(b: pa.Table) -> pa.Table:
-        ids, sims = _batch_sims(b, ray.get(q_ref))
-        # a vector stored under several tables' buckets can appear more
-        # than once in a batch — dedup BEFORE the per-batch top-k, or
-        # the duplicates crowd real candidates out of the k slots and
-        # the merged result comes up short of k
-        ids, first = np.unique(ids, return_index=True)
-        sims = sims[first]
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                         "sim": pa.array(sims[order], pa.float64())})
-
-    partials = (rd.read_parquet(paths)
-                .map_batches(partial_topk, batch_format="pyarrow",
-                             batch_size=4096).take_all())
-    # a vector can appear under several tables' buckets → dedup by id
-    best: dict[int, float] = {}
-    for r in partials:
-        vid = int(r["vec_id"])
-        if vid not in best:
-            best[vid] = r["sim"]
-    rows = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return pa.table({"rank": pa.array(range(1, len(rows) + 1), pa.int64()),
-                     "vec_id": pa.array([vid for vid, _ in rows],
-                                        pa.int64())})
+        return _merge_topk([], k)
+    # a vector can appear under several tables' buckets: the merge
+    # keeps each vec_id once
+    return _cosine_topk(rd.read_parquet(paths), q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +338,11 @@ def ann_topk_ivf(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     q = _query_vector(sf_dir, query_vec_id)
     d = ((cents - q[None, :]) ** 2).sum(axis=1)
     probe = np.argsort(d, kind="stable")[:nprobe]
-    paths = []
-    for cid in probe:
-        dd = os.path.join(index_dir, f"cid={int(cid)}")
-        if os.path.isdir(dd):
-            paths.extend(os.path.join(dd, f) for f in sorted(os.listdir(dd))
-                         if f.endswith(".parquet"))
+    paths = [p for cid in probe
+             for p in _part_paths(index_dir, "cid", int(cid))]
     if not paths:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
-    q_ref = ray.put(q)
-
-    def partial_topk(b: pa.Table) -> pa.Table:
-        ids, sims = _batch_sims(b, ray.get(q_ref))
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.table({"vec_id": pa.array(ids[order], pa.int64()),
-                         "sim": pa.array(sims[order], pa.float64())})
-
-    partials = (rd.read_parquet(paths)
-                .map_batches(partial_topk, batch_format="pyarrow",
-                             batch_size=4096).take_all())
-    rows = sorted(partials, key=lambda r: (-r["sim"], r["vec_id"]))[:k]
-    return pa.table({"rank": pa.array(range(1, len(rows) + 1), pa.int64()),
-                     "vec_id": pa.array([r["vec_id"] for r in rows],
-                                        pa.int64())})
+        return _merge_topk([], k)
+    return _cosine_topk(rd.read_parquet(paths), q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +465,6 @@ def build_ann_ivfpq_index(sf_dir: str, n_centroids: int = 16,
         {"_centroids.npy": cents, "_codebooks.npy": books})
 
 
-def _cid_paths(index_dir: str, cid: int) -> list[str]:
-    d = os.path.join(index_dir, f"cid={cid}")
-    if not os.path.isdir(d):
-        return []
-    return [os.path.join(d, f) for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")]
-
-
 def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
                    n_centroids: int = 16, nprobe: int = 4,
                    m_sub: int = 8, rerank: int = 100):
@@ -517,7 +490,7 @@ def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     # whole probe executes as one streaming pipeline
     parts = []
     for cid in probe:
-        paths = _cid_paths(index_dir, int(cid))
+        paths = _part_paths(index_dir, "cid", int(cid))
         if not paths:
             continue
         q_res = q - cents[int(cid)]
@@ -542,8 +515,7 @@ def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
             rd.read_parquet(paths, columns=["vec_id"] + code_cols)
             .map_batches(adc, batch_format="pyarrow", batch_size=4096))
     if not parts:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
+        return _merge_topk([], k)
     cand_ds = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
     partials = cand_ds.take_all()
     partials.sort(key=lambda r: (r["adist"], r["vec_id"]))
@@ -551,8 +523,7 @@ def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
                                 for r in partials[:rerank]}),
                         dtype=np.int64)
     if not len(cand_ids):  # probed partitions can be empty
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "vec_id": pa.array([], pa.int64())})
+        return _merge_topk([], k)
     cand_ref = ray.put(cand_ids)
     q_ref = ray.put(q)
 
@@ -580,14 +551,11 @@ def ann_topk_ivfpq(sf_dir: str, k: int = K_DEFAULT, query_vec_id: int = 0,
     # O(candidate row groups), not O(probed-partition rows)
     import pyarrow.dataset as pads
     rerank_paths = [p for cid in probe
-                    for p in _cid_paths(index_dir, int(cid))]
+                    for p in _part_paths(index_dir, "cid", int(cid))]
     scored = (rd.read_parquet(rerank_paths,
                               columns=["vec_id", "embedding"],
                               filter=pads.field("vec_id").isin(
                                   pa.array(cand_ids)))
               .map_batches(exact, batch_format="pyarrow",
                            batch_size=4096).take_all())
-    rows = sorted(scored, key=lambda r: (-r["sim"], r["vec_id"]))[:k]
-    return pa.table({"rank": pa.array(range(1, len(rows) + 1), pa.int64()),
-                     "vec_id": pa.array([r["vec_id"] for r in rows],
-                                        pa.int64())})
+    return _merge_topk(scored, k)

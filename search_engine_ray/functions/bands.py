@@ -1,5 +1,7 @@
 """``banded``: the one per-user plan of the event operators (the three
-windows in windows.py, the asof and range joins in relational.py).
+windows in windows.py, the asof and range joins and the funnel in
+relational.py, sessionize in sessions.py; the funnel and sessionize
+run only the plain plan).
 
 Each operator is a kernel over one group of a user's events, sorted
 once by (ts_us, event_id) so ties never fall to an engine. With

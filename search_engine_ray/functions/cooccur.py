@@ -1,21 +1,24 @@
-"""Bigram co-occurrence statistics over the documents table — the
-PMI-style collocation aggregate a training-data pipeline uses to find
-multi-word expressions.  Output: the global top-k consecutive token
-pairs with their pair count AND each member's corpus unigram count
-(everything needed to compute PMI = log(c_xy·N / (c_x·c_y)) — the
-counts themselves stay integer so the DuckDB twin is hash-exact; the
-float PMI ordering is asserted separately in tests/test_distinct.py).
+"""N-gram co-occurrence statistics over the documents table — the
+PMI-style collocation aggregates a training-data pipeline uses to find
+multi-word expressions. ``bigram_stats`` gives the global top-k
+consecutive token pairs with their pair count AND each member's corpus
+unigram count (everything needed to compute PMI = log(c_xy·N /
+(c_x·c_y)) — the counts themselves stay integer so the DuckDB twin is
+hash-exact; the float PMI ordering is asserted separately in
+tests/test_distinct.py). ``trigram_stats`` gives the top-k token
+triples with their counts.
 
 Scale shape:
-- pair counting is the two-level combiner: each batch reduces its
-  bigrams with one vectorized arrow ``group_by`` (shuffle ≤ distinct
-  pairs per batch, never token-stream-sized), the global
-  (w1, w2) groupby sums, then a per-batch top-k partial caps what the
+- n-gram counting is one two-level combiner for every n: each batch
+  reduces its n-grams with one vectorized arrow ``group_by`` (shuffle
+  ≤ distinct n-grams per batch, never token-stream-sized), the global
+  (w1..wn) groupby sums, then a per-block top-k partial caps what the
   driver merges at k rows per block.
-- unigram counts for the k winners come from a broadcast-filtered pass
-  over the vocabulary aggregate: the ≤ 2k needed terms are ``ray.put``
-  once and probed by searchsorted inside map_batches — the
-  vocabulary-sized table never lands on the driver (≤ 2k rows do).
+- unigram counts for the k winning pairs come from a
+  broadcast-filtered pass over the vocabulary aggregate: the ≤ 2k
+  needed terms are ``ray.put`` once and probed by searchsorted inside
+  map_batches — the vocabulary-sized table never lands on the driver
+  (≤ 2k rows do).
 """
 
 from __future__ import annotations
@@ -31,59 +34,62 @@ from ..pipelines.datasets import read_table
 from .textstats import _tokens_per_doc
 
 TOP_K = 50
+_CNT = {2: "pair_cnt", 3: "tri_cnt"}  # count column per n
 
 
-def _pair_partial(b: pa.Table) -> pa.Table:
+def _words(n: int) -> list[str]:
+    return [f"w{i}" for i in range(1, n + 1)]
+
+
+def _ngram_empty(n: int) -> pa.Table:
+    return pa.table({**{w: pa.array([], pa.string()) for w in _words(n)},
+                     _CNT[n]: pa.array([], pa.int64())})
+
+
+def _ngram_partial(b: pa.Table, n: int) -> pa.Table:
+    """One batch's (w1..wn, count) of consecutive n-token runs."""
     flat, n_tok = _tokens_per_doc(b.column("text"))
-    if len(flat) == 0:
-        return pa.table({"w1": pa.array([], pa.string()),
-                         "w2": pa.array([], pa.string()),
-                         "pair_cnt": pa.array([], pa.int64())})
-    # consecutive pairs WITHIN each doc: drop each doc's last token as
-    # a left member (offsets are cumulative token counts)
-    ends = np.cumsum(n_tok)
-    left = np.ones(len(flat), dtype=bool)
-    left[ends[n_tok > 0] - 1] = False
-    idx_l = np.flatnonzero(left)
-    t = pa.table({"w1": flat.take(pa.array(idx_l)),
-                  "w2": flat.take(pa.array(idx_l + 1))})
-    g = t.group_by(["w1", "w2"]).aggregate([([], "count_all")])
-    return g.select(["w1", "w2", "count_all"]).rename_columns(
-        ["w1", "w2", "pair_cnt"])
+    # runs start where their doc still has n - 1 more tokens
+    starts = np.cumsum(n_tok) - n_tok
+    pos_in_doc = np.arange(len(flat)) - np.repeat(starts, n_tok)
+    idx = np.flatnonzero(pos_in_doc < np.repeat(n_tok, n_tok) - (n - 1))
+    if not len(idx):
+        return _ngram_empty(n)
+    t = pa.table({w: flat.take(pa.array(idx + i))
+                  for i, w in enumerate(_words(n))})
+    g = t.group_by(_words(n)).aggregate([([], "count_all")])
+    return g.select(_words(n) + ["count_all"]).rename_columns(
+        _words(n) + [_CNT[n]])
 
 
-def _topk_pairs(t: pa.Table, k: int) -> pa.Table:
-    idx = pc.sort_indices(t, sort_keys=[("pair_cnt", "descending"),
-                                        ("w1", "ascending"),
-                                        ("w2", "ascending")])
+def _ngram_topk(t: pa.Table, n: int, k: int) -> pa.Table:
+    idx = pc.sort_indices(t, sort_keys=[(_CNT[n], "descending")] + [
+        (w, "ascending") for w in _words(n)])
     return t.take(idx[:k])
+
+
+def _ngram_top(ds, n: int, k: int) -> pa.Table:
+    """Global top-k n-grams by count (ties: w1..wn asc): batch partials,
+    one (w1..wn) groupby, a per-block top-k, the driver's final k."""
+    grams = (ds.map_batches(lambda b: _ngram_partial(b, n),
+                            batch_format="pyarrow")
+               .groupby(_words(n))
+               .aggregate(Sum(_CNT[n], alias_name=_CNT[n])))
+    tp = grams.map_batches(lambda b: _ngram_topk(b, n, k),
+                           batch_format="pyarrow").to_pandas()
+    if not len(tp):  # an empty output drops the schema: type it
+        return _ngram_empty(n)
+    return _ngram_topk(pa.Table.from_pandas(tp, preserve_index=False), n, k)
 
 
 def bigram_stats(sf_dir: str, k: int = TOP_K):
     """(w1, w2, pair_cnt, cnt1, cnt2): global top-k consecutive token
     pairs by count (ties: w1, w2 asc) with corpus unigram counts."""
     ds = read_table(sf_dir, "documents", columns=["text"])
-    pairs = (ds.map_batches(_pair_partial, batch_format="pyarrow")
-               .groupby(["w1", "w2"])
-               .aggregate(Sum("pair_cnt", alias_name="pair_cnt")))
-    tp = pairs.map_batches(lambda b: _topk_pairs(b, k),
-                           batch_format="pyarrow").to_pandas()
-    if len(tp):
-        top = _topk_pairs(pa.Table.from_pandas(tp, preserve_index=False),
-                          k)
-    else:  # empty output drops the schema — type the empty explicitly
-        top = pa.table({"w1": pa.array([], pa.string()),
-                        "w2": pa.array([], pa.string()),
-                        "pair_cnt": pa.array([], pa.int64())})
-
+    top = _ngram_top(ds, 2, k)
     if top.num_rows == 0:  # e.g. every doc has ≤ 1 token: no bigrams
-        return pa.table({
-            "w1": pa.array([], pa.string()),
-            "w2": pa.array([], pa.string()),
-            "pair_cnt": pa.array([], pa.int64()),
-            "cnt1": pa.array([], pa.int64()),
-            "cnt2": pa.array([], pa.int64()),
-        })
+        return top.append_column("cnt1", pa.array([], pa.int64())) \
+                  .append_column("cnt2", pa.array([], pa.int64()))
 
     # unigram counts for the ≤ 2k distinct winner terms: broadcast the
     # sorted term list, filter the distributed vocab aggregate to it
@@ -147,54 +153,12 @@ ORDER BY p.pair_cnt DESC, p.w1, p.w2
 SQL_BIGRAM_STATS = bigram_stats_sql()
 
 
-def _tri_partial(b: pa.Table) -> pa.Table:
-    flat, n_tok = _tokens_per_doc(b.column("text"))
-    empty = pa.table({"w1": pa.array([], pa.string()),
-                      "w2": pa.array([], pa.string()),
-                      "w3": pa.array([], pa.string()),
-                      "tri_cnt": pa.array([], pa.int64())})
-    if len(flat) == 0:
-        return empty
-    # positions whose doc still has ≥ 2 more tokens after them
-    ends = np.cumsum(n_tok)
-    starts = ends - n_tok
-    pos_in_doc = np.arange(len(flat)) - np.repeat(starts, n_tok)
-    keep = pos_in_doc < np.repeat(n_tok, n_tok) - 2
-    idx = np.flatnonzero(keep)
-    if not len(idx):
-        return empty
-    t = pa.table({"w1": flat.take(pa.array(idx)),
-                  "w2": flat.take(pa.array(idx + 1)),
-                  "w3": flat.take(pa.array(idx + 2))})
-    g = t.group_by(["w1", "w2", "w3"]).aggregate([([], "count_all")])
-    return g.select(["w1", "w2", "w3", "count_all"]).rename_columns(
-        ["w1", "w2", "w3", "tri_cnt"])
-
-
-def _topk_tris(t: pa.Table, k: int) -> pa.Table:
-    idx = pc.sort_indices(t, sort_keys=[("tri_cnt", "descending"),
-                                        ("w1", "ascending"),
-                                        ("w2", "ascending"),
-                                        ("w3", "ascending")])
-    return t.take(idx[:k])
-
-
 def trigram_stats(sf_dir: str, k: int = TOP_K):
     """(w1, w2, w3, tri_cnt): global top-k consecutive token TRIPLES by
-    count (ties: w1, w2, w3 asc) — the n=3 extension of
-    ``bigram_stats``, same two-level combiner shape."""
-    ds = read_table(sf_dir, "documents", columns=["text"])
-    tris = (ds.map_batches(_tri_partial, batch_format="pyarrow")
-              .groupby(["w1", "w2", "w3"])
-              .aggregate(Sum("tri_cnt", alias_name="tri_cnt")))
-    tp = tris.map_batches(lambda b: _topk_tris(b, k),
-                          batch_format="pyarrow").to_pandas()
-    if not len(tp):
-        return pa.table({"w1": pa.array([], pa.string()),
-                         "w2": pa.array([], pa.string()),
-                         "w3": pa.array([], pa.string()),
-                         "tri_cnt": pa.array([], pa.int64())})
-    return _topk_tris(pa.Table.from_pandas(tp, preserve_index=False), k)
+    count (ties: w1, w2, w3 asc) — the n=3 case of ``bigram_stats``'s
+    counting, without the unigram lookup."""
+    return _ngram_top(read_table(sf_dir, "documents", columns=["text"]),
+                      3, k)
 
 
 def trigram_stats_sql(k: int = TOP_K) -> str:

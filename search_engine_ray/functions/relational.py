@@ -1,7 +1,8 @@
 """Relational demo operators over the TPC-H-ish tables: pre-aggregated
 grouped aggregate, equi-joins (inner / semi / anti, all through
-``join.gated_join``), tumbling-window event aggregate, and the asof and
-range joins, each one kernel over the per-user band plan of bands.py.
+``join.gated_join``), hopping-window event aggregates (tumbling is the
+size = hop case), and the asof and range joins and the conversion
+funnel, each one kernel over the per-user band plan of bands.py.
 
 Money/values are emitted as integer cents/micros so the DuckDB oracle hash
 is exact (float summation order differs between engines).
@@ -149,30 +150,10 @@ GROUP BY c_mktsegment ORDER BY c_mktsegment
 
 # ---------------------------------------------------------------------------
 def events_tumbling_window(sf_dir: str):
-    """Tumbling 1-minute window per event_type (streaming-shaped aggregate;
-    ray_guide 'Streaming-shaped workloads'). Window key is integer µs."""
-    ds = read_table(sf_dir, "events",
-                    columns=["ts", "event_type", "value"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        us = b.column("ts").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)  # epoch µs
-        t = pa.table({
-            "event_type": b.column("event_type"),
-            "window_us": pa.array((us // 60_000_000) * 60_000_000,
-                                  pa.int64()),
-            "n_events": pa.array(np.ones(len(b), np.int64)),
-            "sum_value_micros": pa.array(np.floor(
-                b.column("value").to_numpy(zero_copy_only=False)
-                * 1e6).astype(np.int64)),
-        })
-        return _gsum(t, ["event_type", "window_us"],
-                     ["n_events", "sum_value_micros"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["event_type", "window_us"]).aggregate(
-        Sum("n_events", alias_name="n_events"),
-        Sum("sum_value_micros", alias_name="sum_value_micros"))
+    """Tumbling 1-minute window per event_type (streaming-shaped
+    aggregate): the hopping window whose size equals its hop, so each
+    event lands in exactly one window. Window key is integer µs."""
+    return events_hopping_window(sf_dir, size_min=1, hop_min=1)
 
 
 SQL_EVENTS_WINDOW = """
@@ -315,7 +296,8 @@ FROM documents GROUP BY source ORDER BY source
 def events_hopping_window(sf_dir: str, size_min: int = 5, hop_min: int = 1):
     """Hopping (sliding) window aggregate: each event lands in
     size/hop overlapping windows — the flat_map + pre-aggregated groupby
-    pattern (window key is the window START in integer µs)."""
+    pattern (window key is the window START in integer µs). With
+    size == hop it is the tumbling window."""
     ds = read_table(sf_dir, "events", columns=["ts", "event_type", "value"])
     size_us = size_min * 60_000_000
     hop_us = hop_min * 60_000_000
@@ -549,31 +531,24 @@ def events_funnel(sf_dir: str, steps: tuple[str, ...] = _FUNNEL_STEPS):
     step 3 events with ts > t2; a user counts for step i iff t_i exists.
 
     Scale shape: events are filtered to the step types at the read
-    (column- and row-pruned), grouped per user (the same per-user-group
-    contract as sessionize — a group is one user's step events, never
-    the table), and each group emits three 0/1 flags; flags fold through
-    a per-batch integer partial sum, so the driver sees one 3-int row.
-    Returns (step, n_users) with steps labeled '1_view', '2_click', ...
+    (column- and row-pruned), and one kernel over the per-user plan of
+    bands.py (a group is one user's step events, never the table) emits
+    three 0/1 flags; flags fold through a per-batch integer partial
+    sum, so the driver sees one 3-int row. Returns (step, n_users) with
+    steps labeled '1_view', '2_click', ...
     """
     step_arr = pa.array(list(steps))
     ds = read_table(sf_dir, "events",
-                    columns=["user_id", "event_type", "ts"])
+                    columns=["event_id", "user_id", "event_type", "ts"])
 
     def prune(b: pa.Table) -> pa.Table:
-        m = pc.is_in(b.column("event_type"), value_set=step_arr)
-        b = b.filter(m)
-        return pa.table({
-            "user_id": b.column("user_id"),
-            "step": pc.fill_null(pc.index_in(
-                b.column("event_type"), value_set=step_arr), -1)
-                .cast(pa.int64()),
-            "ts_us": b.column("ts").cast(pa.timestamp("us"))
-                .cast(pa.int64()),
-        })
+        b = b.filter(pc.is_in(b.column("event_type"), value_set=step_arr))
+        return b.drop_columns(["event_type"]).append_column(
+            "step", pc.index_in(b.column("event_type"),
+                                value_set=step_arr).cast(pa.int64()))
 
-    def per_user(b: pa.Table) -> pa.Table:
-        st = b.column("step").to_numpy(zero_copy_only=False)
-        ts = b.column("ts_us").to_numpy(zero_copy_only=False)
+    def per_user(g: pa.Table) -> pa.Table:
+        st, ts = col(g, "step"), col(g, "ts_us")
         flags = np.zeros(len(steps), dtype=np.int64)
         prev = -(1 << 62)
         for i in range(len(steps)):
@@ -585,9 +560,7 @@ def events_funnel(sf_dir: str, steps: tuple[str, ...] = _FUNNEL_STEPS):
         return pa.table({f"s{i}": pa.array([int(flags[i])], pa.int64())
                          for i in range(len(steps))})
 
-    flags = (ds.map_batches(prune, batch_format="pyarrow")
-               .groupby("user_id")
-               .map_groups(per_user, batch_format="pyarrow"))
+    flags = banded(ds.map_batches(prune, batch_format="pyarrow"), per_user)
 
     def partial_sum(b: pa.Table) -> pa.Table:
         return pa.table({c: pa.array([pc.sum(b.column(c)).as_py() or 0],

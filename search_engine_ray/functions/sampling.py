@@ -12,11 +12,12 @@ Scale notes (tested at sf, shaped for 1e12 rows):
   (bounded by the max document length in tokens, ~1e5 — not by corpus
   size), then a driver-side cumsum over that tiny table.  Compare to
   ``ds.sort("n_tokens")`` which would be an all-to-all shuffle of every
-  row.
+  row. ``length_quantiles_by_lang`` is the same code grouped by lang.
 - ``top_terms_per_lang`` is the two-level combiner pattern: per-batch
   (lang, term) partial counts shrink the shuffle to distinct terms per
-  batch; after the global (lang, term) groupby a second per-batch
-  partial top-k caps the final per-lang group at k × n_blocks rows.
+  batch; after the global (lang, term) groupby a per-batch first-k
+  caps the final per-lang group at k × n_blocks rows.
+  ``per_lang_sample`` runs the same per-lang first-k combiner.
 """
 
 from __future__ import annotations
@@ -104,39 +105,53 @@ ORDER BY doc_id
 DEFAULT_QS_BP = (2500, 5000, 7500, 9500, 9900)
 
 
-def length_quantiles(sf_dir: str, qs_bp: tuple[int, ...] = DEFAULT_QS_BP):
-    """Exact token-length quantiles of the corpus WITHOUT a global sort:
-    distributed histogram over distinct lengths + tiny driver cumsum.
+def _quantiles(sf_dir: str, qs_bp: tuple[int, ...],
+               keys: list[str]) -> pa.Table:
+    """Exact token-length quantiles per group of the string columns
+    ``keys`` (one group when empty) WITHOUT a global sort: per-batch
+    (keys…, n_tokens) histogram partials → one groupby over distinct
+    (keys…, length) tuples (bounded by #groups × max doc length, not
+    corpus size) → one integer quantile walk per group on the driver.
 
     Quantile definition (exact on both engines): value at q is the
     smallest length v whose cumulative count >= ceil(q * N / 10000),
-    with integer ceil = (q*N + 9999) // 10000.  Returns (q_bp, n_tokens).
-    """
-    ds = read_table(sf_dir, "documents", columns=["text"])
+    with integer ceil = (q*N + 9999) // 10000."""
+    ds = read_table(sf_dir, "documents", columns=keys + ["text"])
+    hkeys = keys + ["n_tokens"]
 
     def partial(b: pa.Table) -> pa.Table:
         _, n_tok = _tokens_per_doc(b.column("text"))
-        v, c = np.unique(n_tok, return_counts=True)
-        return pa.table({"n_tokens": pa.array(v, pa.int64()),
-                         "cnt": pa.array(c.astype(np.int64))})
+        t = pa.table({**{c: b.column(c) for c in keys},
+                      "n_tokens": pa.array(n_tok, pa.int64())})
+        g = t.group_by(hkeys).aggregate([([], "count_all")])
+        return g.select(hkeys + ["count_all"]).rename_columns(
+            hkeys + ["cnt"])
 
-    hist = ds.map_batches(partial, batch_format="pyarrow") \
-             .groupby("n_tokens").aggregate(Sum("cnt", alias_name="cnt"))
-    # distinct lengths ≤ max tokens/doc — bounded regardless of corpus
-    # size, so this driver materialization is scale-safe by construction
-    t = hist.sort("n_tokens").to_pandas()
-    v = t["n_tokens"].to_numpy(dtype=np.int64)
-    cum = np.cumsum(t["cnt"].to_numpy(dtype=np.int64))
-    n = int(cum[-1]) if len(cum) else 0
-    out_q, out_v = [], []
-    for q in qs_bp:
-        need = (q * n + 9999) // 10000
-        i = int(np.searchsorted(cum, need))
-        if i < len(v):
-            out_q.append(q)
-            out_v.append(int(v[i]))
-    return pa.table({"q_bp": pa.array(out_q, pa.int64()),
-                     "n_tokens": pa.array(out_v, pa.int64())})
+    # distinct lengths per group ≤ max tokens/doc — bounded regardless of
+    # corpus size, so this driver materialization is scale-safe
+    hist = (ds.map_batches(partial, batch_format="pyarrow")
+              .groupby(hkeys).aggregate(Sum("cnt", alias_name="cnt"))
+              .to_pandas().sort_values(hkeys))
+    qs = np.asarray(qs_bp, dtype=np.int64)
+    out: dict[str, list] = {c: [] for c in hkeys + ["q_bp"]}
+    for key, g in (hist.groupby(keys, sort=True) if keys else [((), hist)]):
+        v = g["n_tokens"].to_numpy(dtype=np.int64)
+        cum = np.cumsum(g["cnt"].to_numpy(dtype=np.int64))
+        i = np.searchsorted(cum, (qs * (cum[-1] if len(cum) else 0)
+                                  + 9999) // 10000)
+        ok = i < len(v)
+        for c, x in zip(keys, key):
+            out[c] += [x] * int(ok.sum())
+        out["q_bp"] += qs[ok].tolist()
+        out["n_tokens"] += v[i[ok]].tolist()
+    return pa.table({c: pa.array(out[c], pa.string()) for c in keys} | {
+        c: pa.array(out[c], pa.int64()) for c in ("q_bp", "n_tokens")})
+
+
+def length_quantiles(sf_dir: str, qs_bp: tuple[int, ...] = DEFAULT_QS_BP):
+    """Exact token-length quantiles of the corpus WITHOUT a global sort:
+    ``_quantiles`` with one group. Returns (q_bp, n_tokens)."""
+    return _quantiles(sf_dir, qs_bp, [])
 
 
 _TOKS = r"string_split_regex(trim(lower(text)), '\s+')"
@@ -159,11 +174,39 @@ GROUP BY q.q_bp ORDER BY q.q_bp
 
 
 # ---------------------------------------------------------------------------
+def _first_k(t: pa.Table, k: int, order: list[tuple[str, str]],
+             rank: bool = False) -> pa.Table:
+    """The first k rows per lang of ``t`` by the sort keys ``order``
+    (ranked within each run of equal lang), with their 1-based ``rank``
+    column when asked."""
+    t = t.take(pc.sort_indices(t, sort_keys=[("lang", "ascending")]
+                               + order))
+    langs = t.column("lang").to_numpy(zero_copy_only=False)
+    starts = np.r_[0, np.flatnonzero(langs[1:] != langs[:-1]) + 1]
+    pos = np.arange(len(langs)) - np.repeat(
+        starts, np.diff(np.r_[starts, len(langs)]))
+    keep = pos < k
+    t = t.filter(pa.array(keep))
+    return t.append_column("rank", pa.array(pos[keep] + 1)) if rank else t
+
+
+def _per_lang_first_k(ds, k: int, order: list[tuple[str, str]],
+                      rank: bool = False):
+    """Two-level combiner: each batch keeps its own first k per lang, so
+    the final per-lang group holds ≤ k × n_blocks rows — never corpus-
+    or vocabulary-sized — and keeps the final k."""
+    return (ds.map_batches(lambda b: _first_k(b, k, order),
+                           batch_format="pyarrow")
+              .groupby("lang")
+              .map_groups(lambda g: _first_k(g, k, order, rank),
+                          batch_format="pyarrow"))
+
+
 def top_terms_per_lang(sf_dir: str, k: int = 10):
     """Top-k terms by collection frequency PER LANGUAGE, deterministic
-    tie-break (cf desc, term asc).  Two-level combiner: batch partials →
-    global (lang, term) groupby → per-batch top-k partial → per-lang
-    final top-k (group size ≤ k × n_blocks, never vocabulary-sized)."""
+    tie-break (cf desc, term asc). Batch (lang, term) partials → one
+    global (lang, term) groupby → the per-lang first-k combiner over
+    (cf desc, term)."""
     ds = read_table(sf_dir, "documents", columns=["text", "lang"])
 
     def partial_cf(b: pa.Table) -> pa.Table:
@@ -178,38 +221,8 @@ def top_terms_per_lang(sf_dir: str, k: int = 10):
 
     cf = ds.map_batches(partial_cf, batch_format="pyarrow") \
            .groupby(["lang", "term"]).aggregate(Sum("cf", alias_name="cf"))
-
-    def topk_batch(b: pa.Table) -> pa.Table:
-        # partial top-k per lang inside one block of the groupby output
-        return _topk(b, k)
-
-    def topk_group(df):
-        t = _topk(pa.Table.from_pandas(df, preserve_index=False), k)
-        out = t.to_pandas()
-        out["rank"] = out.groupby("lang").cumcount() + 1
-        return out
-
-    pruned = cf.map_batches(topk_batch, batch_format="pyarrow")
-    return pruned.groupby("lang").map_groups(topk_group)
-
-
-def _topk(t: pa.Table, k: int) -> pa.Table:
-    """Per-lang top-k of a (lang, term, cf) table by (cf desc, term asc)."""
-    idx = pc.sort_indices(t, sort_keys=[("lang", "ascending"),
-                                        ("cf", "descending"),
-                                        ("term", "ascending")])
-    t = t.take(idx)
-    langs = t.column("lang").to_numpy(zero_copy_only=False)
-    # rank within runs of equal lang
-    starts = np.r_[0, np.flatnonzero(langs[1:] != langs[:-1]) + 1]
-    pos = np.arange(len(langs)) - np.repeat(
-        starts, np.diff(np.r_[starts, len(langs)]))
-    keep = pos < k
-    return pa.table({
-        "lang": t.column("lang").filter(pa.array(keep)),
-        "term": t.column("term").filter(pa.array(keep)),
-        "cf": t.column("cf").filter(pa.array(keep)).cast(pa.int64()),
-    })
+    return _per_lang_first_k(cf, k, [("cf", "descending"),
+                                     ("term", "ascending")], rank=True)
 
 
 def top_terms_per_lang_sql(k: int = 10) -> str:
@@ -230,43 +243,10 @@ ORDER BY lang, rank
 # ---------------------------------------------------------------------------
 def length_quantiles_by_lang(sf_dir: str,
                              qs_bp: tuple[int, ...] = DEFAULT_QS_BP):
-    """Exact per-LANGUAGE token-length quantiles — ``length_quantiles``
-    generalized to grouped quantiles with the same no-global-sort
-    shape: (lang, length) histogram partials → one groupby over
-    distinct (lang, length) pairs (bounded by #langs × max doc length,
-    not corpus size) → per-lang cumsum on the driver.  Same integer
-    rank rule, so the SQL twin is hash-exact.  Returns
-    (lang, q_bp, n_tokens)."""
-    from .textstats import _tokens_per_doc
-    ds = read_table(sf_dir, "documents", columns=["lang", "text"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        _, n_tok = _tokens_per_doc(b.column("text"))
-        t = pa.table({"lang": b.column("lang"),
-                      "n_tokens": pa.array(n_tok, pa.int64())})
-        g = t.group_by(["lang", "n_tokens"]).aggregate([([], "count_all")])
-        return g.select(["lang", "n_tokens", "count_all"]).rename_columns(
-            ["lang", "n_tokens", "cnt"])
-
-    hist = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby(["lang", "n_tokens"])
-              .aggregate(Sum("cnt", alias_name="cnt"))
-              .to_pandas().sort_values(["lang", "n_tokens"]))
-    out_l, out_q, out_v = [], [], []
-    for lang, g in hist.groupby("lang", sort=True):
-        v = g["n_tokens"].to_numpy(dtype=np.int64)
-        cum = np.cumsum(g["cnt"].to_numpy(dtype=np.int64))
-        n = int(cum[-1])
-        for q in qs_bp:
-            need = (q * n + 9999) // 10000
-            i = int(np.searchsorted(cum, need))
-            if i < len(v):
-                out_l.append(lang)
-                out_q.append(q)
-                out_v.append(int(v[i]))
-    return pa.table({"lang": pa.array(out_l, pa.string()),
-                     "q_bp": pa.array(out_q, pa.int64()),
-                     "n_tokens": pa.array(out_v, pa.int64())})
+    """Exact per-LANGUAGE token-length quantiles: ``_quantiles`` grouped
+    by lang, the same integer rank rule as ``length_quantiles``, so the
+    SQL twin is hash-exact. Returns (lang, q_bp, n_tokens)."""
+    return _quantiles(sf_dir, qs_bp, ["lang"])
 
 
 def length_quantiles_by_lang_sql(
@@ -295,38 +275,17 @@ def per_lang_sample(sf_dir: str, k: int = 20):
     docs with the smallest LCG hash (ties by doc_id) in each language —
     a reservoir-sample replacement whose output is a pure function of
     the corpus, so resumed/re-run jobs agree row-for-row and the DuckDB
-    row_number() twin is hash-exact.
-
-    Two-level combiner (same shape as ``top_terms_per_lang``): each
-    batch keeps its own k smallest per lang, so the final per-lang
-    group holds ≤ k × n_blocks rows — never corpus-sized.  Returns
-    (lang, doc_id, h).
+    row_number() twin is hash-exact. The per-lang first-k combiner of
+    ``top_terms_per_lang`` over (h, doc_id). Returns (lang, doc_id, h).
     """
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang"])
-
-    def smallest_k(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-        h = _keep_hash(ids) if "h" not in t.column_names else \
-            t.column("h").to_numpy(zero_copy_only=False)
-        langs = t.column("lang").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, h, langs))
-        langs_s = langs[order]
-        starts = np.r_[0, np.flatnonzero(langs_s[1:] != langs_s[:-1]) + 1]
-        pos = np.arange(len(langs_s)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(langs_s)]))
-        keep = order[pos < k]
-        return pa.table({"lang": pa.array(langs[keep], pa.string()),
-                         "doc_id": pa.array(ids[keep], pa.int64()),
-                         "h": pa.array(
-                             h[keep].astype(np.int64), pa.int64())})
-
-    pruned = ds.map_batches(smallest_k, batch_format="pyarrow")
-
-    def final(df):
-        t = smallest_k(pa.Table.from_pandas(df, preserve_index=False))
-        return t.to_pandas()
-
-    return pruned.groupby("lang").map_groups(final)
+    hashed = ds.map_batches(lambda b: b.select(["lang", "doc_id"])
+                            .append_column("h", pa.array(_keep_hash(
+                                b.column("doc_id").to_numpy(
+                                    zero_copy_only=False)), pa.int64())),
+                            batch_format="pyarrow")
+    return _per_lang_first_k(hashed, k, [("h", "ascending"),
+                                         ("doc_id", "ascending")])
 
 
 def per_lang_sample_sql(k: int = 20) -> str:

@@ -3,62 +3,55 @@ streaming/window operator Ray Data lacks natively (SURVEY.md §2.10
 family; brief: "windowed aggregate" custom operator).
 
 A session is a maximal run of one user's events where consecutive gaps
-are ≤ ``gap_us``. Partitioning assumption: one groupby(user_id) shuffle;
-session detection cannot pre-aggregate (gaps cross batch boundaries), so
-the per-user event history must co-locate — skew is bounded by the
-per-user event count. A pathological hot user would be split on
-(user_id, time band) by the per-user plan of bands.py, which the window
-functions and the asof and range joins share: a carry row holding the
-user's last event of an earlier band would start each band's gap chain,
-and a session crossing a band edge would need a merge (not built here,
-as this corpus's per-user cardinality does not need it).
+are ≤ ``gap_us``. Session detection cannot pre-aggregate (gaps cross
+batch boundaries), so it is one kernel over the plain per-user plan of
+bands.py, which the window functions and the asof and range joins
+share: a group is one user's whole history, sorted once by (ts,
+event_id), and skew is bounded by the per-user event count. Ties on ts
+never split a session (their gap is 0), so their order cannot change a
+row. A banded (hot-user) form would start each band's gap chain from a
+carry row and merge the sessions that cross a band edge; it is not
+built.
 
-Within a group everything is vectorized: one sort by timestamp, one diff
-for gaps, cumsum for session ids, reduceat for per-session aggregates.
-Values are integer µs / micros so the DuckDB oracle hashes exactly.
+Within a group everything is vectorized: one diff for gaps, the
+session starts from it, reduceat for the per-session sums. ``value``
+is read as int64 micros through windows.py's null guard, so the DuckDB
+oracle hashes exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
-from ..pipelines.datasets import read_table
+from .bands import banded, col
+from .windows import _valued
 
 GAP_US = 30 * 60 * 1_000_000  # 30 min
 
 
-def _sessionize_group(grp: pd.DataFrame, gap_us: int) -> pd.DataFrame:
-    us = grp["ts"].astype("int64").to_numpy()
-    order = np.argsort(us, kind="stable")
-    us = us[order]
-    val = np.floor(grp["value"].to_numpy()[order] * 1e6).astype(np.int64)
-    new = np.ones(len(us), dtype=np.int64)
-    new[1:] = (np.diff(us) > gap_us).astype(np.int64)
-    seq = np.cumsum(new)  # 1-based session sequence per user
-    starts = np.nonzero(new)[0]
-    counts = np.diff(np.append(starts, len(us)))
-    return pd.DataFrame({
-        "user_id": pd.Series(
-            np.full(len(starts), int(grp["user_id"].iloc[0]),
-                    dtype=np.int64)),
-        "session_seq": pd.Series(seq[starts], dtype=np.int64),
-        "n_events": pd.Series(counts, dtype=np.int64),
-        "start_us": pd.Series(us[starts], dtype=np.int64),
-        "end_us": pd.Series(us[np.append(starts[1:], len(us)) - 1],
-                            dtype=np.int64),
-        "sum_value_micros": pd.Series(
-            np.add.reduceat(val, starts), dtype=np.int64),
+def _sessions(g: pa.Table, gap_us: int) -> pa.Table:
+    us = col(g, "ts_us")
+    new = np.ones(len(us), dtype=bool)
+    new[1:] = np.diff(us) > gap_us
+    last = np.ones(len(us), dtype=bool)
+    last[:-1] = new[1:]
+    starts, ends = np.flatnonzero(new), np.flatnonzero(last)
+    return pa.table({
+        "user_id": pa.array(col(g, "user_id")[starts], pa.int64()),
+        "session_seq": pa.array(np.arange(1, len(starts) + 1), pa.int64()),
+        "n_events": pa.array(ends - starts + 1, pa.int64()),
+        "start_us": pa.array(us[starts], pa.int64()),
+        "end_us": pa.array(us[ends], pa.int64()),
+        "sum_value_micros": pa.array(
+            np.add.reduceat(col(g, "vmicros"), starts), pa.int64()),
     })
 
 
 def sessionize(sf_dir: str, gap_us: int = GAP_US):
     """(user_id, session_seq, n_events, start_us, end_us,
     sum_value_micros), one row per session."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
-    return (ds.groupby("user_id")
-            .map_groups(lambda g: _sessionize_group(g, gap_us),
-                        batch_format="pandas"))
+    return banded(_valued(sf_dir), lambda g: _sessions(g, gap_us))
 
 
 SQL_SESSIONIZE = """

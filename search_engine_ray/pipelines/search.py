@@ -990,6 +990,9 @@ class SearchEngine:
 # frontend tier: N query coordinators hosted by the shared searcher pool
 # ---------------------------------------------------------------------------
 
+STREAM_DEPTH = 2  # chunks in flight per frontend in search_stream
+
+
 class FrontendPool:
     """Interactive serving through frontends hosted by the first
     ``min(n_frontends, len(actors))`` searchers (one per searcher): each
@@ -1025,17 +1028,18 @@ class FrontendPool:
             raise errors[0]
 
     def search_stream(self, queries: list[str], k: int = 10,
-                      chunk: int = 4, depth: int = 2) -> list[pa.Table]:
-        """Bounded in-flight serving: at most ``depth`` chunks queued
-        per frontend; each completion hands the NEXT chunk to whichever
-        frontend freed up (ray.wait), so one slow frontend slows only
-        its in-flight work instead of serializing a static share."""
+                      chunk: int = 4) -> list[pa.Table]:
+        """Bounded in-flight serving: at most ``STREAM_DEPTH`` chunks
+        queued per frontend; each completion hands the NEXT chunk to
+        whichever frontend freed up (ray.wait), so one slow frontend
+        slows only its in-flight work instead of serializing a static
+        share."""
         chunks = [(ci, queries[i:i + chunk])
                   for ci, i in enumerate(range(0, len(queries), chunk))]
         parts: list[list[pa.RecordBatch] | None] = [None] * len(chunks)
         pending: dict = {}  # future -> (chunk_index, frontend)
         nxt = 0
-        for f in self.frontends * depth:
+        for f in self.frontends * STREAM_DEPTH:
             if nxt >= len(chunks):
                 break
             ci, qs = chunks[nxt]

@@ -305,23 +305,37 @@ def test_audio_spectrogram_short_and_fallback_clips(ray_session):
 
 
 def test_bigram_stats_no_pairs(ray_session, tmp_path):
-    """A corpus of single-token documents yields an empty (but
-    correctly-typed) bigram table instead of crashing in the unigram
-    probe."""
+    """A corpus whose documents are too short for any n-gram yields an
+    empty (but correctly-typed) table: bigram_stats on single-token
+    docs (instead of crashing in the unigram probe), trigram_stats on
+    docs of at most 2 tokens."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from search_engine_ray.functions.cooccur import bigram_stats
-    pq.write_table(pa.table({
-        "doc_id": pa.array(np.arange(6), pa.int64()),
-        "text": pa.array(["one", "two", "three", " four ", "", "five"]),
-        "lang": pa.array(["en"] * 6),
-        "source": pa.array(["t"] * 6),
-        "n_chars": pa.array([3] * 6, pa.int64()),
-    }), str(tmp_path / "documents.parquet"))
-    out = bigram_stats(str(tmp_path)).to_pandas()
-    assert len(out) == 0
-    assert list(out.columns) == ["w1", "w2", "pair_cnt", "cnt1", "cnt2"]
+    from search_engine_ray.functions.cooccur import (bigram_stats,
+                                                     trigram_stats)
+    cases = [
+        (bigram_stats, ["one", "two", "three", " four ", "", "five"],
+         ["w1", "w2", "pair_cnt", "cnt1", "cnt2"], 2),
+        (trigram_stats, ["one two", "two", "three four", " four  five ",
+                         "", "five six"],
+         ["w1", "w2", "w3", "tri_cnt"], 3),
+    ]
+    for fn, texts, cols, n_words in cases:
+        d = tmp_path / fn.__name__
+        d.mkdir()
+        pq.write_table(pa.table({
+            "doc_id": pa.array(np.arange(6), pa.int64()),
+            "text": pa.array(texts),
+            "lang": pa.array(["en"] * 6),
+            "source": pa.array(["t"] * 6),
+            "n_chars": pa.array([3] * 6, pa.int64()),
+        }), str(d / "documents.parquet"))
+        out = fn(str(d))
+        assert out.num_rows == 0, fn.__name__
+        assert out.column_names == cols, fn.__name__
+        assert [str(t) for t in out.schema.types] == \
+            ["string"] * n_words + ["int64"] * (len(cols) - n_words)
 
 
 # band_us 0 runs the operator's default 6-hour band; 4-second bands
@@ -457,13 +471,16 @@ def _write_events(d, event_ids, ts_us, user_ids, values,
 
 
 def test_running_total_rejects_null_value(ray_session, tmp_path):
-    """A null value fails loudly in both running-total plans instead of
-    casting NaN to INT64_MIN and poisoning the user's later sums."""
+    """A null value fails loudly in both running-total plans and in
+    sessionize (which reads value the same way) instead of casting NaN
+    to INT64_MIN and poisoning the user's later sums."""
+    from search_engine_ray.functions.sessions import sessionize
     from search_engine_ray.functions.windows import (
         events_running_total, events_running_total_banded)
     d = _write_events(tmp_path, [1, 2, 3], [10, 20, 30], [7, 7, 7],
                       [1.0, None, 2.0])
-    for plan in (events_running_total, events_running_total_banded):
+    for plan in (events_running_total, events_running_total_banded,
+                 sessionize):
         with pytest.raises(Exception, match="null or NaN"):
             plan(d).materialize()
 

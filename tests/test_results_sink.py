@@ -1,6 +1,8 @@
 """S7: the results-page HTML and the csolver wire format, pinned against
 the compiled reference (RootPlugin.h BuildSearchHTML via
-tests/tools/ref_html_harness.cpp)."""
+tests/tools/ref_html_harness.cpp). Where the harness can't be built,
+the page is pinned to its frozen output in tests/golden/results_page*.html
+(written by ``build_search_html`` while it matched the live harness)."""
 
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ import struct
 import subprocess
 
 import pyarrow as pa
-import pytest
 
 TOOLS = os.path.join(os.path.dirname(__file__), "tools")
 HARNESS = os.path.join(TOOLS, "ref_html_harness")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 REFERENCE = "/root/reference"
 
 FIXTURE = [
@@ -24,11 +26,11 @@ FIXTURE = [
 ]
 
 
-def _ensure_harness() -> str:
+def _ensure_harness() -> str | None:
     if os.path.exists(HARNESS):
         return HARNESS
     if shutil.which("g++") is None or not os.path.isdir(REFERENCE):
-        pytest.skip("g++ or reference tree unavailable")
+        return None
     subprocess.run(
         ["g++", "-O2", "-std=c++17", "-pthread",
          f"-I{REFERENCE}/engine/csolver", f"-I{REFERENCE}/engine",
@@ -48,7 +50,7 @@ def _reference_html(results, tmp_path) -> str:
         bits = struct.unpack("<Q", struct.pack("<d", score))[0]
         lines.append(f"{bits:016x}")
     out_file = str(tmp_path / "results.html")
-    subprocess.run([_ensure_harness(), out_file], check=True,
+    subprocess.run([HARNESS, out_file], check=True,
                    input="\n".join(lines) + "\n",
                    capture_output=True, text=True)
     with open(out_file) as f:
@@ -56,11 +58,19 @@ def _reference_html(results, tmp_path) -> str:
 
 
 def test_html_matches_reference(tmp_path):
+    """Byte-equal to the live harness when it builds, else to the frozen
+    goldens of the same two pages (the fixture and an empty list)."""
     from search_engine_ray.pipelines.results_sink import build_search_html
 
-    assert build_search_html(FIXTURE) == _reference_html(FIXTURE, tmp_path)
-    # empty result list too
-    assert build_search_html([]) == _reference_html([], tmp_path)
+    live = _ensure_harness() is not None
+    for results, golden in ((FIXTURE, "results_page.html"),
+                            ([], "results_page_empty.html")):
+        got = build_search_html(results)
+        if live:
+            assert got == _reference_html(results, tmp_path), golden
+        else:
+            with open(os.path.join(GOLDEN, golden), "rb") as f:
+                assert got.encode() == f.read(), golden
 
 
 def test_html_from_table():

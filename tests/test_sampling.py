@@ -38,15 +38,22 @@ def tiny_dir(tmp_path_factory, ray_session):
     # user 2: click@5 view@10 (click BEFORE first view → step2 no)
     # user 3: view@10 click@20 purchase@15 (purchase before click → no)
     # user 4: purchase only → counts nowhere
+    # user 5: errors only (no funnel step): a ts tie @100, then gaps of
+    # exactly 10 s and of 11 s for the sessionize edges
     rows = [(1, "view", 10), (1, "click", 20), (1, "purchase", 30),
             (2, "click", 5), (2, "view", 10),
             (3, "view", 10), (3, "click", 20), (3, "purchase", 15),
-            (4, "purchase", 10)]
+            (4, "purchase", 10),
+            (5, "error", 100), (5, "error", 100), (5, "error", 110),
+            (5, "error", 121)]
     pq.write_table(pa.table({
         "event_id": pa.array(range(len(rows)), pa.int64()),
         "ts": pa.array([us(s) for _, _, s in rows], pa.timestamp("us")),
         "user_id": pa.array([u for u, _, _ in rows], pa.int64()),
         "event_type": [t for _, t, _ in rows],
+        # binary fractions: floor(value * 1e6) is exact
+        "value": pa.array([0.5 * (i + 1) for i in range(len(rows))],
+                          pa.float64()),
     }), d / "events.parquet")
     return str(d)
 
@@ -80,6 +87,17 @@ def test_length_quantiles_exact_definition(tiny_dir):
     got = dict(zip(t["q_bp"], t["n_tokens"]))
     # ceil(.2*5)=1 → 0; ceil(.5*5)=3 → 2; ceil(1*5)=5 → 4
     assert got == {2000: 0, 5000: 2, 10000: 4}
+    # per language, the same rule over that language's docs alone:
+    # en [2, 2, 3] (N=3: ranks 1, 2, 3), fr [0], zz [4] (N=1: rank 1)
+    from search_engine_ray.functions.sampling import \
+        length_quantiles_by_lang
+    t = length_quantiles_by_lang(tiny_dir,
+                                 qs_bp=(2000, 5000, 10000)).to_pandas()
+    got = {(l, q): v for l, q, v in zip(t["lang"], t["q_bp"],
+                                        t["n_tokens"])}
+    assert got == {("en", 2000): 2, ("en", 5000): 2, ("en", 10000): 3,
+                   ("fr", 2000): 0, ("fr", 5000): 0, ("fr", 10000): 0,
+                   ("zz", 2000): 4, ("zz", 5000): 4, ("zz", 10000): 4}
 
 
 def test_top_terms_tiebreak(tiny_dir):
@@ -113,6 +131,28 @@ def test_events_funnel_strict_ordering(tiny_dir):
     assert int(t["1_view"]) == 3      # users 1, 2, 3
     assert int(t["2_click"]) == 2     # user 2's click precedes its view
     assert int(t["3_purchase"]) == 1  # only user 1 in order
+
+
+def test_sessionize_tie_and_exact_gap(tiny_dir):
+    """Two events of one user at the same ts share a session, and a gap
+    of exactly ``gap_us`` does not split one (only > gap_us does)."""
+    from search_engine_ray.functions.sessions import sessionize
+    t = sessionize(tiny_dir, gap_us=10_000_000).to_pandas()
+    t0 = int(np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64))
+    got = sorted((int(r.user_id), int(r.session_seq), int(r.n_events),
+                  int(r.start_us) - t0, int(r.end_us) - t0,
+                  int(r.sum_value_micros)) for r in t.itertuples())
+    # 1 s in µs; event i's value is (i + 1) / 2, so (i + 1) * s // 2
+    # µ-units
+    s = 1_000_000
+    assert got == [
+        (1, 1, 3, 10 * s, 30 * s, 3 * s),          # gaps of exactly 10 s
+        (2, 1, 2, 5 * s, 10 * s, 9 * s // 2),
+        (3, 1, 3, 10 * s, 20 * s, 21 * s // 2),
+        (4, 1, 1, 10 * s, 10 * s, 9 * s // 2),
+        (5, 1, 3, 100 * s, 110 * s, 33 * s // 2),  # tie @100, then 10 s
+        (5, 2, 1, 121 * s, 121 * s, 13 * s // 2),  # 11 s > gap: new
+    ]
 
 
 def test_feature_hash_sign_cancellation(tiny_dir):
